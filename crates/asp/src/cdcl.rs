@@ -3,13 +3,10 @@
 //! saving, Luby restarts, and LBD-scored learnt-clause deletion — each
 //! search heuristic toggleable via [`SatConfig`]. Supports incremental
 //! clause addition between `solve` calls (used by the optimizer's
-//! branch-and-bound loop and the stability CEGAR loop) and an optional
-//! [`preprocessing pass`](Sat::preprocess) whose eliminated variables
-//! are transparently reconstructed in returned models and transparently
-//! *reintroduced* when later clauses or assumptions mention them.
+//! branch-and-bound loop and the stability CEGAR loop). Search runs
+//! directly on the translated CNF.
 
 use crate::cancel::CancelToken;
-use crate::preprocess::{preprocess as run_preprocess, PreprocessConfig, PreprocessStats, TraceEntry};
 
 /// A boolean variable, numbered from 0.
 pub type Var = u32;
@@ -186,13 +183,6 @@ pub struct Sat {
     // unsatisfiable without any assumptions.
     final_core: Vec<Lit>,
 
-    // Preprocessing residue: variables removed by pure-literal / bounded
-    // variable elimination, their saved clauses (chronological order),
-    // and the reconstructed model values for them after a Sat result.
-    eliminated: Vec<bool>,
-    elim_trace: Vec<(Var, Vec<Vec<Lit>>)>,
-    ext_val: Vec<bool>,
-
     ok: bool, // false once a top-level conflict proves UNSAT
     /// Cumulative statistics.
     pub stats: SatStats,
@@ -235,9 +225,6 @@ impl Sat {
             phase: Vec::new(),
             seen: Vec::new(),
             final_core: Vec::new(),
-            eliminated: Vec::new(),
-            elim_trace: Vec::new(),
-            ext_val: Vec::new(),
             ok: true,
             stats: SatStats::default(),
             conflict_budget: u64::MAX,
@@ -283,8 +270,6 @@ impl Sat {
         self.activity.push(0.0);
         self.phase.push(false);
         self.seen.push(false);
-        self.eliminated.push(false);
-        self.ext_val.push(false);
         self.heap_index.push(u32::MAX);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
@@ -321,10 +306,6 @@ impl Sat {
     /// (it backtracks there itself). Returns `false` when the formula has
     /// become trivially unsatisfiable.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        if !self.ok {
-            return false;
-        }
-        self.reintroduce_vars(lits);
         if !self.ok {
             return false;
         }
@@ -783,7 +764,7 @@ impl Sat {
 
     fn pick_branch(&mut self) -> Option<Lit> {
         while let Some(v) = self.heap_pop() {
-            if self.assign[v as usize] == LBool::Undef && !self.eliminated[v as usize] {
+            if self.assign[v as usize] == LBool::Undef {
                 let polarity = self.cfg.phase_saving && self.phase[v as usize];
                 return Some(Lit::with_value(v, polarity));
             }
@@ -803,12 +784,6 @@ impl Sat {
     /// globally unsatisfiable.
     pub fn solve_with(&mut self, assumps: &[Lit]) -> SatResult {
         self.final_core.clear();
-        if !self.ok {
-            return SatResult::Unsat;
-        }
-        // Assumptions over preprocessing-eliminated variables force those
-        // variables (and everything eliminated after them) back in.
-        self.reintroduce_vars(assumps);
         if !self.ok {
             return SatResult::Unsat;
         }
@@ -895,10 +870,7 @@ impl Sat {
                     return SatResult::Unsat;
                 }
                 match next.or_else(|| self.pick_branch()) {
-                    None => {
-                        self.reconstruct_model();
-                        return SatResult::Sat;
-                    }
+                    None => return SatResult::Sat,
                     Some(l) => {
                         self.stats.decisions += 1;
                         self.trail_lim.push(self.trail.len());
@@ -960,149 +932,18 @@ impl Sat {
     }
 
     /// Model value of `v` after a `Sat` result. Unassigned vars (possible
-    /// when they occur in no clause) read as `false`; variables removed
-    /// by preprocessing read their reconstructed value.
+    /// when they occur in no clause) read as `false`.
     pub fn value(&self, v: Var) -> bool {
-        if self.eliminated[v as usize] {
-            return self.ext_val[v as usize];
-        }
         matches!(self.assign[v as usize], LBool::True)
     }
 
-    // --- preprocessing integration ---
-
-    /// Run the [`crate::preprocess`] pipeline over the current formula
-    /// and rebuild the solver from the simplified clauses. Must be
-    /// called before search (typically right after translation);
-    /// existing learnt clauses are discarded. Variables flagged in
-    /// `frozen` are never eliminated and stay safe to mention in later
-    /// clauses and assumptions; eliminated variables still yield correct
-    /// [`Sat::value`]s through model reconstruction, and are reintroduced
-    /// automatically if mentioned again.
-    pub fn preprocess(&mut self, config: &PreprocessConfig, frozen: &[bool]) -> PreprocessStats {
-        if !self.ok || !config.enabled {
-            return PreprocessStats::default();
-        }
-        self.backtrack(0);
-        if self.propagate().is_some() {
-            self.ok = false;
-            return PreprocessStats::default();
-        }
-        let mut input: Vec<Vec<Lit>> = Vec::with_capacity(self.trail.len() + self.clauses.len());
-        for &l in &self.trail {
-            input.push(vec![l]);
-        }
-        for (i, c) in self.clauses.iter().enumerate() {
-            // Learnt clauses are implied — dropping them is sound (and
-            // there are none on the intended call path, pre-search).
-            if !self.deleted[i] && !self.learnt[i] {
-                input.push(c.to_vec());
-            }
-        }
-        let pre = run_preprocess(self.num_vars(), &input, frozen, config);
-        let stats = pre.stats;
-        if pre.unsat {
-            self.ok = false;
-            return stats;
-        }
-        self.rebuild_from(pre);
-        stats
-    }
-
-    /// Replace the solver's formula with a preprocessing result.
-    fn rebuild_from(&mut self, pre: crate::preprocess::Preprocessed) {
-        self.clauses.clear();
-        self.learnt.clear();
-        self.deleted.clear();
-        self.clause_activity.clear();
-        self.lbd.clear();
-        self.n_learnt_live = 0;
-        for w in &mut self.watches {
-            w.clear();
-        }
-        self.trail.clear();
-        self.trail_lim.clear();
-        self.qhead = 0;
-        for v in 0..self.num_vars() {
-            self.assign[v] = LBool::Undef;
-            self.level[v] = 0;
-            self.reason[v] = NO_REASON;
-        }
-        let clauses = pre.clauses.clone();
-        for entry in pre.into_trace() {
-            match entry {
-                TraceEntry::Fixed(l) => {
-                    if self.lit_value(l) == LBool::Undef {
-                        self.enqueue(l, NO_REASON);
-                    }
-                }
-                TraceEntry::Eliminated { var, clauses } => {
-                    self.eliminated[var as usize] = true;
-                    self.elim_trace.push((var, clauses));
-                }
-            }
-        }
-        for c in clauses {
-            debug_assert!(c.len() >= 2, "preprocessed output must be unit-free");
-            self.attach_clause(c.into_boxed_slice(), false, 0);
-        }
-        if self.propagate().is_some() {
-            self.ok = false;
-        }
-    }
-
-    /// Pop elimination-stack entries (newest first) until no literal in
-    /// `lits` references an eliminated variable, re-adding each entry's
-    /// saved clauses. Entries never mention variables eliminated before
-    /// them, so each restored clause is immediately attachable.
-    fn reintroduce_vars(&mut self, lits: &[Lit]) {
-        if self.elim_trace.is_empty() {
-            return;
-        }
-        while lits.iter().any(|l| self.eliminated[l.var() as usize]) {
-            let (var, clauses) = self
-                .elim_trace
-                .pop()
-                .expect("eliminated variable without a trace entry");
-            self.eliminated[var as usize] = false;
-            if self.heap_index[var as usize] == u32::MAX
-                && self.assign[var as usize] == LBool::Undef
-            {
-                self.heap_insert(var);
-            }
-            for c in clauses {
-                if !self.add_clause(&c) {
-                    return; // formula became UNSAT; ok is already false
-                }
-            }
-        }
-    }
-
-    /// Compute model values for eliminated variables by replaying the
-    /// elimination stack newest-first over the current assignment.
-    fn reconstruct_model(&mut self) {
-        if self.elim_trace.is_empty() {
-            return;
-        }
-        let mut model: Vec<bool> = (0..self.num_vars())
-            .map(|v| matches!(self.assign[v], LBool::True))
-            .collect();
-        for (var, clauses) in self.elim_trace.iter().rev() {
-            let vi = *var as usize;
-            let sat_under =
-                |m: &[bool], c: &[Lit]| c.iter().any(|l| m[l.var() as usize] != l.is_neg());
-            model[vi] = false;
-            if !clauses.iter().all(|c| sat_under(&model, c)) {
-                model[vi] = true;
-                debug_assert!(
-                    clauses.iter().all(|c| sat_under(&model, c)),
-                    "elimination invariant violated for var {var}"
-                );
-            }
-        }
-        for (var, _) in &self.elim_trace {
-            self.ext_val[*var as usize] = model[*var as usize];
-        }
+    /// Number of live problem clauses of two or more literals (learnt
+    /// clauses excluded; units sit on the level-0 trail, not in the
+    /// clause store).
+    pub(crate) fn num_clauses(&self) -> usize {
+        (0..self.clauses.len())
+            .filter(|&i| !self.learnt[i] && !self.deleted[i])
+            .count()
     }
 }
 
@@ -1453,89 +1294,6 @@ mod tests {
         }
         assert_eq!(s.solve(), SatResult::Unsat);
         assert_eq!(s.stats.restarts, 0, "restarts disabled");
-    }
-
-    #[test]
-    fn preprocess_then_solve_reconstructs_eliminated() {
-        // Chain a → x → y → b with x, y eliminable; a, b frozen.
-        let mut s = Sat::new();
-        let vars: Vec<Var> = (0..4).map(|_| s.new_var()).collect();
-        let (a, x, y, b) = (vars[0], vars[1], vars[2], vars[3]);
-        let orig = vec![
-            vec![n(a), p(x)],
-            vec![n(x), p(y)],
-            vec![n(y), p(b)],
-            vec![p(a)],
-        ];
-        for c in &orig {
-            s.add_clause(c);
-        }
-        let mut frozen = vec![false; 4];
-        frozen[a as usize] = true;
-        frozen[b as usize] = true;
-        let stats = s.preprocess(&PreprocessConfig::default(), &frozen);
-        assert!(stats.fixed_literals > 0, "unit chain should fix: {stats:?}");
-        assert_eq!(s.solve(), SatResult::Sat);
-        for c in &orig {
-            assert!(
-                c.iter().any(|l| s.value(l.var()) != l.is_neg()),
-                "reconstructed model violates {c:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn eliminated_var_reintroduced_by_assumption() {
-        // (¬x ∨ a), (x ∨ b): x is eliminable over frozen a, b. Assuming
-        // x afterwards must still behave like the original formula:
-        // x=true forces a.
-        let mut s = Sat::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        let x = s.new_var();
-        s.add_clause(&[n(x), p(a)]);
-        s.add_clause(&[p(x), p(b)]);
-        let frozen = vec![true, true, false];
-        let stats = s.preprocess(&PreprocessConfig::default(), &frozen);
-        assert_eq!(stats.eliminated_vars, 1, "{stats:?}");
-        // x is gone but an assumption on it reintroduces it.
-        assert_eq!(s.solve_with(&[p(x), n(b)]), SatResult::Sat);
-        assert!(s.value(a), "x=true must force a through the restored clause");
-        // And the original semantics fully hold: x ∧ ¬a is now UNSAT.
-        assert_eq!(s.solve_with(&[p(x), n(a)]), SatResult::Unsat);
-    }
-
-    #[test]
-    fn eliminated_var_reintroduced_by_clause() {
-        let mut s = Sat::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        let x = s.new_var();
-        s.add_clause(&[n(x), p(a)]);
-        s.add_clause(&[p(x), p(b)]);
-        let frozen = vec![true, true, false];
-        assert_eq!(
-            s.preprocess(&PreprocessConfig::default(), &frozen).eliminated_vars,
-            1
-        );
-        // New clauses force x true and a false: UNSAT overall.
-        assert!(s.add_clause(&[p(x)]));
-        let ok = s.add_clause(&[n(a)]);
-        assert!(!ok || s.solve() == SatResult::Unsat);
-    }
-
-    #[test]
-    fn preprocess_detects_unsat() {
-        let mut s = Sat::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        s.add_clause(&[p(a), p(b)]);
-        s.add_clause(&[p(a), n(b)]);
-        s.add_clause(&[n(a), p(b)]);
-        s.add_clause(&[n(a), n(b)]);
-        let frozen = vec![false; 2];
-        s.preprocess(&PreprocessConfig::default(), &frozen);
-        assert_eq!(s.solve(), SatResult::Unsat);
     }
 
     #[test]

@@ -33,9 +33,7 @@
 //! answers run the same stability CEGAR loop as the solving path
 //! (discovered loop nogoods are added as hard clauses — they
 //! over-approximate external supports, so they are sound for every
-//! selector subset), and preprocessing runs with selectors frozen, so
-//! cores survive subsumption/variable-elimination rewrites via the
-//! usual model-reconstruction machinery.
+//! selector subset).
 //!
 //! Determinism: the extraction always runs under one fixed internal
 //! engine configuration, so the reported core depends only on the
@@ -45,8 +43,7 @@ use crate::cancel::CancelToken;
 use crate::cdcl::{Lit, Sat, SatConfig, SatResult, Var};
 use crate::cnf::{translate_collected, ClauseOrigin};
 use crate::ground::GroundProgram;
-use crate::preprocess::PreprocessConfig;
-use crate::solve::{frozen_vars, SolveStats, Solver};
+use crate::solve::{SolveStats, Solver};
 use crate::stability::{check_stability, Stability};
 use crate::term::AtomId;
 use crate::{AspError, Result};
@@ -173,7 +170,7 @@ impl Solver {
 
         // Re-translate with provenance. The solving path's translation
         // is not reused: selectors must be interleaved with the clause
-        // stream before preprocessing sees it.
+        // stream.
         let (cnf, tr) = translate_collected(gp);
         let mut sat = Sat::new();
         sat.set_search_config(canonical_sat_config());
@@ -205,20 +202,6 @@ impl Solver {
             sat.add_clause(&guarded);
         }
         stats.sat_vars = sat.num_vars();
-
-        // Preprocess with selectors frozen alongside the ASP-visible
-        // variables, so every group keeps its guard through rewrites.
-        let mut frozen = frozen_vars(&tr, sat.num_vars());
-        for &(s, _) in &sel.selectors {
-            frozen[s.var() as usize] = true;
-        }
-        let pre = sat.preprocess(&PreprocessConfig::default(), &frozen);
-        stats.pre_fixed_literals = pre.fixed_literals;
-        stats.pre_failed_literals = pre.failed_literals;
-        stats.pre_pure_literals = pre.pure_literals;
-        stats.pre_subsumed_clauses = pre.subsumed_clauses;
-        stats.pre_strengthened_clauses = pre.strengthened_clauses;
-        stats.pre_eliminated_vars = pre.eliminated_vars;
 
         let all: Vec<Lit> = sel.selectors.iter().map(|&(s, _)| s).collect();
 

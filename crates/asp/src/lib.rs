@@ -20,20 +20,16 @@
 //!    rules over an over-approximated Herbrand base.
 //! 3. **Translate** ([`cnf`]) — Clark completion plus sequential-counter
 //!    cardinality encodings to CNF.
-//! 4. **Preprocess** ([`preprocess`]) — SatELite-style simplification
-//!    (unit propagation to fixpoint, pure/failed literals, subsumption +
-//!    self-subsuming resolution, bounded variable elimination with model
-//!    reconstruction) over the translated CNF, with ASP-visible
-//!    variables frozen.
-//! 5. **Search** ([`cdcl`]) — a MiniSat-style CDCL SAT solver (two
+//! 4. **Search** ([`cdcl`]) — a MiniSat-style CDCL SAT solver (two
 //!    watched literals with blockers, 1UIP learning, VSIDS, phase
-//!    saving, Luby restarts, LBD-scored clause deletion).
-//! 6. **Verify** ([`stability`]) — a model-guided Gelfond–Lifschitz
+//!    saving, Luby restarts, LBD-scored clause deletion) over the
+//!    translated CNF.
+//! 5. **Verify** ([`stability`]) — a model-guided Gelfond–Lifschitz
 //!    stability check; non-stable models are blocked and search resumes
 //!    (CEGAR). Programs whose ground positive-dependency graph is acyclic
 //!    — like the concretizer's, where ground recursion follows package
 //!    DAGs — never trigger the loop.
-//! 7. **Optimize** ([`solve`]) — lexicographic branch-and-bound over
+//! 6. **Optimize** ([`solve`]) — lexicographic branch-and-bound over
 //!    `#minimize` priorities, incrementally reusing learned clauses
 //!    across bound tightenings.
 
@@ -46,7 +42,6 @@ pub mod explain;
 pub mod ground;
 pub mod model;
 pub mod parser;
-pub mod preprocess;
 pub mod program;
 pub mod solve;
 pub mod stability;
@@ -65,7 +60,6 @@ pub use ground::{
 };
 pub use model::Model;
 pub use parser::{parse_program, parse_program_spanned};
-pub use preprocess::{preprocess, PreprocessConfig, PreprocessStats, Preprocessed};
 pub use program::{Program, PruneReport, Rule};
 pub use solve::{SolveOutcome, SolveStats, Solver, SolverConfig, TranslatedProgram};
 pub use term::{Atom, Term};

@@ -6,7 +6,6 @@ use crate::cdcl::{Lit, Sat, SatConfig, SatResult};
 use crate::cnf::{add_upper_bound, add_upper_bound_guarded, translate, BoundCounter, Translation};
 use crate::ground::{ground_parallel, GroundLimits, GroundProgram};
 use crate::model::Model;
-use crate::preprocess::{PreprocessConfig, PreprocessStats};
 use crate::program::Program;
 use crate::stability::{check_stability, Stability};
 use crate::term::AtomId;
@@ -28,9 +27,6 @@ pub struct SolverConfig {
     /// program is bit-identical at every setting; see
     /// [`crate::ground::ground_parallel`].
     pub ground_threads: usize,
-    /// CNF preprocessing run once per translation (ASP-visible variables
-    /// are frozen automatically; see [`crate::preprocess`]).
-    pub preprocess: PreprocessConfig,
     /// CDCL search-heuristic toggles (phase saving, restarts, LBD
     /// deletion).
     pub sat: SatConfig,
@@ -55,7 +51,6 @@ impl Default for SolverConfig {
             max_stability_loops: 10_000,
             conflict_budget: u64::MAX,
             ground_threads: 1,
-            preprocess: PreprocessConfig::default(),
             sat: SatConfig::default(),
             cancel: CancelToken::none(),
             incremental_bnb: true,
@@ -64,12 +59,11 @@ impl Default for SolverConfig {
 }
 
 impl SolverConfig {
-    /// The seed engine: no preprocessing, no search heuristics, and
-    /// from-scratch branch-and-bound — the baseline the modern engine is
-    /// benchmarked and differential-tested against.
+    /// The seed engine: no search heuristics and from-scratch
+    /// branch-and-bound — the baseline the modern engine is benchmarked
+    /// and differential-tested against.
     pub fn seed_engine() -> Self {
         SolverConfig {
-            preprocess: PreprocessConfig::disabled(),
             sat: SatConfig::seed_engine(),
             incremental_bnb: false,
             ..Default::default()
@@ -102,18 +96,6 @@ pub struct SolveStats {
     pub reductions: u64,
     /// Learnt clauses deleted by reductions.
     pub deleted_clauses: u64,
-    /// Preprocessing: entailed unit literals fixed.
-    pub pre_fixed_literals: u64,
-    /// Preprocessing: units found by failed-literal probing.
-    pub pre_failed_literals: u64,
-    /// Preprocessing: pure-literal variables removed.
-    pub pre_pure_literals: u64,
-    /// Preprocessing: clauses removed by subsumption.
-    pub pre_subsumed_clauses: u64,
-    /// Preprocessing: clauses strengthened by self-subsuming resolution.
-    pub pre_strengthened_clauses: u64,
-    /// Preprocessing: variables removed by bounded variable elimination.
-    pub pre_eliminated_vars: u64,
     /// Stability (CEGAR) restarts.
     pub stability_restarts: u64,
     /// Optimization probes (bound-and-resolve steps).
@@ -150,7 +132,22 @@ pub struct TranslatedProgram {
     gp: Arc<GroundProgram>,
     sat: Sat,
     tr: Translation,
-    pre: PreprocessStats,
+}
+
+/// The CNF counters the repository benchmark reads from
+/// [`TranslatedProgram::preprocess_stats`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PreprocessStats {
+    /// Problem clauses in the translated instance.
+    pub clauses_in: u64,
+    /// Problem clauses search starts from (equal to `clauses_in`).
+    pub clauses_out: u64,
+    /// Always 0.
+    pub fixed_literals: u64,
+    /// Always 0.
+    pub eliminated_vars: u64,
+    /// Always 0.
+    pub failed_literals: u64,
 }
 
 impl TranslatedProgram {
@@ -159,37 +156,18 @@ impl TranslatedProgram {
         &self.gp
     }
 
-    /// Statistics from the preprocessing pass run at translation time
-    /// (all zero when preprocessing is disabled).
+    /// The raw instance's clause count as both `clauses_in` and
+    /// `clauses_out`, and zero for every other field. The engine has no
+    /// CNF preprocessing; this remains only because the repository
+    /// benchmark (`benchmark/`) reports these counters.
     pub fn preprocess_stats(&self) -> PreprocessStats {
-        self.pre
-    }
-}
-
-/// Freeze every SAT variable the ASP layers reference after translation:
-/// atom variables (model extraction, enumeration blocking, loop
-/// clauses), the constant-true variable, rule/choice body literals (loop
-/// clauses), and cost literals (bound circuits, cost evaluation). Only
-/// auxiliary encoding variables — sequential-counter internals — remain
-/// eliminable.
-pub(crate) fn frozen_vars(tr: &Translation, num_vars: usize) -> Vec<bool> {
-    let mut frozen = vec![false; num_vars];
-    frozen[tr.true_var as usize] = true;
-    for &v in &tr.atom_var {
-        frozen[v as usize] = true;
-    }
-    for &l in &tr.rule_body {
-        frozen[l.var() as usize] = true;
-    }
-    for &l in &tr.choice_body {
-        frozen[l.var() as usize] = true;
-    }
-    for (_, items) in &tr.cost {
-        for &(_, l) in items {
-            frozen[l.var() as usize] = true;
+        let clauses = self.sat.num_clauses() as u64;
+        PreprocessStats {
+            clauses_in: clauses,
+            clauses_out: clauses,
+            ..Default::default()
         }
     }
-    frozen
 }
 
 /// The ASP solver facade.
@@ -250,21 +228,14 @@ impl Solver {
     /// Translate an already-grounded program to CNF once, producing a
     /// [`TranslatedProgram`] that [`Solver::solve_translated`] can
     /// re-solve without repeating the translation — the second layer of
-    /// ground-program memoization.
+    /// ground-program memoization. The memoized instance is the raw
+    /// translation.
     pub fn translate_ground(&self, gp: Arc<GroundProgram>) -> TranslatedProgram {
         let mut sat = Sat::new();
         sat.set_conflict_budget(self.config.conflict_budget);
         sat.set_search_config(self.config.sat);
         let tr = translate(&gp, &mut sat);
-        // Preprocess once here so memoized re-solves (which clone the
-        // pristine instance) inherit the simplified formula for free.
-        let pre = if self.config.preprocess.enabled {
-            let frozen = frozen_vars(&tr, sat.num_vars());
-            sat.preprocess(&self.config.preprocess, &frozen)
-        } else {
-            PreprocessStats::default()
-        };
-        TranslatedProgram { gp, sat, tr, pre }
+        TranslatedProgram { gp, sat, tr }
     }
 
     /// Solve a translated program. The pristine SAT instance is cloned
@@ -296,12 +267,6 @@ impl Solver {
         stats.restarts = sat.stats.restarts;
         stats.reductions = sat.stats.reductions;
         stats.deleted_clauses = sat.stats.deleted_clauses;
-        stats.pre_fixed_literals = tp.pre.fixed_literals;
-        stats.pre_failed_literals = tp.pre.failed_literals;
-        stats.pre_pure_literals = tp.pre.pure_literals;
-        stats.pre_subsumed_clauses = tp.pre.subsumed_clauses;
-        stats.pre_strengthened_clauses = tp.pre.strengthened_clauses;
-        stats.pre_eliminated_vars = tp.pre.eliminated_vars;
         Ok((outcome, stats))
     }
 
@@ -527,9 +492,6 @@ impl Solver {
     pub fn enumerate(&self, program: &Program, limit: usize) -> Result<Vec<Model>> {
         let mut stats = SolveStats::default();
         let gp = self.ground(program)?;
-        // Shares the translate + preprocess path with `solve`; blocking
-        // clauses range over atom variables, which preprocessing froze,
-        // so enumeration over the simplified instance is exact.
         let tp = self.translate_ground(gp);
         let mut sat = tp.sat.clone();
         sat.set_conflict_budget(self.config.conflict_budget);
@@ -777,25 +739,13 @@ mod tests {
     }
 
     #[test]
-    fn preprocessing_stats_surface_in_solve_stats() {
-        // Choice-rule cardinality encodings create eliminable
-        // sequential-counter auxiliaries; the default config must report
-        // preprocessing work on them.
+    fn search_effort_surfaces_in_solve_stats() {
         let (_, stats) = solve_text(
             r#"
             cand("a"). cand("b"). cand("c"). cand("d").
             1 { pick(V) : cand(V) } 2.
             :- pick("a"), pick("b").
         "#,
-        );
-        assert!(
-            stats.pre_fixed_literals
-                + stats.pre_pure_literals
-                + stats.pre_subsumed_clauses
-                + stats.pre_strengthened_clauses
-                + stats.pre_eliminated_vars
-                > 0,
-            "preprocessing found nothing: {stats:?}"
         );
         assert!(stats.propagations > 0, "propagation accounting: {stats:?}");
         assert!(stats.decisions > 0, "decision accounting: {stats:?}");

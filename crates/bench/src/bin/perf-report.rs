@@ -17,6 +17,13 @@
 //!
 //! On top of the per-workload modes the report carries:
 //!
+//! * an `engine` section per workload comparing the seed engine
+//!   ([`SolverConfig::seed_engine`]) with the modern one. Each goal's
+//!   [`spackle_asp::TranslatedProgram`] is prepared outside the timed
+//!   region, so the times cover `Solver::solve_translated` alone —
+//!   search, stability checks and optimization — never a memoized model.
+//!   The modern engine's answers must match the sequential mode's DAG
+//!   hashes, and both engines must reach the same cost vectors;
 //! * a top-level `regressions` array naming every `(workload, mode)`
 //!   whose min-of-trials speedup vs sequential rounds below 1.0× — CI
 //!   gates on this being empty, so a parallel-grounding regression is a
@@ -39,15 +46,16 @@
 //! speedup criterion.
 
 use serde::Serialize;
-use spackle_asp::SolverConfig;
+use spackle_asp::{SolveOutcome, SolveStats, Solver, SolverConfig};
 use spackle_bench::{mean_std_ms, run_trials_warm, Args};
 use spackle_buildcache::CacheSource;
-use spackle_core::{repo_delta, Concretizer, ConcretizerConfig, Goal, GroundCache, Solution};
+use spackle_core::interpret::interpret;
+use spackle_core::{repo_delta, Concretizer, ConcretizerConfig, Goal, GroundCache, PreparedProgram};
 use spackle_radiuss::ExperimentEnv;
 use spackle_repo::Repository;
-use spackle_spec::{parse_spec, AbstractSpec, Sym, Version};
+use spackle_spec::{parse_spec, AbstractSpec, ConcreteSpec, Sym, Version};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A goal with its display name.
 struct NamedGoal {
@@ -56,16 +64,17 @@ struct NamedGoal {
 }
 
 /// A canonical rendering of everything that makes two solutions "the
-/// same": per-root DAG hashes plus the reuse / build / splice decisions.
-fn signature(goal: &NamedGoal, sol: &Solution) -> String {
-    let hashes: Vec<String> = sol.specs.iter().map(|s| s.dag_hash().to_string()).collect();
+/// same": per-root DAG hashes plus the reuse / build / splice counts.
+fn signature(
+    goal: &NamedGoal,
+    specs: &[ConcreteSpec],
+    [reused, built, spliced]: [usize; 3],
+) -> String {
+    let hashes: Vec<String> = specs.iter().map(|s| s.dag_hash().to_string()).collect();
     format!(
-        "{} specs=[{}] reused={} built={} spliced={}",
+        "{} specs=[{}] reused={reused} built={built} spliced={spliced}",
         goal.name,
         hashes.join(","),
-        sol.reused.len(),
-        sol.built.len(),
-        sol.spliced.len()
     )
 }
 
@@ -90,7 +99,8 @@ fn sweep(
         let sol = conc
             .concretize(&g.spec)
             .unwrap_or_else(|e| panic!("perf-report {}: {e}", g.name));
-        sigs.push(signature(g, &sol));
+        let counts = [sol.reused.len(), sol.built.len(), sol.spliced.len()];
+        sigs.push(signature(g, &sol.specs, counts));
     }
     (t.elapsed(), sigs)
 }
@@ -145,34 +155,21 @@ fn run_mode(
     }
 }
 
-/// Search + preprocessing effort summed over one sweep of a workload.
+/// Search effort summed over one sweep of a workload.
 #[derive(Serialize, Default, Clone, Copy)]
 struct SearchJson {
     conflicts: u64,
     decisions: u64,
     propagations: u64,
     restarts: u64,
-    pre_fixed_literals: u64,
-    pre_failed_literals: u64,
-    pre_pure_literals: u64,
-    pre_subsumed_clauses: u64,
-    pre_strengthened_clauses: u64,
-    pre_eliminated_vars: u64,
 }
 
 impl SearchJson {
-    fn absorb(&mut self, sol: &Solution) {
-        let s = &sol.stats.solver;
+    fn absorb(&mut self, s: &SolveStats) {
         self.conflicts += s.conflicts;
         self.decisions += s.decisions;
         self.propagations += s.propagations;
         self.restarts += s.restarts;
-        self.pre_fixed_literals += s.pre_fixed_literals;
-        self.pre_failed_literals += s.pre_failed_literals;
-        self.pre_pure_literals += s.pre_pure_literals;
-        self.pre_subsumed_clauses += s.pre_subsumed_clauses;
-        self.pre_strengthened_clauses += s.pre_strengthened_clauses;
-        self.pre_eliminated_vars += s.pre_eliminated_vars;
     }
 }
 
@@ -186,42 +183,73 @@ struct EngineModeJson {
 }
 
 /// The SAT-engine comparison: the same workload solved by the
-/// pre-modernization engine (no preprocessing, no phase saving /
-/// restarts / LBD deletion, from-scratch branch-and-bound) and by the
-/// full modern engine, each over its own warm ground cache so the
-/// measurement is solve-dominated.
+/// pre-modernization engine (no phase saving / restarts / LBD deletion,
+/// from-scratch branch-and-bound) and by the full modern engine. Each
+/// sweep times `Solver::solve_translated` on programs prepared before
+/// the timed region.
 #[derive(Serialize)]
 struct EngineJson {
     seed: EngineModeJson,
     modern: EngineModeJson,
 }
 
-/// Like [`sweep`], but also sums the solver's effort counters and
-/// records each goal's lexicographic optimum (see the engine gate).
-fn engine_sweep(
+/// Prepare every goal's translated program under `config`, untimed: one
+/// solve per goal fills a private ground cache, and the entry is read
+/// back by its key.
+fn prepare_goals(
     repo: &Repository,
     cache: &Arc<dyn CacheSource>,
     config: &ConcretizerConfig,
-    ground_cache: &Arc<GroundCache>,
     goals: &[NamedGoal],
-) -> (std::time::Duration, Vec<String>, Vec<String>, SearchJson) {
+) -> Vec<PreparedProgram> {
+    let ground_cache = GroundCache::shared();
     let conc = Concretizer::new(repo)
         .with_config(config.clone())
         .with_reusable(cache)
-        .with_ground_cache(Arc::clone(ground_cache));
-    let t = Instant::now();
+        .with_ground_cache(Arc::clone(&ground_cache));
+    goals
+        .iter()
+        .map(|g| {
+            let goal = Goal::single(g.spec.clone());
+            let prepared = conc.concretize_goal(&goal).and_then(|_| conc.ground_key(&goal));
+            let key = prepared.unwrap_or_else(|e| panic!("perf-report engine {}: {e}", g.name));
+            ground_cache
+                .lookup(key)
+                .expect("the solve inserted its prepared program")
+        })
+        .collect()
+}
+
+/// One timed pass over the prepared goals: the summed time of
+/// `solve_translated` alone, plus each goal's signature and
+/// lexicographic optimum (see the engine gate) and the summed effort.
+fn engine_sweep(
+    solver: &Solver,
+    cache: &Arc<dyn CacheSource>,
+    goals: &[NamedGoal],
+    prepared: &[PreparedProgram],
+) -> (Duration, Vec<String>, Vec<String>, SearchJson) {
+    let mut elapsed = Duration::ZERO;
     let mut sigs = Vec::with_capacity(goals.len());
     let mut costs = Vec::with_capacity(goals.len());
     let mut effort = SearchJson::default();
-    for g in goals {
-        let sol = conc
-            .concretize(&g.spec)
+    for (g, p) in goals.iter().zip(prepared) {
+        let t = Instant::now();
+        let solved = solver.solve_translated(&p.program);
+        elapsed += t.elapsed();
+        let (outcome, stats) =
+            solved.unwrap_or_else(|e| panic!("perf-report engine {}: {e}", g.name));
+        let SolveOutcome::Optimal(model) = outcome else {
+            panic!("perf-report engine {}: unsatisfiable", g.name);
+        };
+        effort.absorb(&stats);
+        let answer = interpret(&model, std::slice::from_ref(cache), &p.root_names)
             .unwrap_or_else(|e| panic!("perf-report engine {}: {e}", g.name));
-        effort.absorb(&sol);
-        costs.push(format!("{} cost={:?}", g.name, sol.cost));
-        sigs.push(signature(g, &sol));
+        let counts = [answer.reused.len(), answer.built.len(), answer.spliced.len()];
+        costs.push(format!("{} cost={:?}", g.name, model.cost));
+        sigs.push(signature(g, &answer.specs, counts));
     }
-    (t.elapsed(), sigs, costs, effort)
+    (elapsed, sigs, costs, effort)
 }
 
 struct EngineModeResult {
@@ -240,12 +268,13 @@ fn run_engine_mode(
     config: &ConcretizerConfig,
     goals: &[NamedGoal],
 ) -> EngineModeResult {
-    let ground_cache = GroundCache::shared();
+    let prepared = prepare_goals(repo, cache, config, goals);
+    let solver = Solver::with_config(config.solver.clone());
     let mut sigs: Vec<Vec<String>> = Vec::new();
     let mut costs: Vec<Vec<String>> = Vec::new();
     let mut effort = SearchJson::default();
     let times = run_trials_warm(trials, warmup, || {
-        let (dt, s, c, e) = engine_sweep(repo, cache, config, &ground_cache, goals);
+        let (dt, s, c, e) = engine_sweep(&solver, cache, goals, &prepared);
         sigs.push(s);
         costs.push(c);
         effort = e;
@@ -482,7 +511,7 @@ fn main() {
             ),
         ];
 
-        // --- SAT-engine comparison: seed vs modern, warm caches ---
+        // --- SAT-engine comparison: seed vs modern, search timed alone ---
         let mut seed_cfg = par_cfg.clone();
         seed_cfg.solver = SolverConfig {
             ground_threads: seed_cfg.solver.ground_threads,
@@ -596,11 +625,9 @@ fn main() {
         );
         eprintln!(
             "perf-report:   modern-engine {:>9.2} ms ± {:.2}  ({engine_speedup:.2}x vs seed; \
-             {} vars eliminated, {} clauses subsumed, {} conflicts vs {})",
+             {} conflicts vs {})",
             modern_engine.mean_ms,
             modern_engine.std_ms,
-            modern_engine.effort.pre_eliminated_vars,
-            modern_engine.effort.pre_subsumed_clauses,
             modern_engine.effort.conflicts,
             seed_engine.effort.conflicts,
         );

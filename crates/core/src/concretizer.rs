@@ -387,9 +387,8 @@ impl Concretizer {
     /// fingerprint of every input that determines the prepared ground
     /// program — the goal's package-segment fingerprints (see
     /// [`Concretizer::segment_key`]), the reusable-spec fingerprints in
-    /// cache order, the goal, the encode-relevant configuration, the
-    /// grounding limits, and the CNF preprocessing configuration (the
-    /// cached entry holds the *preprocessed* pristine SAT instance).
+    /// cache order, the goal, the encode-relevant configuration, and the
+    /// grounding limits. The cached entry holds the raw CNF translation.
     /// Solver search knobs (`ground_threads`, `conflict_budget`,
     /// `max_stability_loops`, `sat`, `incremental_bnb`) are deliberately
     /// excluded: they never change the prepared program — search config
@@ -462,7 +461,6 @@ impl Concretizer {
         .hash(&mut h);
         self.config.solver.limits.max_atoms.hash(&mut h);
         self.config.solver.limits.max_rules.hash(&mut h);
-        format!("{:?}", self.config.solver.preprocess).hash(&mut h);
         Ok((h.finish(), Arc::new(segments)))
     }
 
@@ -620,7 +618,7 @@ impl Concretizer {
     ///   `*_src` tables, and explanation is an off-path diagnostic — it
     ///   must never pollute or depend on the hot solve pipeline.
     /// * **Canonical solver configuration.** Core extraction runs under
-    ///   the engine's fixed internal search/preprocess settings
+    ///   the engine's fixed internal search settings
     ///   regardless of [`SolverConfig`] tuning, so the reported core is
     ///   stable across solver-knob changes. Only grounding limits and
     ///   the cancellation token carry over; the configured

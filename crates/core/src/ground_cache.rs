@@ -358,6 +358,13 @@ impl GroundCache {
     /// Future inserts referencing a pre-delta fingerprint of a moved
     /// segment are rejected (stale-straggler protection, same contract
     /// as the revision floor). Returns what was dropped vs retained.
+    ///
+    /// Precondition: deltas arrive in the order their worlds were
+    /// published. The retirement table keeps the last fingerprint it was
+    /// given per segment, so applying `w2 → w3` before `w1 → w2` leaves
+    /// it at `w2`'s and rejects every later insert for `w3` as stale. A
+    /// caller that publishes worlds concurrently must serialize publish
+    /// and apply, e.g. by applying under its repository write lock.
     pub fn apply_delta(&self, delta: &SegmentDelta) -> DeltaReport {
         // Publish retirements FIRST (see insert's ordering argument).
         {

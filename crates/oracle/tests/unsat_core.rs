@@ -31,11 +31,8 @@
 use proptest::TestRng;
 use rustc_hash::FxHashSet;
 use spackle_asp::ground::{ground, GroundProgram};
-use spackle_asp::preprocess::PreprocessConfig;
 use spackle_asp::term::AtomId;
-use spackle_asp::{
-    ClauseOrigin, ExplainConfig, ExplainOutcome, SatConfig, Solver, SolverConfig, UnsatCore,
-};
+use spackle_asp::{ClauseOrigin, ExplainConfig, ExplainOutcome, Solver, SolverConfig, UnsatCore};
 use spackle_oracle::genprog::random_program;
 use spackle_oracle::reference;
 
@@ -50,23 +47,12 @@ fn matrix() -> Vec<(&'static str, SolverConfig)> {
     vec![
         ("all-on", all_on.clone()),
         ("all-off", SolverConfig::seed_engine()),
-        (
-            "no-preprocess",
-            one_off(&|c| c.preprocess = PreprocessConfig::disabled()),
-        ),
         ("no-phase-saving", one_off(&|c| c.sat.phase_saving = false)),
         ("no-restarts", one_off(&|c| c.sat.restarts = false)),
         ("no-lbd", one_off(&|c| c.sat.lbd_deletion = false)),
         (
             "no-incremental-bnb",
             one_off(&|c| c.incremental_bnb = false),
-        ),
-        (
-            "preprocess-only",
-            one_off(&|c| {
-                c.sat = SatConfig::seed_engine();
-                c.incremental_bnb = false;
-            }),
         ),
     ]
 }

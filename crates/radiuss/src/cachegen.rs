@@ -125,44 +125,21 @@ pub fn concretize_roots_parallel(repo: &Repository, roots: &[&str]) -> Vec<Concr
 
 /// Generate the *public buildcache*: `n_dags` synthesized configurations
 /// of RADIUSS roots (and their sub-DAGs, each a reusable entry). The
-/// resulting entry count is typically several times `n_dags`. Generation
-/// parallelizes across threads; `seed` makes it reproducible.
+/// resulting entry count is typically several times `n_dags`. Every DAG
+/// is drawn from one stream seeded by `seed`, so a seed gives the same
+/// cache on every host.
 pub fn public_cache(repo: &Repository, n_dags: usize, seed: u64) -> BuildCache {
-    let nthreads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(n_dags.max(1));
-    let per = n_dags.div_ceil(nthreads);
-    let specs: Vec<ConcreteSpec> = crossbeam::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for t in 0..nthreads {
-            handles.push(s.spawn(move |_| {
-                let cfg = SynthConfig::default();
-                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64));
-                let mut specs = Vec::new();
-                let count = per.min(n_dags.saturating_sub(t * per));
-                for _ in 0..count {
-                    let root = RADIUSS_ROOTS[rng.gen_range(0..RADIUSS_ROOTS.len())];
-                    if let Some(spec) = synth_spec(repo, Sym::intern(root), &cfg, &mut rng) {
-                        specs.push(spec);
-                    }
-                }
-                specs
-            }));
-        }
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker thread"))
-            .collect()
-    })
-    .expect("crossbeam scope");
-
+    let cfg = SynthConfig::default();
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut cache = BuildCache::new();
-    for spec in &specs {
-        // Index-only entries: the public-cache experiments measure the
-        // concretizer, not the installer, and empty artifacts keep the
-        // cache cheap to build at bench setup.
-        cache.add_spec(spec);
+    for _ in 0..n_dags {
+        let root = RADIUSS_ROOTS[rng.gen_range(0..RADIUSS_ROOTS.len())];
+        if let Some(spec) = synth_spec(repo, Sym::intern(root), &cfg, &mut rng) {
+            // Index-only entries: the public-cache experiments measure
+            // the concretizer, not the installer, and empty artifacts
+            // keep the cache cheap to build at bench setup.
+            cache.add_spec(&spec);
+        }
     }
     cache
 }

@@ -347,9 +347,8 @@ mod tests {
         assert!(resp.ok, "{}", resp.error);
         assert_eq!(resp.hashes.len(), 1);
         assert!(!resp.ground_cache_hit, "cold cache");
-        // The tiny instance solves by propagation alone (preprocessing
-        // leaves nothing to decide), so propagations is the counter
-        // guaranteed to move.
+        // The tiny instance may solve by propagation alone, so
+        // propagations is the counter guaranteed to move.
         assert!(
             resp.propagations > 0,
             "search effort must surface per solve: {resp:?}"
@@ -476,6 +475,42 @@ mod tests {
         bad.version = "not a version".to_string();
         assert!(!handle(&state, &mut session, &bad).ok);
         assert!(!handle(&state, &mut session, &Request::op("update")).ok);
+    }
+
+    #[test]
+    fn racing_updates_of_one_package_keep_its_dependents_cacheable() {
+        // Each round races concurrent updates of zlib. Were two of them
+        // to reach the ground cache out of order, its retirement table
+        // would end at an older zlib fingerprint and reject every insert
+        // for the current world, so app would never hit again.
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 64;
+        let state = tiny_state();
+        let mut session = Session::new();
+        for round in 0..ROUNDS {
+            let start = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|s| {
+                for t in 0..THREADS {
+                    let (state, start) = (&state, &start);
+                    s.spawn(move || {
+                        let mut req = Request::op("update");
+                        req.package = "zlib".to_string();
+                        req.version = format!("0.{round}.{t}");
+                        start.wait();
+                        let resp = handle(state, &mut Session::new(), &req);
+                        assert!(resp.ok, "{}", resp.error);
+                    });
+                }
+            });
+            let first = handle(&state, &mut session, &Request::concretize("app"));
+            assert!(first.ok, "{}", first.error);
+            let second = handle(&state, &mut session, &Request::concretize("app"));
+            assert!(second.ok, "{}", second.error);
+            assert!(
+                second.ground_cache_hit,
+                "round {round}: app must hit on its second solve after racing updates"
+            );
+        }
     }
 
     #[test]

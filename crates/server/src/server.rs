@@ -223,10 +223,14 @@ impl ServerState {
     /// keys and keep hitting. In-flight solves hold their own snapshot
     /// `Arc`s and finish untouched; the cache's retirement table rejects
     /// any of their stale late inserts.
+    ///
+    /// The delta is applied before the repository write lock is
+    /// released, so concurrent updates reach the ground cache in the
+    /// order they were published (see [`GroundCache::apply_delta`]).
     pub fn update(&self, package: &str, version: &str) -> Result<UpdateOutcome, String> {
         let name = Sym::intern(package);
         let ver = Version::parse(version).map_err(|e| format!("bad version {version:?}: {e}"))?;
-        let (revision, delta) = {
+        let (revision, delta, report) = {
             let mut slot = self.repo.write();
             let Some(def) = slot.get(name) else {
                 return Err(format!("no such package: {package}"));
@@ -241,9 +245,9 @@ impl ServerState {
             let delta = repo_delta(&slot, &fresh);
             let revision = fresh.revision();
             *slot = Arc::new(fresh);
-            (revision, delta)
+            let report = self.ground_cache.apply_delta(&delta);
+            (revision, delta, report)
         };
-        let report = self.ground_cache.apply_delta(&delta);
         self.telemetry.record_update();
         Ok(UpdateOutcome {
             revision,
