@@ -1,10 +1,10 @@
 //! A MiniSat-style CDCL SAT solver: two watched literals with blockers,
 //! first-UIP conflict analysis, VSIDS-style activity ordering, phase
-//! saving, Luby restarts, and LBD-scored learnt-clause deletion — each
-//! search heuristic toggleable via [`SatConfig`]. Supports incremental
-//! clause addition between `solve` calls (used by the optimizer's
-//! branch-and-bound loop and the stability CEGAR loop). Search runs
-//! directly on the translated CNF.
+//! saving, Luby restarts, and activity-ranked learnt-clause deletion;
+//! phase saving and restarts are toggleable via [`SatConfig`]. Supports
+//! incremental clause addition between `solve` calls (used by the
+//! optimizer's branch-and-bound loop and the stability CEGAR loop).
+//! Search runs directly on the translated CNF.
 
 use crate::cancel::CancelToken;
 
@@ -80,9 +80,6 @@ pub struct SatConfig {
     pub phase_saving: bool,
     /// Luby-scheduled restarts.
     pub restarts: bool,
-    /// Score learnt clauses by literal block distance for database
-    /// reduction (protecting glue clauses) instead of by activity only.
-    pub lbd_deletion: bool,
 }
 
 impl Default for SatConfig {
@@ -90,7 +87,6 @@ impl Default for SatConfig {
         SatConfig {
             phase_saving: true,
             restarts: true,
-            lbd_deletion: true,
         }
     }
 }
@@ -101,7 +97,6 @@ impl SatConfig {
         SatConfig {
             phase_saving: false,
             restarts: false,
-            lbd_deletion: false,
         }
     }
 }
@@ -156,7 +151,6 @@ pub struct Sat {
     learnt: Vec<bool>,
     deleted: Vec<bool>,
     clause_activity: Vec<f64>,
-    lbd: Vec<u32>, // literal block distance per clause (0 = original)
     cla_inc: f64,
     n_learnt_live: usize,
     max_learnts: usize,
@@ -207,7 +201,6 @@ impl Sat {
             learnt: Vec::new(),
             deleted: Vec::new(),
             clause_activity: Vec::new(),
-            lbd: Vec::new(),
             cla_inc: 1.0,
             n_learnt_live: 0,
             max_learnts: 4000,
@@ -245,14 +238,9 @@ impl Sat {
     }
 
     /// Set the search-heuristic toggles (takes effect on the next
-    /// `solve` / database reduction).
+    /// `solve`).
     pub fn set_search_config(&mut self, cfg: SatConfig) {
         self.cfg = cfg;
-    }
-
-    /// The current search-heuristic toggles.
-    pub fn search_config(&self) -> SatConfig {
-        self.cfg
     }
 
     /// Set the learnt-clause count that triggers a database reduction
@@ -344,16 +332,15 @@ impl Sat {
                 }
             }
             _ => {
-                self.attach_clause(c.into_boxed_slice(), false, 0);
+                self.attach_clause(c.into_boxed_slice(), false);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, c: Box<[Lit]>, learnt: bool, lbd: u32) -> u32 {
+    fn attach_clause(&mut self, c: Box<[Lit]>, learnt: bool) -> u32 {
         let idx = self.clauses.len() as u32;
         self.deleted.push(false);
-        self.lbd.push(lbd);
         self.clause_activity.push(if learnt { self.cla_inc } else { 0.0 });
         if learnt {
             self.n_learnt_live += 1;
@@ -677,12 +664,10 @@ impl Sat {
         }
     }
 
-    /// Delete roughly the worse half of the learnt clauses. Binary
-    /// clauses and clauses currently serving as reasons are kept; with
-    /// LBD deletion enabled, glue clauses (LBD ≤ 2) are also protected
-    /// and clauses are ranked worst-LBD-first (activity breaks ties),
-    /// otherwise purely by activity. Deletion tombstones the clause; its
-    /// watchers are dropped lazily by `propagate`.
+    /// Delete the less active half of the learnt clauses. Binary
+    /// clauses and clauses currently serving as reasons are kept.
+    /// Deletion tombstones the clause; its watchers are dropped lazily
+    /// by `propagate`.
     fn reduce_db(&mut self) {
         self.stats.reductions += 1;
         self.cla_inc *= 1.001; // slight protection for recent clauses
@@ -692,44 +677,23 @@ impl Sat {
             .map(|l| self.reason[l.var() as usize])
             .filter(|&r| r != NO_REASON)
             .collect();
-        let lbd_mode = self.cfg.lbd_deletion;
-        let mut cands: Vec<(u32, f64, u32)> = (0..self.clauses.len() as u32)
+        let mut cands: Vec<(f64, u32)> = (0..self.clauses.len() as u32)
             .filter(|&i| {
                 let ci = i as usize;
                 self.learnt[ci]
                     && !self.deleted[ci]
                     && self.clauses[ci].len() > 2
                     && !locked.contains(&i)
-                    && !(lbd_mode && self.lbd[ci] <= 2)
             })
-            .map(|i| (self.lbd[i as usize], self.clause_activity[i as usize], i))
+            .map(|i| (self.clause_activity[i as usize], i))
             .collect();
-        if lbd_mode {
-            // Worst clauses first: highest LBD, then lowest activity.
-            cands.sort_by(|a, b| {
-                b.0.cmp(&a.0).then(
-                    a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal),
-                )
-            });
-        } else {
-            cands.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        }
+        cands.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
         let to_delete = cands.len() / 2;
-        for &(_, _, i) in cands.iter().take(to_delete) {
+        for &(_, i) in cands.iter().take(to_delete) {
             self.deleted[i as usize] = true;
             self.n_learnt_live -= 1;
             self.stats.deleted_clauses += 1;
         }
-    }
-
-    /// Literal block distance of a (learnt) clause under the current
-    /// assignment: the number of distinct decision levels among its
-    /// literals.
-    fn compute_lbd(&self, c: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = c.iter().map(|l| self.level[l.var() as usize]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
     }
 
     /// Drop every learnt clause, clear saved phases and activities: the
@@ -818,12 +782,11 @@ impl Sat {
                     return SatResult::Unsat;
                 }
                 let (learnt, bt) = self.analyze(confl);
-                let lbd = self.compute_lbd(&learnt);
                 self.backtrack(bt);
                 if learnt.len() == 1 {
                     self.enqueue(learnt[0], NO_REASON);
                 } else {
-                    let idx = self.attach_clause(learnt.clone().into_boxed_slice(), true, lbd);
+                    let idx = self.attach_clause(learnt.clone().into_boxed_slice(), true);
                     self.enqueue(learnt[0], idx);
                 }
                 self.decay_activity();
@@ -1327,35 +1290,6 @@ mod tests {
         let c: Vec<Lit> = x[np - 1].iter().map(|&v| p(v)).collect();
         s.add_clause(&c);
         assert_eq!(s.solve(), SatResult::Unsat);
-    }
-
-    #[test]
-    fn lbd_deletion_preserves_answers() {
-        // PHP(7,6) under a tiny learnt budget with LBD deletion on
-        // (default): the UNSAT proof must still land and glue clauses
-        // must have been protected (reductions happened).
-        let np = 7;
-        let nh = 6;
-        let mut s = Sat::new();
-        s.set_max_learnts(50);
-        assert!(s.search_config().lbd_deletion);
-        let x: Vec<Vec<Var>> = (0..np)
-            .map(|_| (0..nh).map(|_| s.new_var()).collect())
-            .collect();
-        for row in &x {
-            let c: Vec<Lit> = row.iter().map(|&v| p(v)).collect();
-            s.add_clause(&c);
-        }
-        for i1 in 0..np {
-            for i2 in (i1 + 1)..np {
-                for (&a, &b) in x[i1].iter().zip(&x[i2]) {
-                    s.add_clause(&[n(a), n(b)]);
-                }
-            }
-        }
-        assert_eq!(s.solve(), SatResult::Unsat);
-        assert!(s.stats.reductions > 0);
-        assert!(s.stats.deleted_clauses > 0);
     }
 
     #[test]

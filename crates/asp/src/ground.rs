@@ -132,42 +132,6 @@ impl GroundProgram {
     pub fn atom_count(&self) -> usize {
         self.store.atom_count()
     }
-
-    /// 128-bit content fingerprint of the *entire* grounding: the term
-    /// and atom interning tables (so `AtomId`s mean the same thing),
-    /// every rule/choice/constraint/minimize instance, the provenance
-    /// tables, and the certain/possible sets. Two programs with equal
-    /// fingerprints are structurally identical, so a CNF translation of
-    /// one is a valid translation of the other — this is the key that
-    /// lets a delta update salvage retained translations when a
-    /// re-ground reproduces the exact same program.
-    pub fn content_fingerprint(&self) -> u128 {
-        use std::hash::{Hash, Hasher};
-        let mut lo = std::collections::hash_map::DefaultHasher::new();
-        // Two independent 64-bit digests (distinct salts) make an
-        // accidental collision — which would splice a wrong CNF into a
-        // bit-identical-output pipeline — astronomically unlikely.
-        let mut hi = std::collections::hash_map::DefaultHasher::new();
-        0x5eedu64.hash(&mut lo);
-        0xfacadeu64.hash(&mut hi);
-        for h in [&mut lo, &mut hi] {
-            self.store.hash_content(h);
-            self.rules.hash(h);
-            self.choices.hash(h);
-            self.constraints.hash(h);
-            self.minimize.hash(h);
-            self.rule_src.hash(h);
-            self.choice_src.hash(h);
-            self.constraint_src.hash(h);
-            let mut certain: Vec<AtomId> = self.certain.iter().copied().collect();
-            certain.sort_unstable();
-            certain.hash(h);
-            let mut possible: Vec<AtomId> = self.possible.iter().copied().collect();
-            possible.sort_unstable();
-            possible.hash(h);
-        }
-        ((hi.finish() as u128) << 64) | lo.finish() as u128
-    }
 }
 
 /// Resource limits for grounding.

@@ -22,7 +22,7 @@
 //!    cardinality encodings to CNF.
 //! 4. **Search** ([`cdcl`]) — a MiniSat-style CDCL SAT solver (two
 //!    watched literals with blockers, 1UIP learning, VSIDS, phase
-//!    saving, Luby restarts, LBD-scored clause deletion) over the
+//!    saving, Luby restarts, activity-ranked clause deletion) over the
 //!    translated CNF.
 //! 5. **Verify** ([`stability`]) — a model-guided Gelfond–Lifschitz
 //!    stability check; non-stable models are blocked and search resumes

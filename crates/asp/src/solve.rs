@@ -27,8 +27,7 @@ pub struct SolverConfig {
     /// program is bit-identical at every setting; see
     /// [`crate::ground::ground_parallel`].
     pub ground_threads: usize,
-    /// CDCL search-heuristic toggles (phase saving, restarts, LBD
-    /// deletion).
+    /// CDCL search-heuristic toggles (phase saving, restarts).
     pub sat: SatConfig,
     /// Cooperative cancellation: polled in the CDCL search loop
     /// alongside the conflict budget. The default

@@ -231,15 +231,6 @@ impl GroundStore {
         self.atoms.len()
     }
 
-    /// Feed the full interning tables (terms then atoms, in id order)
-    /// into `h`. Equal digests mean ids decode identically in both
-    /// stores, which is what ground-program content fingerprints need.
-    pub fn hash_content(&self, h: &mut impl std::hash::Hasher) {
-        use std::hash::Hash;
-        self.terms.hash(h);
-        self.atoms.hash(h);
-    }
-
     /// Look up an atom id without interning.
     pub fn find_atom(&self, pred: Sym, args: &[TermId]) -> Option<AtomId> {
         self.atom_map.get(&(pred, args.into())).copied()

@@ -183,8 +183,8 @@ struct EngineModeJson {
 }
 
 /// The SAT-engine comparison: the same workload solved by the
-/// pre-modernization engine (no phase saving / restarts / LBD deletion,
-/// from-scratch branch-and-bound) and by the full modern engine. Each
+/// pre-modernization engine (no phase saving / restarts, from-scratch
+/// branch-and-bound) and by the full modern engine. Each
 /// sweep times `Solver::solve_translated` on programs prepared before
 /// the timed region.
 #[derive(Serialize)]
@@ -358,8 +358,6 @@ struct DeltaJson {
     entries_invalidated: usize,
     /// Warm entries retained (still hitting after the delta).
     entries_retained: usize,
-    /// Re-grounds that salvaged a dropped entry's CNF translation.
-    salvaged_translations: u64,
     /// Mean wall time of a cold full sweep on the post-delta world.
     cold_ms: f64,
     /// Wall time of the single delta-updated sweep.
@@ -775,7 +773,6 @@ fn main() {
     if !delta_equivalent {
         diverged = true;
     }
-    let delta_stats = delta_ground_cache.stats();
     let speedup_vs_cold = round2(cold_ms / delta_ms.max(1e-9));
     eprintln!(
         "perf-report:   delta sweep {delta_ms:.2} ms vs cold {cold_ms:.2} ms \
@@ -790,7 +787,6 @@ fn main() {
         segments_changed: delta.len(),
         entries_invalidated: delta_report.invalidated,
         entries_retained: delta_report.retained,
-        salvaged_translations: delta_stats.salvaged_translations,
         cold_ms: round3(cold_ms),
         delta_ms: round3(delta_ms),
         speedup_vs_cold,

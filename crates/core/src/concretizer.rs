@@ -255,10 +255,10 @@ pub struct Concretizer {
 impl Concretizer {
     /// Concretizer over a borrowed `repo` with default (splice spack)
     /// configuration. The repository is **cloned** into a shared handle
-    /// (clones keep the original's [`Repository::revision`], so
-    /// ground-cache keys still match across concretizers built from the
-    /// same repository). For long-lived or multi-threaded use, build the
-    /// handle once and use [`Concretizer::shared`].
+    /// (ground-cache keys are computed from package content, so they
+    /// still match across concretizers built from equal repositories).
+    /// For long-lived or multi-threaded use, build the handle once and
+    /// use [`Concretizer::shared`].
     pub fn new(repo: &Repository) -> Self {
         Concretizer::shared(Arc::new(repo.clone()))
     }
@@ -315,13 +315,14 @@ impl Concretizer {
     }
 
     /// Memoize prepared ground programs in `cache`. Repeated solves of
-    /// the same (repository revision, reusable-spec set, goal, encode
-    /// config) skip encode + parse + ground + CNF translation entirely
-    /// and go straight to [`spackle_asp::Solver::solve_translated`]; the
-    /// engine's determinism makes the cached result identical to an
-    /// uncached solve. The cache is a shared handle: one warm
-    /// [`GroundCache`] may back every concretizer and every thread in a
-    /// process — that is the `spackled` service's entire fast path.
+    /// the same (closure package content, reusable-spec set, goal,
+    /// encode config) skip encode + parse + ground + CNF translation
+    /// entirely and go straight to
+    /// [`spackle_asp::Solver::solve_translated`]; the engine's
+    /// determinism makes the cached result identical to an uncached
+    /// solve. The cache is a shared handle: one warm [`GroundCache`] may
+    /// back every concretizer and every thread in a process — that is
+    /// the `spackled` service's entire fast path.
     pub fn with_ground_cache(mut self, cache: Arc<GroundCache>) -> Self {
         self.ground_cache = Some(cache);
         self
@@ -405,9 +406,9 @@ impl Concretizer {
     /// encode closure (computed by the same `goal_scope` the encoder
     /// uses, so the segment boundary can never drift from the fact
     /// base) and one per reusable-spec source partition. The key is
-    /// **content-addressed**: it contains no repository revision, so a
-    /// delta that leaves every referenced segment untouched leaves the
-    /// key — and the cached entry's validity — untouched too.
+    /// **content-addressed**, so a delta that leaves every referenced
+    /// segment untouched leaves the key — and the cached entry's
+    /// validity — untouched too.
     pub fn segment_key(&self, goal: &Goal) -> Result<(u64, Arc<SegmentSet>), CoreError> {
         self.segment_key_for(goal, &self.caches)
     }
@@ -479,23 +480,13 @@ impl Concretizer {
     }
 
     /// Run the pre-solve pipeline — encode, parse, optionally prune,
-    /// ground — returning the prepared program plus the encode / parse /
-    /// ground wall times.
-    ///
-    /// When `salvage` holds a ground cache with parked translations
-    /// (delta-dropped entries), the freshly grounded program's content
-    /// fingerprint is checked against the pool: a hit means this
-    /// re-ground is bit-identical to a dropped entry's, so its retained
-    /// CNF translation — and memoized models — are spliced back in
-    /// instead of re-translating. `AtomId` interning is deterministic
-    /// for identical programs, so the salvaged translation's atom
-    /// numbering matches the fresh grounding exactly.
+    /// ground, translate — returning a prepared program with a fresh
+    /// model memo plus the encode / parse / ground wall times.
     fn prepare(
         &self,
         goal: &Goal,
         solver: &Solver,
         sources: &[Arc<dyn CacheSource>],
-        salvage: Option<&GroundCache>,
     ) -> Result<(PreparedProgram, Duration, Duration, Duration), CoreError> {
         let t0 = Instant::now();
         let Encoded {
@@ -525,16 +516,7 @@ impl Concretizer {
         // beyond encode + parse.
         let t2 = Instant::now();
         let ground = solver.ground(&program).map_err(solve_error)?;
-        let salvaged = salvage
-            .filter(|gc| gc.has_salvage())
-            .and_then(|gc| gc.take_salvaged(ground.content_fingerprint()));
-        let (translated, models) = match salvaged {
-            Some((program, models)) => (program, models),
-            None => (
-                Arc::new(solver.translate_ground(ground)),
-                PreparedProgram::fresh_memo(),
-            ),
-        };
+        let translated = Arc::new(solver.translate_ground(ground));
         let ground_time = t2.elapsed();
 
         Ok((
@@ -544,7 +526,7 @@ impl Concretizer {
                 reusable_count,
                 program_bytes: text.len(),
                 pruned_rules,
-                models,
+                models: PreparedProgram::fresh_memo(),
             },
             encode_time,
             parse_time,
@@ -716,14 +698,13 @@ impl Concretizer {
                         (prepared, Duration::ZERO, Duration::ZERO, Duration::ZERO)
                     }
                     None => {
-                        let (prepared, et, pt, gt) =
-                            self.prepare(goal, &solver, sources, Some(cache))?;
-                        cache.insert(key, self.repo.revision(), segments, prepared.clone());
+                        let (prepared, et, pt, gt) = self.prepare(goal, &solver, sources)?;
+                        cache.insert(key, segments, prepared.clone());
                         (prepared, et, pt, gt)
                     }
                 }
             }
-            None => self.prepare(goal, &solver, sources, None)?,
+            None => self.prepare(goal, &solver, sources)?,
         };
         // Stage boundary: catch an expired deadline here even when the
         // search itself would be too quick to poll its token — slow

@@ -42,13 +42,10 @@
 //! partition. A repository or buildcache delta becomes a
 //! [`SegmentDelta`]; [`GroundCache::apply_delta`] drops exactly the
 //! entries whose segments moved and **retains the rest** (their keys are
-//! content-composed, so they keep hitting after the delta). Dropped
-//! entries' translations are parked in a bounded *salvage* pool keyed by
-//! the ground program's content fingerprint: if a re-ground after the
-//! delta reproduces a bit-identical ground program (the mutation was in
-//! the closure but encoding-irrelevant), the retained CNF translation —
-//! and its memoized models — are spliced back in instead of being
-//! rebuilt.
+//! content-composed, so they keep hitting after the delta). A dropped
+//! entry is gone: the next solve for its goal re-grounds, re-translates
+//! and searches afresh. [`GroundCache::clear`] drops everything, for a
+//! service that wants a wholly cold cache.
 //!
 //! Stale-segment rejection under concurrency: `apply_delta` publishes
 //! the post-delta fingerprints to a *retired* table **before** sweeping
@@ -56,26 +53,14 @@
 //! holding the target shard's write lock. An in-flight solve that
 //! prepared against pre-delta content therefore either inserts before
 //! the sweep (and is swept) or after the retire publication (and is
-//! rejected) — a stale program can never survive a delta.
-//!
-//! ## Revision-keyed invalidation
-//!
-//! The revision floor remains the *reload* primitive: when a service
-//! swaps in a wholesale re-read repository it calls
-//! [`GroundCache::invalidate_below`] with the new
-//! [`Repository::revision`]; entries prepared against older revisions
-//! are dropped, and — because the floor is sticky — stragglers inserted
-//! by solves still in flight on the old snapshot are rejected on
-//! arrival. In-flight solves themselves are untouched: they own `Arc`
-//! handles to their snapshot's repository and translated program, so
-//! they finish (and stay bit-identical) while new requests re-ground
-//! against the fresh revision.
+//! rejected) — a stale program can never survive a delta. A solve that
+//! finishes after a `clear` may re-insert its program: the key is
+//! computed from the content the program was prepared over, so the entry
+//! is exactly what a fresh solve would insert.
 //!
 //! Fingerprints use the process-default hasher, so a cache is only
 //! meaningful within one process — exactly the scope a long-lived
 //! service needs. Never persist the keys.
-//!
-//! [`Repository::revision`]: spackle_repo::Repository::revision
 
 use crate::segment::{SegmentDelta, SegmentSet};
 use parking_lot::RwLock;
@@ -89,11 +74,6 @@ use std::sync::Arc;
 /// mask; 16 keeps lock contention negligible for the worker-thread
 /// counts a one-box service runs (requests far outnumber cores).
 pub const SHARD_COUNT: usize = 16;
-
-/// Maximum parked translations in the salvage pool. Salvage hits come
-/// from the handful of goals a delta re-grounds, so a small pool
-/// suffices; overflow clears the pool rather than growing unboundedly.
-const SALVAGE_CAP: usize = 128;
 
 /// Shared memo of optimal models per search-config fingerprint. Lives on
 /// the [`PreparedProgram`] behind an `Arc`, so every clone handed out by
@@ -128,21 +108,11 @@ impl PreparedProgram {
     }
 }
 
-/// A cached entry: the prepared program tagged with the repository
-/// revision it was prepared against (the reload invalidation key) and
-/// the segment fingerprints it was prepared over (the delta
-/// invalidation key).
+/// A cached entry: the prepared program tagged with the segment
+/// fingerprints it was prepared over (the delta invalidation key).
 struct Entry {
-    revision: u64,
     segments: Arc<SegmentSet>,
     prepared: PreparedProgram,
-}
-
-/// A dropped entry's reusable remains: the CNF translation and the
-/// model memo, both valid for any bit-identical re-ground.
-struct Salvaged {
-    program: Arc<TranslatedProgram>,
-    models: ModelMemo,
 }
 
 /// What one [`GroundCache::apply_delta`] call did.
@@ -164,8 +134,8 @@ pub struct GroundCacheStats {
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
-    /// Entries dropped by revision or delta invalidation (including
-    /// stale stragglers rejected at insert time).
+    /// Entries dropped by a delta or by [`GroundCache::clear`]
+    /// (including stale stragglers rejected at insert time).
     pub invalidated: u64,
     /// Entries currently resident.
     pub entries: usize,
@@ -176,10 +146,6 @@ pub struct GroundCacheStats {
     /// Cumulative entries retained across deltas (no referenced
     /// segment moved).
     pub segments_retained: u64,
-    /// Re-grounds that reproduced a dropped entry's exact ground
-    /// program and spliced its retained CNF translation back in
-    /// instead of re-translating.
-    pub salvaged_translations: u64,
 }
 
 impl GroundCacheStats {
@@ -197,18 +163,14 @@ impl GroundCacheStats {
 
 /// A process-local memo table from solve fingerprints to prepared ground
 /// programs, sharded for concurrent access, with atomic hit/miss
-/// counters, segment-keyed partial invalidation, and revision-keyed
-/// reload invalidation. One cache may back an entire service — every
-/// worker thread, every session — through a shared [`Arc<GroundCache>`].
+/// counters and segment-keyed partial invalidation. One cache may back
+/// an entire service — every worker thread, every session — through a
+/// shared [`Arc<GroundCache>`].
 pub struct GroundCache {
     shards: [RwLock<FxHashMap<u64, Entry>>; SHARD_COUNT],
     hits: AtomicU64,
     misses: AtomicU64,
     invalidated: AtomicU64,
-    /// Sticky minimum revision: inserts tagged below it are rejected,
-    /// so solves finishing on a pre-reload snapshot cannot repopulate
-    /// the cache with stale programs.
-    floor: AtomicU64,
     /// Post-delta segment fingerprints (`None` = segment removed):
     /// inserts referencing a retired fingerprint are rejected. Written
     /// *before* the shard sweep in [`GroundCache::apply_delta`] and read
@@ -218,13 +180,9 @@ pub struct GroundCache {
     retired_packages: RwLock<FxHashMap<Sym, Option<u64>>>,
     /// Post-delta source-partition fingerprints, by source index.
     retired_sources: RwLock<FxHashMap<usize, Option<u64>>>,
-    /// Parked translations of delta-dropped entries, keyed by ground
-    /// program content fingerprint (see module docs).
-    salvage: RwLock<FxHashMap<u128, Salvaged>>,
     delta_updates: AtomicU64,
     segments_invalidated: AtomicU64,
     segments_retained: AtomicU64,
-    salvaged_translations: AtomicU64,
 }
 
 impl Default for GroundCache {
@@ -234,14 +192,11 @@ impl Default for GroundCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             invalidated: AtomicU64::new(0),
-            floor: AtomicU64::new(0),
             retired_packages: RwLock::new(FxHashMap::default()),
             retired_sources: RwLock::new(FxHashMap::default()),
-            salvage: RwLock::new(FxHashMap::default()),
             delta_updates: AtomicU64::new(0),
             segments_invalidated: AtomicU64::new(0),
             segments_retained: AtomicU64::new(0),
-            salvaged_translations: AtomicU64::new(0),
         }
     }
 }
@@ -314,24 +269,13 @@ impl GroundCache {
             .any(|(idx, fp)| retired.get(idx).is_some_and(|cur| *cur != Some(*fp)))
     }
 
-    /// Store the prepared program for `key`, tagged with the repository
-    /// `revision` and the [`SegmentSet`] it was prepared over (last
-    /// writer wins; entries for one key are interchangeable because the
-    /// preparation pipeline is deterministic). Inserts below the
-    /// invalidation floor, or referencing a segment fingerprint a delta
-    /// has retired, are dropped: a solve that raced a repository reload
-    /// or delta update cannot resurrect a stale program.
-    pub fn insert(
-        &self,
-        key: u64,
-        revision: u64,
-        segments: Arc<SegmentSet>,
-        prepared: PreparedProgram,
-    ) {
-        if revision < self.floor.load(Ordering::Acquire) {
-            self.invalidated.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
+    /// Store the prepared program for `key`, tagged with the
+    /// [`SegmentSet`] it was prepared over (last writer wins; entries for
+    /// one key are interchangeable because the preparation pipeline is
+    /// deterministic). Inserts referencing a segment fingerprint a delta
+    /// has retired are dropped: a solve that raced a delta update cannot
+    /// resurrect a stale program.
+    pub fn insert(&self, key: u64, segments: Arc<SegmentSet>, prepared: PreparedProgram) {
         let mut shard = self.shard(key).write();
         // The stale check must happen under the shard lock: apply_delta
         // publishes retirements before sweeping, so an insert that
@@ -342,22 +286,14 @@ impl GroundCache {
             self.invalidated.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        shard.insert(
-            key,
-            Entry {
-                revision,
-                segments,
-                prepared,
-            },
-        );
+        shard.insert(key, Entry { segments, prepared });
     }
 
     /// Apply a segment delta: drop exactly the entries whose recorded
-    /// segments moved, retain the rest, and park the dropped entries'
-    /// translations in the salvage pool for bit-identical re-grounds.
-    /// Future inserts referencing a pre-delta fingerprint of a moved
-    /// segment are rejected (stale-straggler protection, same contract
-    /// as the revision floor). Returns what was dropped vs retained.
+    /// segments moved and retain the rest. Future inserts referencing a
+    /// pre-delta fingerprint of a moved segment are rejected
+    /// (stale-straggler protection). Returns what was dropped vs
+    /// retained.
     ///
     /// Precondition: deltas arrive in the order their worlds were
     /// published. The retirement table keeps the last fingerprint it was
@@ -382,16 +318,9 @@ impl GroundCache {
         let mut report = DeltaReport::default();
         for shard in &self.shards {
             let mut map = shard.write();
-            let stale: Vec<u64> = map
-                .iter()
-                .filter(|(_, e)| e.segments.hit_by(delta))
-                .map(|(k, _)| *k)
-                .collect();
-            for k in stale {
-                let e = map.remove(&k).expect("key collected under this lock");
-                self.park(e);
-                report.invalidated += 1;
-            }
+            let before = map.len();
+            map.retain(|_, e| !e.segments.hit_by(delta));
+            report.invalidated += before - map.len();
             report.retained += map.len();
         }
         self.delta_updates.fetch_add(1, Ordering::Relaxed);
@@ -402,71 +331,6 @@ impl GroundCache {
         self.segments_retained
             .fetch_add(report.retained as u64, Ordering::Relaxed);
         report
-    }
-
-    /// Park a dropped entry's translation for possible salvage.
-    fn park(&self, e: Entry) {
-        let fp = e.prepared.program.ground().content_fingerprint();
-        let mut pool = self.salvage.write();
-        if pool.len() >= SALVAGE_CAP {
-            pool.clear();
-        }
-        pool.insert(
-            fp,
-            Salvaged {
-                program: e.prepared.program,
-                models: e.prepared.models,
-            },
-        );
-    }
-
-    /// Is there anything in the salvage pool? Callers use this to skip
-    /// the (linear) content fingerprint of a fresh ground program when
-    /// salvage cannot possibly hit.
-    pub fn has_salvage(&self) -> bool {
-        !self.salvage.read().is_empty()
-    }
-
-    /// Take the parked translation for a ground program with content
-    /// fingerprint `fp`, if any. A hit means the caller's fresh
-    /// re-ground is bit-identical to the dropped entry's, so the parked
-    /// CNF translation (and memoized models) are valid verbatim.
-    pub fn take_salvaged(
-        &self,
-        fp: u128,
-    ) -> Option<(Arc<TranslatedProgram>, ModelMemo)> {
-        let taken = self.salvage.write().remove(&fp);
-        taken.map(|s| {
-            self.salvaged_translations.fetch_add(1, Ordering::Relaxed);
-            (s.program, s.models)
-        })
-    }
-
-    /// Drop every entry prepared against a repository revision older
-    /// than `revision`, and reject future inserts below it. Returns the
-    /// number of entries dropped. Idempotent; the floor is monotonic
-    /// (calling with a lower revision than a previous call is a no-op
-    /// for the floor but still sweeps). The salvage pool and retirement
-    /// tables are cleared too — a reload supersedes any pending delta
-    /// bookkeeping.
-    ///
-    /// This is the graceful-reload primitive: in-flight solves keep
-    /// their `Arc` snapshots and finish untouched, new solves against
-    /// the reloaded repository re-ground and repopulate.
-    pub fn invalidate_below(&self, revision: u64) -> usize {
-        self.floor.fetch_max(revision, Ordering::AcqRel);
-        let mut dropped = 0;
-        for shard in &self.shards {
-            let mut map = shard.write();
-            let before = map.len();
-            map.retain(|_, e| e.revision >= revision);
-            dropped += before - map.len();
-        }
-        self.salvage.write().clear();
-        self.retired_packages.write().clear();
-        self.retired_sources.write().clear();
-        self.invalidated.fetch_add(dropped as u64, Ordering::Relaxed);
-        dropped
     }
 
     /// Lookups that found an entry.
@@ -489,7 +353,6 @@ impl GroundCache {
             delta_updates: self.delta_updates.load(Ordering::Relaxed),
             segments_invalidated: self.segments_invalidated.load(Ordering::Relaxed),
             segments_retained: self.segments_retained.load(Ordering::Relaxed),
-            salvaged_translations: self.salvaged_translations.load(Ordering::Relaxed),
         }
     }
 
@@ -503,13 +366,20 @@ impl GroundCache {
         self.shards.iter().all(|s| s.read().is_empty())
     }
 
-    /// Drop all entries (counters are kept; they describe lookups, not
-    /// contents).
-    pub fn clear(&self) {
+    /// Drop every entry and return how many were dropped, counting them
+    /// as invalidated. The retirement tables are kept, so a straggler
+    /// prepared before an earlier delta is still rejected afterwards.
+    /// In-flight solves keep their `Arc` handles and finish untouched.
+    pub fn clear(&self) -> usize {
+        let mut dropped = 0;
         for shard in &self.shards {
-            shard.write().clear();
+            let mut map = shard.write();
+            dropped += map.len();
+            map.clear();
         }
-        self.salvage.write().clear();
+        self.invalidated
+            .fetch_add(dropped as u64, Ordering::Relaxed);
+        dropped
     }
 }
 
@@ -527,18 +397,8 @@ mod tests {
     use super::*;
 
     // PreparedProgram requires a TranslatedProgram, which only the
-    // solver can make; unit tests here cover the counter, floor, and
-    // retirement logic via the public surface exercised by integration
-    // tests.
-    #[test]
-    fn floor_is_monotonic_and_counts() {
-        let gc = GroundCache::new();
-        assert_eq!(gc.invalidate_below(5), 0);
-        assert_eq!(gc.invalidate_below(3), 0); // lower floor: no-op
-        assert_eq!(gc.floor.load(Ordering::Relaxed), 5);
-        assert_eq!(gc.stats().entries, 0);
-    }
-
+    // solver can make; unit tests here cover the counter and retirement
+    // logic via the public surface exercised by integration tests.
     #[test]
     fn empty_cache_misses_coherently() {
         let gc = GroundCache::new();
@@ -556,7 +416,6 @@ mod tests {
         let stats = gc.stats();
         assert_eq!(stats.delta_updates, 1);
         assert_eq!(stats.segments_invalidated, 0);
-        assert!(!gc.has_salvage());
     }
 
     #[test]
@@ -583,8 +442,8 @@ mod tests {
         assert!(gc.is_stale(&stale));
         assert!(!gc.is_stale(&fresh));
         assert!(gc.is_stale(&stale_src));
-        // A reload supersedes delta bookkeeping entirely.
-        gc.invalidate_below(1);
-        assert!(!gc.is_stale(&stale));
+        // Clearing the entries keeps the retirements.
+        assert_eq!(gc.clear(), 0);
+        assert!(gc.is_stale(&stale));
     }
 }

@@ -9,14 +9,13 @@
 //! expressed as a [`SegmentDelta`] and applied with
 //! [`GroundCache::apply_delta`](crate::GroundCache::apply_delta), which
 //! drops exactly the entries whose segments moved and retains the rest.
-//! This replaces the blanket revision-floor invalidation for content
-//! deltas (the floor remains the *reload* primitive for wholesale
-//! snapshot swaps).
+//! It is the cache's only partial invalidation;
+//! [`GroundCache::clear`](crate::GroundCache::clear) drops everything.
 //!
 //! ## Why content addressing keeps delta solves bit-identical
 //!
-//! Cache keys are composed from the segment fingerprints themselves
-//! (not the repository revision), so after a delta:
+//! Cache keys are composed from the segment fingerprints themselves, so
+//! after a delta:
 //!
 //! * a goal whose closure avoids every changed segment computes the
 //!   *same* key, hits its retained entry, and — the engine being

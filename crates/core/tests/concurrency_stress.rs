@@ -2,14 +2,14 @@
 //! `Arc<GroundCache>` and one `Arc<dyn CacheSource>` must produce
 //! bit-identical results to single-threaded cold solves, with hit/miss
 //! counters that add up exactly — including while another thread is
-//! invalidating the cache under them (the `spackled` reload pattern).
+//! clearing the cache under them (the `spackled` `invalidate` op).
 
 use spackle_buildcache::{BuildCache, CacheSource};
 use spackle_core::{Concretizer, GroundCache, Solution};
 use spackle_repo::{PackageBuilder, Repository};
 use spackle_spec::{parse_spec, AbstractSpec};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 const THREADS: usize = 8;
 const ROUNDS: usize = 4;
@@ -144,21 +144,21 @@ fn warm_solves_bit_identical_across_threads() {
     );
 }
 
-/// Solver threads race an invalidator that repeatedly swaps in a
-/// re-stamped repository snapshot and drops stale entries — the exact
-/// pattern `spackled` uses for reloads. In-flight solves must finish on
-/// their own snapshot, nothing may panic, every result must stay
+/// Solver threads race an invalidator that repeatedly clears the cache
+/// — what `spackled`'s `invalidate` op does. Solves that finish after a
+/// clear may re-insert their programs, which stay valid because keys are
+/// computed from content. Nothing may panic, every result must stay
 /// bit-identical to the cold baseline, and the counters must balance.
 #[test]
 fn invalidation_interleaved_with_solves() {
-    let slot = Arc::new(RwLock::new(Arc::new(stress_repo())));
-    let cache = seeded_cache(&slot.read().unwrap());
+    let repo = Arc::new(stress_repo());
+    let cache = seeded_cache(&repo);
     let goals = goals();
 
     let baseline: Vec<_> = goals
         .iter()
         .map(|g| {
-            let sol = Concretizer::shared(Arc::clone(&slot.read().unwrap()))
+            let sol = Concretizer::shared(Arc::clone(&repo))
                 .with_reusable(&cache)
                 .concretize(g)
                 .unwrap();
@@ -172,7 +172,7 @@ fn invalidation_interleaved_with_solves() {
 
     std::thread::scope(|s| {
         for t in 0..THREADS {
-            let slot = Arc::clone(&slot);
+            let repo = Arc::clone(&repo);
             let cache = Arc::clone(&cache);
             let gc = gc.clone();
             let goals = &goals;
@@ -182,11 +182,7 @@ fn invalidation_interleaved_with_solves() {
             s.spawn(move || {
                 for round in 0..ROUNDS * 2 {
                     for (i, g) in goals.iter().enumerate() {
-                        // Snapshot the repository exactly like a server
-                        // request would; an invalidate mid-solve leaves
-                        // this Arc untouched.
-                        let snapshot = Arc::clone(&slot.read().unwrap());
-                        let sol = Concretizer::shared(snapshot)
+                        let sol = Concretizer::shared(Arc::clone(&repo))
                             .with_reusable(&cache)
                             .with_ground_cache(gc.clone())
                             .concretize(g)
@@ -205,22 +201,12 @@ fn invalidation_interleaved_with_solves() {
             });
         }
 
-        // The invalidator: bump the revision, swap the snapshot, drop
-        // stale entries — while solves are in flight.
-        let slot = Arc::clone(&slot);
+        // The invalidator: clear the cache while solves are in flight.
         let gc = gc.clone();
         s.spawn(move || {
             for _ in 0..6 {
                 std::thread::sleep(std::time::Duration::from_millis(3));
-                let new_revision = {
-                    let mut guard = slot.write().unwrap();
-                    let mut fresh = (**guard).clone();
-                    fresh.bump_revision();
-                    let rev = fresh.revision();
-                    *guard = Arc::new(fresh);
-                    rev
-                };
-                gc.invalidate_below(new_revision);
+                gc.clear();
             }
         });
     });
@@ -237,10 +223,8 @@ fn invalidation_interleaved_with_solves() {
     );
     assert_eq!(stats.hits, hit, "per-solve flags agree with the cache");
 
-    // The floor equals the final revision; nothing stale may remain,
-    // and a fresh solve against the final snapshot still matches.
-    let final_repo = Arc::clone(&slot.read().unwrap());
-    let sol = Concretizer::shared(Arc::clone(&final_repo))
+    // A fresh solve after the last clear still matches.
+    let sol = Concretizer::shared(Arc::clone(&repo))
         .with_reusable(&cache)
         .with_ground_cache(gc.clone())
         .concretize(&goals[0])
@@ -248,48 +232,10 @@ fn invalidation_interleaved_with_solves() {
     assert_eq!(fingerprint(&sol), baseline[0]);
 
     // And the warm path is restored: the same goal now hits.
-    let again = Concretizer::shared(final_repo)
+    let again = Concretizer::shared(repo)
         .with_reusable(&cache)
         .with_ground_cache(gc.clone())
         .concretize(&goals[0])
         .unwrap();
     assert!(again.stats.ground_cache_hit, "cache re-warms after the dust settles");
-}
-
-/// A stale straggler — a solve that started before an invalidation —
-/// must not repopulate the cache with its old-revision program.
-#[test]
-fn stale_insert_is_rejected_by_the_revision_floor() {
-    let repo = stress_repo();
-    let old_revision = repo.revision();
-    let gc = GroundCache::shared();
-
-    // Simulate the straggler: the invalidation lands *before* its
-    // insert does.
-    let mut bumped = repo.clone();
-    bumped.bump_revision();
-    let dropped = gc.invalidate_below(bumped.revision());
-    assert_eq!(dropped, 0, "nothing cached yet");
-
-    let stale = Concretizer::new(&repo); // still on the old snapshot
-    let goal = parse_spec("app").unwrap();
-    let gc_for_stale = gc.clone();
-    let sol = stale
-        .with_ground_cache(gc_for_stale)
-        .concretize(&goal)
-        .unwrap();
-    assert!(!sol.stats.ground_cache_hit);
-    assert_eq!(
-        gc.len(),
-        0,
-        "insert keyed at revision {old_revision} must be rejected by the floor"
-    );
-
-    // A solve on the *new* snapshot does populate it.
-    let fresh = Concretizer::new(&bumped)
-        .with_ground_cache(gc.clone())
-        .concretize(&goal)
-        .unwrap();
-    assert!(!fresh.stats.ground_cache_hit);
-    assert_eq!(gc.len(), 1);
 }

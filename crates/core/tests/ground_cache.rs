@@ -67,8 +67,6 @@ fn repository_change_misses_only_when_closure_segments_move() {
 
     // Adding a package outside `app`'s closure leaves every segment the
     // key is composed from untouched: the warm entry keeps hitting.
-    // (The pre-segment cache keyed on the repository revision and would
-    // have missed here.)
     repo.add(PackageBuilder::new("bzip2").version("1.0").build().unwrap())
         .unwrap();
     let sol = Concretizer::new(&repo)

@@ -6,14 +6,14 @@
 //! * **composition** — the memo key is composed from exactly the
 //!   content the prepared program depends on: one fingerprint per
 //!   closure package, one per reusable-spec source partition, the goal,
-//!   and the encode-shaping config axes. Nothing else (in particular,
-//!   no repository revision) may leak in, or retained entries would
-//!   stop hitting after unrelated deltas.
+//!   and the encode-shaping config axes. Nothing else may leak in, or
+//!   retained entries would stop hitting after unrelated deltas.
 //! * **stale rejection** — a solve that raced a delta (started on the
 //!   pre-delta snapshot, finished after `apply_delta`) must not be able
 //!   to re-insert its stale program: the retirement tables reject the
-//!   insert under the shard lock. Checked directly for a straggler and
-//!   under a concurrent solver/mutator stress loop.
+//!   insert under the shard lock, and the dropped entry leaves nothing
+//!   behind in the cache. Checked directly for a straggler and under a
+//!   concurrent solver/mutator stress loop.
 
 use spackle_buildcache::BuildCache;
 use spackle_core::{repo_delta, Concretizer, ConcretizerConfig, Goal, GroundCache};
@@ -64,7 +64,7 @@ fn key_is_composed_from_closure_package_fingerprints_only() {
             .unwrap(),
     );
     let (key2, set2) = key_of(&repo, &goal);
-    assert_eq!(key, key2, "revision bumped, content unchanged: same key");
+    assert_eq!(key, key2, "closure content unchanged: same key");
     assert_eq!(set, set2);
 
     // Mutating a closure package moves exactly its fingerprint — and
@@ -147,14 +147,18 @@ fn stale_straggler_insert_is_rejected_after_delta() {
 
     // Warm on the old world, then apply the delta: the entry is dropped
     // and the old zlib fingerprint retired.
-    Concretizer::new(&repo_old)
-        .with_ground_cache(gc.clone())
-        .concretize(&goal)
-        .unwrap();
+    let old = Concretizer::new(&repo_old).with_ground_cache(gc.clone());
+    old.concretize(&goal).unwrap();
     assert_eq!(gc.len(), 1);
+    let key = old.ground_key(&Goal::single(goal.clone())).unwrap();
+    let warm = gc.lookup(key).expect("warm entry");
     let report = gc.apply_delta(&repo_delta(&repo_old, &repo_new));
     assert_eq!((report.invalidated, report.retained), (1, 0));
     assert_eq!(gc.len(), 0);
+    // The cache keeps nothing of a dropped entry: this clone holds the
+    // last references to its translation and its model memo.
+    assert_eq!(Arc::strong_count(&warm.program), 1);
+    assert_eq!(Arc::strong_count(&warm.models), 1);
 
     // A straggler still holding the pre-delta snapshot re-solves: it
     // misses (entry gone) and its re-insert references the retired

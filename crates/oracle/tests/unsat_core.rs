@@ -49,7 +49,6 @@ fn matrix() -> Vec<(&'static str, SolverConfig)> {
         ("all-off", SolverConfig::seed_engine()),
         ("no-phase-saving", one_off(&|c| c.sat.phase_saving = false)),
         ("no-restarts", one_off(&|c| c.sat.restarts = false)),
-        ("no-lbd", one_off(&|c| c.sat.lbd_deletion = false)),
         (
             "no-incremental-bnb",
             one_off(&|c| c.incremental_bnb = false),

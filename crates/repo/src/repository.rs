@@ -66,13 +66,7 @@ impl std::error::Error for RepoError {}
 pub struct Repository {
     packages: BTreeMap<Sym, PackageDef>,
     providers: BTreeMap<Sym, Vec<Sym>>, // virtual -> providers
-    /// Process-unique revision stamp; see [`Repository::revision`].
-    revision: u64,
 }
-
-/// Process-global revision counter backing [`Repository::revision`].
-/// Starts at 1 so the default (empty) repository keeps revision 0.
-static NEXT_REVISION: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
 impl Repository {
     /// Empty repository.
@@ -101,7 +95,6 @@ impl Repository {
                 .push(pkg.name);
         }
         self.packages.insert(pkg.name, pkg);
-        self.revision = NEXT_REVISION.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Ok(())
     }
 
@@ -134,7 +127,6 @@ impl Repository {
             }
         }
         self.packages.insert(pkg.name, pkg);
-        self.revision = NEXT_REVISION.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Content fingerprint of one package's *segment*: the definition
@@ -157,28 +149,6 @@ impl Repository {
             (p.virtual_name.as_str(), rank).hash(&mut h);
         }
         Some(h.finish())
-    }
-
-    /// A process-unique revision stamp for this repository's contents:
-    /// bumped on every successful [`Repository::add`], shared by clones
-    /// until one of them is mutated. Equal revisions imply identical
-    /// package sets (the converse does not hold — two independently
-    /// built repositories always differ), which is exactly the
-    /// conservative guarantee ground-program memoization needs.
-    pub fn revision(&self) -> u64 {
-        self.revision
-    }
-
-    /// Force a fresh revision stamp without changing contents.
-    ///
-    /// This is the *reload* primitive for long-lived services: swapping
-    /// in a re-read (possibly byte-identical) repository must move every
-    /// downstream revision-keyed cache — ground-program memoization in
-    /// particular — onto a new key space, so `spackled`'s `invalidate`
-    /// request clones the resident repository, bumps the clone, and
-    /// publishes it while in-flight solves finish on the old snapshot.
-    pub fn bump_revision(&mut self) {
-        self.revision = NEXT_REVISION.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Look up a package definition.
@@ -451,10 +421,9 @@ mod tests {
         let hdf5 = Sym::intern("hdf5");
         let fp_zlib = r.package_fingerprint(zlib).unwrap();
         let fp_hdf5 = r.package_fingerprint(hdf5).unwrap();
-        let rev = r.revision();
 
-        // Upserting a changed definition replaces it, bumps the
-        // revision, and moves only that package's fingerprint.
+        // Upserting a changed definition replaces it and moves only that
+        // package's fingerprint.
         let newer = PackageBuilder::new("zlib")
             .version("1.3")
             .version("1.2.11")
@@ -463,7 +432,6 @@ mod tests {
             .unwrap();
         r.upsert(newer);
         assert_eq!(r.len(), 4);
-        assert!(r.revision() > rev);
         assert_ne!(r.package_fingerprint(zlib).unwrap(), fp_zlib);
         assert_eq!(r.package_fingerprint(hdf5).unwrap(), fp_hdf5);
         assert_eq!(r.get(zlib).unwrap().versions.len(), 3);

@@ -204,7 +204,7 @@ impl Client {
         self.call(Request::op("stats"))
     }
 
-    /// Trigger a repository reload / ground-cache invalidation.
+    /// Clear the server's ground cache.
     pub fn invalidate(&mut self) -> Result<Response, String> {
         self.call(Request::op("invalidate"))
     }

@@ -40,10 +40,8 @@ pub fn handle(state: &ServerState, session: &mut Session, request: &Request) -> 
         "stats" => stats(state, request),
         "update" => update(state, request),
         "invalidate" => {
-            let (revision, dropped) = state.invalidate();
             let mut r = Response::ok_for(request);
-            r.repo_revision = revision;
-            r.invalidated = dropped as u64;
+            r.invalidated = state.invalidate() as u64;
             r
         }
         "shutdown" => Response::ok_for(request),
@@ -254,7 +252,6 @@ fn update(state: &ServerState, request: &Request) -> Response {
     match state.update(&request.package, &request.version) {
         Ok(outcome) => {
             let mut r = Response::ok_for(request);
-            r.repo_revision = outcome.revision;
             r.segments_changed = outcome.segments_changed as u64;
             r.invalidated = outcome.report.invalidated as u64;
             r.retained = outcome.report.retained as u64;
@@ -295,8 +292,6 @@ fn stats(state: &ServerState, request: &Request) -> Response {
     r.delta_updates = cache.delta_updates;
     r.segments_invalidated = cache.segments_invalidated;
     r.segments_retained = cache.segments_retained;
-    r.salvaged_translations = cache.salvaged_translations;
-    r.repo_revision = state.repo_snapshot().revision();
     r.shed = telemetry.shed;
     r.timeouts = telemetry.timeouts;
     r.budget_exhausted = telemetry.budget_exhausted;
@@ -400,18 +395,30 @@ mod tests {
     fn invalidate_drops_and_rebuilds() {
         let state = tiny_state();
         let mut session = Session::new();
-        handle(&state, &mut session, &Request::concretize("app"));
+        let cold = handle(&state, &mut session, &Request::concretize("app"));
         assert_eq!(state.ground_cache().len(), 1);
+        // A solve in flight across the invalidate: it holds the snapshot
+        // it started with and finishes afterwards.
+        let in_flight = state.concretizer(config_preset("splice").unwrap());
 
         let inv = handle(&state, &mut session, &Request::op("invalidate"));
         assert!(inv.ok);
         assert_eq!(inv.invalidated, 1);
         assert_eq!(state.ground_cache().len(), 0);
 
+        let late = in_flight.concretize(&parse_spec("app").unwrap()).unwrap();
+        assert!(!late.stats.ground_cache_hit, "invalidate dropped the entry");
+        assert_eq!(state.ground_cache().len(), 1, "the late solve repopulates");
+
+        // Its key is computed from the content it was prepared over, so
+        // the late insert is exactly what a fresh solve would store.
         let resp = handle(&state, &mut session, &Request::concretize("app"));
         assert!(resp.ok);
-        assert!(!resp.ground_cache_hit, "fresh revision misses, then repopulates");
-        assert_eq!(state.ground_cache().len(), 1);
+        assert!(
+            resp.ground_cache_hit,
+            "the late insert serves the next request"
+        );
+        assert_eq!(resp.hashes, cold.hashes);
     }
 
     #[test]
@@ -436,7 +443,6 @@ mod tests {
         assert_eq!(resp.segments_changed, 1, "only zlib's segment moved");
         assert_eq!(resp.invalidated, 1, "only app's entry references zlib");
         assert_eq!(resp.retained, 1, "lua's entry must survive");
-        assert_eq!(state.repo_snapshot().revision(), resp.repo_revision);
         assert_eq!(
             state
                 .repo_snapshot()

@@ -24,7 +24,7 @@
 //! Everything rides on the shared-state concretizer API: a request
 //! builds a throwaway [`Concretizer`] from `Arc` handles, so N
 //! connections solve in parallel against one set of indexes, and
-//! `invalidate` swaps the repository snapshot without disturbing
+//! `update` and `invalidate` change the warm state without disturbing
 //! in-flight solves.
 //!
 //! [`Repository`]: spackle_repo::Repository

@@ -15,9 +15,9 @@
 //! | `last`       | —                           | the previous concretize response for this connection |
 //! | `set-config` | `config`                    | `ok` (session default updated) |
 //! | `audit`      | —                           | `audit_errors`, `audit_warnings`, `audit_report` |
-//! | `stats`      | —                           | telemetry + ground-cache counters + `repo_revision` |
-//! | `update`     | `package`, `version`        | `repo_revision`, `segments_changed`, `invalidated` (entries whose segments moved), `retained` (entries kept warm) |
-//! | `invalidate` | —                           | `invalidated` (entries dropped), `repo_revision` (new) |
+//! | `stats`      | —                           | telemetry + ground-cache counters |
+//! | `update`     | `package`, `version`        | `segments_changed`, `invalidated` (entries whose segments moved), `retained` (entries kept warm) |
+//! | `invalidate` | —                           | `invalidated` (entries dropped; the ground cache is now empty) |
 //! | `shutdown`   | —                           | `ok`; the server stops accepting and drains |
 //!
 //! `update` is the *delta* primitive: it declares one new version on an
@@ -25,7 +25,7 @@
 //! are unchanged), republishes the repository, and partially invalidates
 //! the warm ground cache by segment fingerprint. Goals whose encode
 //! closure avoids the touched package keep hitting their retained
-//! entries; `invalidate` remains the blanket *reload* primitive.
+//! entries. `invalidate` clears the whole ground cache.
 //!
 //! `config` names a [`spackle_core::ConcretizerConfig`] preset:
 //! `"splice"` (default), `"no-splice"`, `"old"`, or the deliberately
@@ -259,9 +259,6 @@ pub struct Response {
     /// Prepared programs currently resident in the ground cache.
     #[serde(default)]
     pub cache_entries: u64,
-    /// Current repository revision stamp.
-    #[serde(default)]
-    pub repo_revision: u64,
     /// Ground-cache entries dropped (cumulative in `stats`; this call's
     /// count in `invalidate` / `update`).
     #[serde(default)]
@@ -283,8 +280,9 @@ pub struct Response {
     /// Cumulative entries retained across delta updates (`stats`).
     #[serde(default)]
     pub segments_retained: u64,
-    /// Re-grounds that salvaged a dropped entry's CNF translation
-    /// because the ground program came back bit-identical (`stats`).
+    /// Always 0: the server no longer writes it. Kept on the wire only
+    /// because the repository benchmark still reads it; drop it once the
+    /// benchmark stops.
     #[serde(default)]
     pub salvaged_translations: u64,
     /// Total concretization wall time since boot, milliseconds.

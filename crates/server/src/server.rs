@@ -8,13 +8,15 @@
 //! state, so solves on different connections run fully in parallel and
 //! share every index.
 //!
-//! Invalidation is *graceful by construction*: `invalidate` swaps in a
-//! re-stamped repository snapshot and drops stale ground-cache entries,
-//! but solves already in flight keep their own `Arc` snapshot of the old
-//! repository and their own handle to the prepared program, so they
-//! finish — bit-identical to what they would have produced — while new
-//! requests see the new revision. The ground cache's revision floor
-//! rejects stale stragglers trying to repopulate dropped entries.
+//! Invalidation is *graceful by construction*: `update` publishes a new
+//! repository snapshot and drops the ground-cache entries whose segments
+//! it moved, and `invalidate` clears the ground cache. Solves already in
+//! flight keep their own `Arc` snapshot of the repository and their own
+//! handle to the prepared program, so they finish — bit-identical to
+//! what they would have produced. The cache's retirement table rejects
+//! stale stragglers from before an update; a straggler that finishes
+//! after `invalidate` may re-insert its program, which is correct
+//! because cache keys are computed from content.
 //!
 //! Overload and shutdown are handled here too, as [`OpsConfig`] knobs:
 //!
@@ -90,8 +92,6 @@ impl Default for OpsConfig {
 /// What one applied repository delta did (the `update` request).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UpdateOutcome {
-    /// The repository revision after republication.
-    pub revision: u64,
     /// Segment fingerprints the delta moved (the mutated package plus
     /// any packages whose provider ranks shifted).
     pub segments_changed: usize,
@@ -197,22 +197,12 @@ impl ServerState {
         conc
     }
 
-    /// Reload: re-stamp the repository snapshot with a fresh revision
-    /// and drop every ground-cache entry keyed below it. Returns
-    /// `(new_revision, entries_dropped)`. In-flight solves keep their
-    /// old snapshot and finish untouched; the cache's revision floor
-    /// keeps them from re-inserting stale programs afterwards.
-    pub fn invalidate(&self) -> (u64, usize) {
-        let new_revision = {
-            let mut slot = self.repo.write();
-            let mut fresh = (**slot).clone();
-            fresh.bump_revision();
-            let rev = fresh.revision();
-            *slot = Arc::new(fresh);
-            rev
-        };
-        let dropped = self.ground_cache.invalidate_below(new_revision);
-        (new_revision, dropped)
+    /// Drop every ground-cache entry and return how many were dropped.
+    /// In-flight solves finish untouched; one that finishes afterwards
+    /// may re-insert its program, which is still valid because the key
+    /// is computed from the content it was prepared over.
+    pub fn invalidate(&self) -> usize {
+        self.ground_cache.clear()
     }
 
     /// Delta update: declare `version` on existing package `package`,
@@ -230,7 +220,7 @@ impl ServerState {
     pub fn update(&self, package: &str, version: &str) -> Result<UpdateOutcome, String> {
         let name = Sym::intern(package);
         let ver = Version::parse(version).map_err(|e| format!("bad version {version:?}: {e}"))?;
-        let (revision, delta, report) = {
+        let (delta, report) = {
             let mut slot = self.repo.write();
             let Some(def) = slot.get(name) else {
                 return Err(format!("no such package: {package}"));
@@ -243,14 +233,11 @@ impl ServerState {
             let mut fresh = (**slot).clone();
             fresh.upsert(def);
             let delta = repo_delta(&slot, &fresh);
-            let revision = fresh.revision();
             *slot = Arc::new(fresh);
             let report = self.ground_cache.apply_delta(&delta);
-            (revision, delta, report)
+            (delta, report)
         };
-        self.telemetry.record_update();
         Ok(UpdateOutcome {
-            revision,
             segments_changed: delta.len(),
             report,
         })

@@ -25,7 +25,6 @@ pub struct Telemetry {
     propagations: AtomicU64,
     restarts: AtomicU64,
     shed: AtomicU64,
-    updates: AtomicU64,
     timeouts: AtomicU64,
     budget_exhausted: AtomicU64,
     degraded_solves: AtomicU64,
@@ -58,7 +57,6 @@ impl Telemetry {
             propagations: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
             shed: AtomicU64::new(0),
-            updates: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
             budget_exhausted: AtomicU64::new(0),
             degraded_solves: AtomicU64::new(0),
@@ -107,11 +105,6 @@ impl Telemetry {
     /// structured `overloaded` response tells it when to retry.
     pub fn record_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one applied repository delta (`update` request).
-    pub fn record_update(&self) {
-        self.updates.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one concretize request that hit its wall-clock deadline.
@@ -168,7 +161,6 @@ impl Telemetry {
             propagations: self.propagations.load(Ordering::Relaxed),
             restarts: self.restarts.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
-            updates: self.updates.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
             budget_exhausted: self.budget_exhausted.load(Ordering::Relaxed),
             degraded_solves: self.degraded_solves.load(Ordering::Relaxed),
@@ -220,8 +212,6 @@ pub struct TelemetrySnapshot {
     pub restarts: u64,
     /// Requests shed by overload protection.
     pub shed: u64,
-    /// Repository deltas applied via the `update` request.
-    pub updates: u64,
     /// Concretize requests that hit their deadline.
     pub timeouts: u64,
     /// Concretize requests that exhausted the conflict budget.

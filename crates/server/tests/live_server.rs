@@ -145,7 +145,7 @@ fn concurrent_clients_share_one_warm_cache() {
     assert!(stats1.max_solve_ms <= stats1.total_solve_ms);
 
     // Invalidate while solves are in flight: solver threads keep going
-    // through reloads; nothing may fail and nothing may diverge.
+    // through cache clears; nothing may fail and nothing may diverge.
     std::thread::scope(|s| {
         for t in 0..CLIENT_THREADS {
             let baseline = &baseline;
@@ -182,8 +182,7 @@ fn concurrent_clients_share_one_warm_cache() {
         "every solve is exactly one counted lookup"
     );
     assert_eq!(stats2.failures, 0, "no solve failed during invalidation");
-    assert!(stats2.invalidated >= 1, "reloads dropped warm entries");
-    assert!(stats2.repo_revision > stats1.repo_revision);
+    assert!(stats2.invalidated >= 1, "invalidates dropped warm entries");
     // Everything between the two stats calls is accounted for: the
     // storm solves, 3 invalidates, and the stats request itself.
     assert_eq!(stats2.requests, stats1.requests + storm_solves + 3 + 1);
