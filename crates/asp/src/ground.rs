@@ -24,19 +24,15 @@
 //! analysis, incrementally maintained), so fact bases with many
 //! thousands of `hash_attr` entries ground quickly.
 //!
-//! ## Parallelism and determinism
+//! ## Determinism
 //!
-//! Rule instantiation is split into *join* work (enumerate matching
-//! substitutions — read-only over the grounder state) and *emission*
-//! work (intern head atoms, assign ids, record ground rules — mutating).
-//! Joins for a batch of work items run on a bounded
-//! [`std::thread::scope`] pool; their results are then emitted **in work
-//! item order** by the single-threaded master. Because joins never
-//! mutate the store and the master replays matches in the same order the
-//! sequential path would produce them, the grounded program — every
-//! rule, choice, constraint, minimize term, the atom *numbering*, and
-//! the term numbering — is bit-identical for every thread count. See
-//! DESIGN.md ("Parallel grounding") for the full argument.
+//! The grounded program — every rule, choice, constraint, minimize term,
+//! and the atom and term *numbering* — is a function of the program
+//! text alone. Each closure round joins against the round-start state
+//! and interns the derived heads afterwards, in rule → element →
+//! position order. Emission runs once the closure is fixed: its joins
+//! draw candidates only from the possible relations, so the atoms it
+//! interns cannot change what a later join finds. See DESIGN.md §3.45.
 
 use crate::program::{BodyElem, CmpOp, Head, Program, Rule};
 use crate::term::{Atom, AtomId, GroundStore, GroundTerm, Term, TermId};
@@ -44,7 +40,6 @@ use crate::{AspError, Result};
 use rustc_hash::{FxHashMap, FxHashSet};
 use spackle_spec::Sym;
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
 /// A ground normal rule (`head :- pos, not neg`). Facts have empty bodies.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -139,7 +134,8 @@ impl GroundProgram {
 pub struct GroundLimits {
     /// Maximum number of distinct possible atoms before aborting.
     pub max_atoms: usize,
-    /// Maximum number of emitted ground rules before aborting.
+    /// Maximum number of emitted ground instances — rules, choices,
+    /// constraints and minimize terms combined — before aborting.
     pub max_rules: usize,
 }
 
@@ -705,8 +701,6 @@ struct Grounder {
     rank_of: Vec<usize>,
     possible: Vec<AtomId>,
     limits: GroundLimits,
-    /// Worker threads for join batches (1 = fully sequential).
-    threads: usize,
     /// Index positions each (predicate, arity) relation must maintain.
     wanted: FxHashMap<(Sym, usize), Vec<usize>>,
 }
@@ -718,23 +712,18 @@ struct Match {
     chosen: Vec<AtomId>,
 }
 
-/// One join invocation: a compiled spec, initial bindings, and an
-/// optional semi-naive delta restriction `(literal, lo_rank, hi_rank)`.
-struct JoinJob<'p> {
-    spec: &'p JoinSpec,
-    init: Subst,
-    delta: Option<(usize, usize, usize)>,
-}
+/// A semi-naive delta restriction `(literal, lo_rank, hi_rank)`: that
+/// literal only matches atoms whose possible-rank lies in `lo..hi`.
+type Delta = Option<(usize, usize, usize)>;
 
 impl Grounder {
-    fn new(limits: GroundLimits, threads: usize, wanted: FxHashMap<(Sym, usize), Vec<usize>>) -> Self {
+    fn new(limits: GroundLimits, wanted: FxHashMap<(Sym, usize), Vec<usize>>) -> Self {
         Grounder {
             store: GroundStore::new(),
             rels: FxHashMap::default(),
             rank_of: Vec::new(),
             possible: Vec::new(),
             limits,
-            threads: threads.max(1),
             wanted,
         }
     }
@@ -781,9 +770,9 @@ impl Grounder {
 
     /// Candidate atoms matching `pattern` under `s`: the pre-declared
     /// index bucket when a probe position was chosen statically, the
-    /// whole relation otherwise. Read-only — safe to call from join
-    /// workers. (A probe term that was never interned can occur in no
-    /// atom, so the empty slice is exact.)
+    /// whole relation otherwise. Never interns. (A probe term that was
+    /// never interned can occur in no atom, so the empty slice is
+    /// exact.)
     fn candidates(&self, s: &Subst, pattern: &Atom, probe: Option<usize>) -> &[AtomId] {
         let key = (pattern.pred, pattern.args.len());
         let Some(rel) = self.rels.get(&key) else {
@@ -808,14 +797,13 @@ impl Grounder {
         }
     }
 
-    /// Enumerate instantiations of `job.spec` starting from `job.init`.
-    /// Read-only over the grounder; all interning is deferred to the
-    /// caller (the single-threaded master).
-    fn run_job(&self, job: &JoinJob<'_>) -> Result<Vec<Match>> {
+    /// Enumerate instantiations of `spec` starting from the bindings
+    /// `init`. Read-only over the grounder; the caller interns.
+    fn join(&self, spec: &JoinSpec, init: &Subst, delta: Delta) -> Result<Vec<Match>> {
         let mut out = Vec::new();
-        let mut s = job.init.clone();
-        let mut chosen = Vec::with_capacity(job.spec.pats.len());
-        self.join_rec(job.spec, 0, job.delta, &mut s, &mut chosen, &mut out)?;
+        let mut s = init.clone();
+        let mut chosen = Vec::with_capacity(spec.pats.len());
+        self.join_rec(spec, 0, delta, &mut s, &mut chosen, &mut out)?;
         Ok(out)
     }
 
@@ -823,7 +811,7 @@ impl Grounder {
         &self,
         spec: &JoinSpec,
         i: usize,
-        delta: Option<(usize, usize, usize)>,
+        delta: Delta,
         s: &mut Subst,
         chosen: &mut Vec<AtomId>,
         out: &mut Vec<Match>,
@@ -868,80 +856,6 @@ impl Grounder {
         Ok(())
     }
 
-    /// Smallest batch worth spawning workers for: below this, the
-    /// per-round `thread::scope` spawn/join cost exceeds the join work
-    /// itself (measured on the fig5/fig6 workloads, where per-round
-    /// overhead made "parallel" grounding *slower* than sequential).
-    const MIN_PARALLEL_BATCH: usize = 32;
-
-    /// Effective worker count for a batch of `n` jobs: the configured
-    /// thread count, clamped to the host's available parallelism — on a
-    /// 1-CPU box a requested `--ground-threads 4` must take the exact
-    /// sequential code path rather than paying spawn + contention for
-    /// nothing — and to the batch size.
-    fn effective_workers(&self, n: usize) -> usize {
-        let host = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        self.threads.min(host).min(n)
-    }
-
-    /// Run a batch of join jobs, possibly on worker threads, returning
-    /// match lists **indexed by job**. Workers only read the grounder
-    /// (joins never intern), and results are reassembled by job index,
-    /// so the outcome — including which error surfaces first — is
-    /// independent of the thread count and of scheduling.
-    ///
-    /// Scheduling is segment-shaped: workers claim contiguous *chunks*
-    /// of the job array instead of one job per atomic operation, so a
-    /// round over a large fact segment costs a handful of atomic ops
-    /// rather than one per rule instantiation. Small batches run inline
-    /// (see [`Grounder::MIN_PARALLEL_BATCH`]).
-    fn run_batch(&self, jobs: &[JoinJob<'_>]) -> Result<Vec<Vec<Match>>> {
-        let n = jobs.len();
-        let workers = self.effective_workers(n);
-        if workers <= 1 || n < Self::MIN_PARALLEL_BATCH {
-            return jobs.iter().map(|j| self.run_job(j)).collect();
-        }
-        // Coarse chunks (≈4 claims per worker) keep claiming overhead
-        // negligible while still load-balancing skewed segments.
-        let chunk = (n / (workers * 4)).max(1);
-        let next = AtomicUsize::new(0);
-        let mut buckets: Vec<Vec<(usize, Result<Vec<Match>>)>> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut mine = Vec::new();
-                        loop {
-                            let lo = next.fetch_add(chunk, AtomicOrdering::Relaxed);
-                            if lo >= n {
-                                break;
-                            }
-                            let hi = (lo + chunk).min(n);
-                            for (i, job) in jobs[lo..hi].iter().enumerate() {
-                                mine.push((lo + i, self.run_job(job)));
-                            }
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for h in handles {
-                buckets.push(h.join().expect("grounder join worker panicked"));
-            }
-        });
-        let mut slots: Vec<Option<Result<Vec<Match>>>> = (0..n).map(|_| None).collect();
-        for (i, r) in buckets.into_iter().flatten() {
-            slots[i] = Some(r);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every job index claimed exactly once"))
-            .collect()
-    }
-
     fn intern_under(&mut self, s: &Subst, a: &Atom) -> Result<AtomId> {
         let mut args = Vec::with_capacity(a.args.len());
         for t in &a.args {
@@ -951,29 +865,27 @@ impl Grounder {
         }
         Ok(self.store.atom(a.pred, args.into()))
     }
+
+    /// Abort once more than `max_rules` ground instances (rules,
+    /// choices, constraints and minimize terms together) are emitted.
+    fn check_emitted(&self, emitted: usize) -> Result<()> {
+        if emitted > self.limits.max_rules {
+            return Err(AspError::ResourceLimit(format!(
+                "ground instances exceeded {}",
+                self.limits.max_rules
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// Ground `program` into a propositional [`GroundProgram`].
 pub fn ground(program: &Program) -> Result<GroundProgram> {
-    ground_parallel(program, GroundLimits::default(), 1)
+    ground_with_limits(program, GroundLimits::default())
 }
 
-/// Ground with explicit resource limits (single-threaded).
+/// Ground with explicit resource limits.
 pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<GroundProgram> {
-    ground_parallel(program, limits, 1)
-}
-
-/// Ground with explicit resource limits and a join worker-thread count.
-///
-/// The result is **bit-identical** for every `threads` value: joins are
-/// read-only and their matches are emitted by the single-threaded master
-/// in work-item order, so atom/term numbering, rule order, and every
-/// downstream model agree with the sequential path (see module docs).
-pub fn ground_parallel(
-    program: &Program,
-    limits: GroundLimits,
-    threads: usize,
-) -> Result<GroundProgram> {
     for r in &program.rules {
         check_safety(r)?;
     }
@@ -990,7 +902,7 @@ pub fn ground_parallel(
         })
         .collect();
     let wanted = collect_wanted(&plans, &min_plans);
-    let mut g = Grounder::new(limits, threads, wanted);
+    let mut g = Grounder::new(limits, wanted);
     let no_subst: Subst = Vec::new();
 
     // ---- Phase 1: possible-atom closure (semi-naive). ----
@@ -1003,12 +915,7 @@ pub fn ground_parallel(
         }
         match &rp.head {
             HeadPlan::Atom(a) => {
-                let job = JoinJob {
-                    spec: &rp.body,
-                    init: no_subst.clone(),
-                    delta: None,
-                };
-                for m in g.run_job(&job)? {
+                for m in g.join(&rp.body, &no_subst, None)? {
                     let id = g.intern_under(&m.subst, a)?;
                     g.add_possible(id);
                 }
@@ -1018,12 +925,7 @@ pub fn ground_parallel(
                     if !el.closure.pats.is_empty() {
                         continue; // handled in the semi-naive loop
                     }
-                    let job = JoinJob {
-                        spec: &el.closure,
-                        init: no_subst.clone(),
-                        delta: None,
-                    };
-                    for m in g.run_job(&job)? {
+                    for m in g.join(&el.closure, &no_subst, None)? {
                         let id = g.intern_under(&m.subst, el.atom)?;
                         g.add_possible(id);
                     }
@@ -1038,46 +940,36 @@ pub fn ground_parallel(
         if prev_start == prev_end {
             break;
         }
-        // One job per (derivation target, delta literal), in rule →
-        // element → position order. All joins in the round read the
+        // One join per (derivation target, delta literal), in rule →
+        // element → position order. Every join of the round reads the
         // round-start state (a match that additionally needs an atom
         // derived *this* round is found next round, when that atom is in
-        // the delta window — the fixpoint is unchanged); the master then
-        // interns heads in job order, so possible-atom ranks are the same
-        // at every thread count.
-        let mut jobs: Vec<JoinJob<'_>> = Vec::new();
-        let mut targets: Vec<&Atom> = Vec::new();
+        // the delta window — the fixpoint is unchanged); the heads are
+        // interned in join order only afterwards, which fixes the
+        // possible-atom ranks.
+        let mut found: Vec<(&Atom, Vec<Match>)> = Vec::new();
         for rp in &plans {
             match &rp.head {
                 HeadPlan::Atom(a) => {
                     for dpos in 0..rp.body.pats.len() {
-                        jobs.push(JoinJob {
-                            spec: &rp.body,
-                            init: no_subst.clone(),
-                            delta: Some((dpos, prev_start, prev_end)),
-                        });
-                        targets.push(a);
+                        let delta = Some((dpos, prev_start, prev_end));
+                        found.push((a, g.join(&rp.body, &no_subst, delta)?));
                     }
                 }
                 HeadPlan::Choice { elements, .. } => {
                     for el in elements {
                         for dpos in 0..el.closure.pats.len() {
-                            jobs.push(JoinJob {
-                                spec: &el.closure,
-                                init: no_subst.clone(),
-                                delta: Some((dpos, prev_start, prev_end)),
-                            });
-                            targets.push(el.atom);
+                            let delta = Some((dpos, prev_start, prev_end));
+                            found.push((el.atom, g.join(&el.closure, &no_subst, delta)?));
                         }
                     }
                 }
                 HeadPlan::Constraint => {}
             }
         }
-        let results = g.run_batch(&jobs)?;
-        for (ti, matches) in results.into_iter().enumerate() {
+        for (target, matches) in found {
             for m in matches {
-                let id = g.intern_under(&m.subst, targets[ti])?;
+                let id = g.intern_under(&m.subst, target)?;
                 g.add_possible(id);
             }
         }
@@ -1091,52 +983,32 @@ pub fn ground_parallel(
     }
 
     // ---- Phase 2: emit ground normal rules. ----
-    // The closure is fixed now, so all emission joins run as one batch;
-    // interning head/negative atoms cannot affect them (candidates come
-    // only from the possible relations, which no longer change).
+    // The closure is fixed now: each rule's join draws candidates only
+    // from the possible relations, so interning its head and negative
+    // atoms cannot affect a later rule's join.
     let mut rules: Vec<GroundRule> = Vec::new();
     let mut rule_src: Vec<u32> = Vec::new();
     let mut rule_set: FxHashSet<GroundRule> = FxHashSet::default();
-    {
-        let mut jobs: Vec<JoinJob<'_>> = Vec::new();
-        for rp in &plans {
-            if matches!(rp.head, HeadPlan::Atom(_)) {
-                jobs.push(JoinJob {
-                    spec: &rp.body,
-                    init: no_subst.clone(),
-                    delta: None,
-                });
+    for (ri, rp) in plans.iter().enumerate() {
+        let HeadPlan::Atom(head) = &rp.head else {
+            continue;
+        };
+        for Match { subst, chosen } in g.join(&rp.body, &no_subst, None)? {
+            let h = g.intern_under(&subst, head)?;
+            let mut neg = Vec::with_capacity(rp.neg.len());
+            for n in &rp.neg {
+                neg.push(g.intern_under(&subst, n)?);
             }
-        }
-        let mut results = g.run_batch(&jobs)?.into_iter();
-        for (ri, rp) in plans.iter().enumerate() {
-            let HeadPlan::Atom(head) = &rp.head else {
-                continue;
+            let gr = GroundRule {
+                head: h,
+                pos: chosen.into(),
+                neg: neg.into(),
             };
-            let matches = results.next().expect("one result per normal rule");
-            for m in matches {
-                let Match { subst, chosen } = m;
-                let h = g.intern_under(&subst, head)?;
-                let mut neg = Vec::with_capacity(rp.neg.len());
-                for n in &rp.neg {
-                    neg.push(g.intern_under(&subst, n)?);
-                }
-                let gr = GroundRule {
-                    head: h,
-                    pos: chosen.into(),
-                    neg: neg.into(),
-                };
-                if rule_set.insert(gr.clone()) {
-                    rules.push(gr);
-                    rule_src.push(ri as u32);
-                }
-                if rules.len() > g.limits.max_rules {
-                    return Err(AspError::ResourceLimit(format!(
-                        "ground rules exceeded {}",
-                        g.limits.max_rules
-                    )));
-                }
+            if rule_set.insert(gr.clone()) {
+                rules.push(gr);
+                rule_src.push(ri as u32);
             }
+            g.check_emitted(rules.len())?;
         }
     }
 
@@ -1192,160 +1064,86 @@ pub fn ground_parallel(
     }
 
     // ---- Phase 4: choices, constraints, minimize. ----
-    // Batch A: outer body joins for every choice rule and constraint
-    // (rule order), then every minimize condition. Batch B: the
-    // choice-element condition joins, each seeded with an outer match's
-    // bindings, in (rule, match, element) order. Both batches are
-    // read-only; the master then replays results in the original
-    // sequential emission order.
-    let mut outer: Vec<Vec<Match>>;
-    let min_results: Vec<Vec<Match>>;
-    {
-        let mut jobs: Vec<JoinJob<'_>> = Vec::new();
-        for rp in &plans {
-            if matches!(rp.head, HeadPlan::Choice { .. } | HeadPlan::Constraint) {
-                jobs.push(JoinJob {
-                    spec: &rp.body,
-                    init: no_subst.clone(),
-                    delta: None,
-                });
-            }
-        }
-        let min_start = jobs.len();
-        for (spec, _) in &min_plans {
-            jobs.push(JoinJob {
-                spec,
-                init: no_subst.clone(),
-                delta: None,
-            });
-        }
-        outer = g.run_batch(&jobs)?;
-        min_results = outer.split_off(min_start);
-    }
-    let mut cond_results: Vec<Vec<Match>>;
-    {
-        let mut cond_jobs: Vec<JoinJob<'_>> = Vec::new();
-        let mut oi = 0usize;
-        for rp in &plans {
-            match &rp.head {
-                HeadPlan::Choice { elements, .. } => {
-                    for m in &outer[oi] {
-                        for el in elements {
-                            cond_jobs.push(JoinJob {
-                                spec: &el.cond,
-                                init: m.subst.clone(),
-                                delta: None,
-                            });
-                        }
-                    }
-                    oi += 1;
-                }
-                HeadPlan::Constraint => oi += 1,
-                HeadPlan::Atom(_) => {}
-            }
-        }
-        cond_results = g.run_batch(&cond_jobs)?;
-    }
-
+    // In rule order, then minimize order; a choice's element conditions
+    // are joined per body match, seeded with its bindings.
     let mut choices: Vec<GroundChoice> = Vec::new();
     let mut choice_src: Vec<u32> = Vec::new();
     let mut choice_set: FxHashSet<GroundChoice> = FxHashSet::default();
     let mut constraints: Vec<GroundConstraint> = Vec::new();
     let mut constraint_src: Vec<u32> = Vec::new();
     let mut constraint_set: FxHashSet<GroundConstraint> = FxHashSet::default();
-    let mut oi = 0usize;
-    let mut ci = 0usize;
     for (ri, rp) in plans.iter().enumerate() {
-        match &rp.head {
-            HeadPlan::Choice {
+        if matches!(rp.head, HeadPlan::Atom(_)) {
+            continue;
+        }
+        for Match { subst, chosen } in g.join(&rp.body, &no_subst, None)? {
+            let mut neg = Vec::with_capacity(rp.neg.len());
+            for n in &rp.neg {
+                neg.push(g.intern_under(&subst, n)?);
+            }
+            if let HeadPlan::Choice {
                 lower,
                 upper,
                 elements,
-            } => {
-                let matches = std::mem::take(&mut outer[oi]);
-                oi += 1;
-                for m in matches {
-                    let Match { subst, chosen } = m;
-                    let mut neg = Vec::with_capacity(rp.neg.len());
-                    for n in &rp.neg {
-                        neg.push(g.intern_under(&subst, n)?);
-                    }
-                    let mut elems: Vec<AtomId> = Vec::new();
-                    let mut elem_seen: FxHashSet<AtomId> = FxHashSet::default();
-                    for el in elements {
-                        let cond_matches = std::mem::take(&mut cond_results[ci]);
-                        ci += 1;
-                        for cm in cond_matches {
-                            // Conditions must be certain (domain predicates).
-                            for &c in &cm.chosen {
-                                if !certain.contains(&c) {
-                                    return Err(AspError::NonDomainCondition {
-                                        atom: g.store.format_atom(c),
-                                        rule: program.rules[ri].to_string(),
-                                    });
-                                }
-                            }
-                            for n in &el.cond_neg {
-                                let nid = g.intern_under(&cm.subst, n)?;
-                                if g.is_possible(nid) {
-                                    return Err(AspError::DerivableNegatedCondition {
-                                        atom: g.store.format_atom(nid),
-                                        rule: program.rules[ri].to_string(),
-                                    });
-                                }
-                            }
-                            let e = g.intern_under(&cm.subst, el.atom)?;
-                            if elem_seen.insert(e) {
-                                elems.push(e);
+            } = &rp.head
+            {
+                let mut elems: Vec<AtomId> = Vec::new();
+                let mut elem_seen: FxHashSet<AtomId> = FxHashSet::default();
+                for el in elements {
+                    for cm in g.join(&el.cond, &subst, None)? {
+                        // Conditions must be certain (domain predicates).
+                        for &c in &cm.chosen {
+                            if !certain.contains(&c) {
+                                return Err(AspError::NonDomainCondition {
+                                    atom: g.store.format_atom(c),
+                                    rule: program.rules[ri].to_string(),
+                                });
                             }
                         }
-                    }
-                    let gc = GroundChoice {
-                        lower: *lower,
-                        upper: *upper,
-                        pos: chosen.into(),
-                        neg: neg.into(),
-                        elements: elems.into(),
-                    };
-                    if choice_set.insert(gc.clone()) {
-                        choices.push(gc);
-                        choice_src.push(ri as u32);
-                    }
-                }
-            }
-            HeadPlan::Constraint => {
-                let matches = std::mem::take(&mut outer[oi]);
-                oi += 1;
-                for m in matches {
-                    let Match { subst, chosen } = m;
-                    let mut neg = Vec::with_capacity(rp.neg.len());
-                    for n in &rp.neg {
-                        neg.push(g.intern_under(&subst, n)?);
-                    }
-                    let gc = GroundConstraint {
-                        pos: chosen.into(),
-                        neg: neg.into(),
-                    };
-                    if constraint_set.insert(gc.clone()) {
-                        constraints.push(gc);
-                        constraint_src.push(ri as u32);
+                        for n in &el.cond_neg {
+                            let nid = g.intern_under(&cm.subst, n)?;
+                            if g.is_possible(nid) {
+                                return Err(AspError::DerivableNegatedCondition {
+                                    atom: g.store.format_atom(nid),
+                                    rule: program.rules[ri].to_string(),
+                                });
+                            }
+                        }
+                        let e = g.intern_under(&cm.subst, el.atom)?;
+                        if elem_seen.insert(e) {
+                            elems.push(e);
+                        }
                     }
                 }
+                let gc = GroundChoice {
+                    lower: *lower,
+                    upper: *upper,
+                    pos: chosen.into(),
+                    neg: neg.into(),
+                    elements: elems.into(),
+                };
+                if choice_set.insert(gc.clone()) {
+                    choices.push(gc);
+                    choice_src.push(ri as u32);
+                }
+            } else {
+                let gc = GroundConstraint {
+                    pos: chosen.into(),
+                    neg: neg.into(),
+                };
+                if constraint_set.insert(gc.clone()) {
+                    constraints.push(gc);
+                    constraint_src.push(ri as u32);
+                }
             }
-            HeadPlan::Atom(_) => {}
+            g.check_emitted(rules.len() + choices.len() + constraints.len())?;
         }
     }
 
     let mut minimize: Vec<GroundMin> = Vec::new();
     let mut min_set: FxHashSet<GroundMin> = FxHashSet::default();
-    for ((me, (_, cond_neg)), matches) in program
-        .minimize
-        .iter()
-        .zip(&min_plans)
-        .zip(min_results)
-    {
-        for m in matches {
-            let Match { subst, chosen } = m;
+    for (me, (spec, cond_neg)) in program.minimize.iter().zip(&min_plans) {
+        for Match { subst, chosen } in g.join(spec, &no_subst, None)? {
             let w = resolve_int(&mut g, &subst, &me.weight)?;
             if w < 0 {
                 return Err(AspError::BadWeight(format!(
@@ -1373,6 +1171,7 @@ pub fn ground_parallel(
             if min_set.insert(gm.clone()) {
                 minimize.push(gm);
             }
+            g.check_emitted(rules.len() + choices.len() + constraints.len() + minimize.len())?;
         }
     }
 
@@ -1660,12 +1459,21 @@ mod tests {
         assert_eq!(gp.rules.len(), 1);
     }
 
+    /// Render a ground body: positive atoms, then the negated ones.
+    fn render_body(gp: &GroundProgram, pos: &[AtomId], neg: &[AtomId]) -> String {
+        let mut lits: Vec<String> = pos.iter().map(|&a| gp.store.format_atom(a)).collect();
+        let negated = |&a: &AtomId| format!("not {}", gp.store.format_atom(a));
+        lits.extend(neg.iter().map(negated));
+        lits.join(", ")
+    }
+
     #[test]
-    fn parallel_grounding_is_bit_identical() {
-        // The whole determinism argument in one assertion: every ground
-        // structure — and the atom/term *numbering* — matches the
-        // sequential path at any thread count.
-        let text = r#"
+    fn grounding_output_order_is_pinned() {
+        // Atom numbering and emission order feed the CNF variable order,
+        // and with it the search: pin both, atom by atom and instance by
+        // instance.
+        let gp = ground_text(
+            r#"
             edge(1,2). edge(2,3). edge(3,4). edge(4,5).
             path(X,Y) :- edge(X,Y).
             path(X,Z) :- path(X,Y), edge(Y,Z).
@@ -1674,23 +1482,136 @@ mod tests {
             { pick(X) : n(X) } 2.
             reach(X) :- pick(X).
             reach(Y) :- reach(X), path(X,Y).
-            :- pick(X), pick(Y), X < Y, path(Y,X).
+            :- pick(X), pick(Y), X < Y, edge(X,Y).
             #minimize { 1@1,X : pick(X) }.
-        "#;
-        let prog = parse_program(text).unwrap();
-        let seq = ground_parallel(&prog, GroundLimits::default(), 1).unwrap();
-        for threads in [2usize, 8] {
-            let par = ground_parallel(&prog, GroundLimits::default(), threads).unwrap();
-            assert_eq!(seq.rules, par.rules, "rules differ at {threads} threads");
-            assert_eq!(seq.choices, par.choices);
-            assert_eq!(seq.constraints, par.constraints);
-            assert_eq!(seq.minimize, par.minimize);
-            assert_eq!(seq.certain, par.certain);
-            assert_eq!(seq.possible, par.possible);
-            assert_eq!(seq.store.atom_count(), par.store.atom_count());
-            for a in &seq.possible {
-                assert_eq!(seq.store.format_atom(*a), par.store.format_atom(*a));
-            }
-        }
+        "#,
+        );
+        // Atom id i names the i-th atom below; every interned atom is
+        // possible.
+        let atoms: Vec<String> = (0..gp.atom_count() as u32)
+            .map(|i| gp.store.format_atom(AtomId(i)))
+            .collect();
+        assert_eq!(
+            atoms.join(" "),
+            "edge(1,2) edge(2,3) edge(3,4) edge(4,5) \
+             path(1,2) path(2,3) path(3,4) path(4,5) n(1) n(2) n(3) n(4) n(5) \
+             path(1,3) path(2,4) path(3,5) pick(1) pick(2) pick(3) pick(4) pick(5) \
+             path(1,4) path(2,5) reach(1) reach(2) reach(3) reach(4) reach(5) \
+             path(1,5)"
+        );
+        assert_eq!(gp.possible.len(), atoms.len());
+        // Everything but pick/1 and reach/1 is certain.
+        let mut certain: Vec<u32> = gp.certain.iter().map(|a| a.0).collect();
+        certain.sort_unstable();
+        assert_eq!(certain, (0..16).chain([21, 22, 28]).collect::<Vec<u32>>());
+
+        let rules: Vec<String> = gp
+            .rules
+            .iter()
+            .map(|r| match render_body(&gp, &r.pos, &r.neg) {
+                body if body.is_empty() => format!("{}.", gp.store.format_atom(r.head)),
+                body => format!("{} :- {body}.", gp.store.format_atom(r.head)),
+            })
+            .collect();
+        assert_eq!(
+            rules,
+            [
+                "edge(1,2).",
+                "edge(2,3).",
+                "edge(3,4).",
+                "edge(4,5).",
+                "path(1,2) :- edge(1,2).",
+                "path(2,3) :- edge(2,3).",
+                "path(3,4) :- edge(3,4).",
+                "path(4,5) :- edge(4,5).",
+                "path(1,3) :- path(1,2), edge(2,3).",
+                "path(2,4) :- path(2,3), edge(3,4).",
+                "path(3,5) :- path(3,4), edge(4,5).",
+                "path(1,4) :- path(1,3), edge(3,4).",
+                "path(2,5) :- path(2,4), edge(4,5).",
+                "path(1,5) :- path(1,4), edge(4,5).",
+                "n(1) :- edge(1,2).",
+                "n(2) :- edge(2,3).",
+                "n(3) :- edge(3,4).",
+                "n(4) :- edge(4,5).",
+                "n(2) :- edge(1,2).",
+                "n(3) :- edge(2,3).",
+                "n(4) :- edge(3,4).",
+                "n(5) :- edge(4,5).",
+                "reach(1) :- pick(1).",
+                "reach(2) :- pick(2).",
+                "reach(3) :- pick(3).",
+                "reach(4) :- pick(4).",
+                "reach(5) :- pick(5).",
+                "reach(2) :- reach(1), path(1,2).",
+                "reach(3) :- reach(1), path(1,3).",
+                "reach(4) :- reach(1), path(1,4).",
+                "reach(5) :- reach(1), path(1,5).",
+                "reach(3) :- reach(2), path(2,3).",
+                "reach(4) :- reach(2), path(2,4).",
+                "reach(5) :- reach(2), path(2,5).",
+                "reach(4) :- reach(3), path(3,4).",
+                "reach(5) :- reach(3), path(3,5).",
+                "reach(5) :- reach(4), path(4,5).",
+            ]
+        );
+        assert_eq!(
+            gp.rule_src,
+            [
+                0, 1, 2, 3, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 6, 6, 6, 6, 7, 7, 7, 7, 9, 9, 9, 9, 9,
+                10, 10, 10, 10, 10, 10, 10, 10, 10, 10
+            ]
+        );
+        assert_eq!(gp.choice_src, [8]);
+        assert_eq!(gp.constraint_src, [11, 11, 11, 11]);
+
+        let choices: Vec<String> = gp
+            .choices
+            .iter()
+            .map(|c| {
+                let elems = render_body(&gp, &c.elements, &[]);
+                let body = render_body(&gp, &c.pos, &c.neg);
+                format!("{:?} {{ {elems} }} {:?} :- {body}.", c.lower, c.upper)
+            })
+            .collect();
+        assert_eq!(
+            choices,
+            ["None { pick(1), pick(2), pick(3), pick(4), pick(5) } Some(2) :- ."]
+        );
+
+        let constraints: Vec<String> = gp
+            .constraints
+            .iter()
+            .map(|c| format!(":- {}.", render_body(&gp, &c.pos, &c.neg)))
+            .collect();
+        assert_eq!(
+            constraints,
+            [
+                ":- pick(1), pick(2), edge(1,2).",
+                ":- pick(2), pick(3), edge(2,3).",
+                ":- pick(3), pick(4), edge(3,4).",
+                ":- pick(4), pick(5), edge(4,5).",
+            ]
+        );
+
+        let minimize: Vec<String> = gp
+            .minimize
+            .iter()
+            .map(|m| {
+                let tuple: Vec<String> = m.tuple.iter().map(|&t| gp.store.format_term(t)).collect();
+                let body = render_body(&gp, &m.pos, &m.neg);
+                format!("{}@{},{} : {body}", m.weight, m.priority, tuple.join(","))
+            })
+            .collect();
+        assert_eq!(
+            minimize,
+            [
+                "1@1,1 : pick(1)",
+                "1@1,2 : pick(2)",
+                "1@1,3 : pick(3)",
+                "1@1,4 : pick(4)",
+                "1@1,5 : pick(5)",
+            ]
+        );
     }
 }

@@ -55,9 +55,7 @@ pub use cdcl::SatConfig;
 pub use certify::{certify_model, CertifyError};
 pub use cnf::ClauseOrigin;
 pub use explain::{CoreMember, ExplainConfig, ExplainOutcome, UnsatCore};
-pub use ground::{
-    ground_parallel, unsafe_variables, GroundLimits, GroundProgram, SafetyContext, UnsafeVariable,
-};
+pub use ground::{unsafe_variables, GroundLimits, GroundProgram, SafetyContext, UnsafeVariable};
 pub use model::Model;
 pub use parser::{parse_program, parse_program_spanned};
 pub use program::{Program, PruneReport, Rule};

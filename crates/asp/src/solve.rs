@@ -4,7 +4,7 @@
 use crate::cancel::CancelToken;
 use crate::cdcl::{Lit, Sat, SatConfig, SatResult};
 use crate::cnf::{add_upper_bound, add_upper_bound_guarded, translate, BoundCounter, Translation};
-use crate::ground::{ground_parallel, GroundLimits, GroundProgram};
+use crate::ground::{ground_with_limits, GroundLimits, GroundProgram};
 use crate::model::Model;
 use crate::program::Program;
 use crate::stability::{check_stability, Stability};
@@ -23,10 +23,6 @@ pub struct SolverConfig {
     pub max_stability_loops: usize,
     /// Conflict budget per SAT call (`u64::MAX` = unlimited).
     pub conflict_budget: u64,
-    /// Worker threads for grounding joins (1 = sequential). The grounded
-    /// program is bit-identical at every setting; see
-    /// [`crate::ground::ground_parallel`].
-    pub ground_threads: usize,
     /// CDCL search-heuristic toggles (phase saving, restarts).
     pub sat: SatConfig,
     /// Cooperative cancellation: polled in the CDCL search loop
@@ -49,7 +45,6 @@ impl Default for SolverConfig {
             limits: GroundLimits::default(),
             max_stability_loops: 10_000,
             conflict_budget: u64::MAX,
-            ground_threads: 1,
             sat: SatConfig::default(),
             cancel: CancelToken::none(),
             incremental_bnb: true,
@@ -197,16 +192,11 @@ impl Solver {
         Ok((outcome, stats))
     }
 
-    /// Ground `program` under this solver's limits and
-    /// [`SolverConfig::ground_threads`], returning a shareable handle
-    /// suitable for [`Solver::solve_ground`] — the ground-program
-    /// memoization entry point.
+    /// Ground `program` under this solver's limits, returning a
+    /// shareable handle suitable for [`Solver::solve_ground`] — the
+    /// ground-program memoization entry point.
     pub fn ground(&self, program: &Program) -> Result<Arc<GroundProgram>> {
-        Ok(Arc::new(ground_parallel(
-            program,
-            self.config.limits,
-            self.config.ground_threads,
-        )?))
+        Ok(Arc::new(ground_with_limits(program, self.config.limits)?))
     }
 
     /// Solve an already-grounded program. Equivalent to

@@ -42,6 +42,27 @@ fn rule_limit_aborts_emission() {
 }
 
 #[test]
+fn rule_limit_counts_every_ground_instance() {
+    // 60 facts and one choice stay under the limit; the 3,540 ground
+    // constraints push the emitted instances past it.
+    let mut text = String::new();
+    for i in 0..60 {
+        text.push_str(&format!("n({i}).\n"));
+    }
+    text.push_str("{ p(X) : n(X) }.\n");
+    text.push_str(":- p(X), p(Y), X != Y.\n");
+    let prog = parse_program(&text).unwrap();
+    let limits = GroundLimits {
+        max_atoms: usize::MAX,
+        max_rules: 500,
+    };
+    assert!(matches!(
+        ground_with_limits(&prog, limits),
+        Err(AspError::ResourceLimit(_))
+    ));
+}
+
+#[test]
 fn conflict_budget_surfaces_as_resource_limit() {
     // A hard pigeonhole instance expressed in ASP: 8 pigeons, 7 holes,
     // with a 1-conflict budget the solver cannot finish.

@@ -1,16 +1,15 @@
 //! **perf-report** — the concretization fast-path regression harness.
 //!
-//! Runs fig5/fig6-style multi-goal RADIUSS workloads through three
+//! Runs fig5/fig6-style multi-goal RADIUSS workloads through two
 //! configurations of the same concretizer:
 //!
-//! * `sequential` — single-threaded grounding, no memoization (the
-//!   baseline every prior figure measured);
-//! * `parallel`   — `ground_threads` worker threads for grounding joins;
-//! * `cached`     — `ground_threads` workers plus a shared
-//!   [`spackle_core::GroundCache`], so repeated solves skip
-//!   encode + parse + ground + CNF translation entirely.
+//! * `sequential` — no memoization: every solve encodes, parses,
+//!   grounds, translates and searches (the baseline every prior figure
+//!   measured);
+//! * `cached`     — a shared [`spackle_core::GroundCache`], so repeated
+//!   solves skip encode + parse + ground + CNF translation entirely.
 //!
-//! Every mode must produce *identical* solutions (same DAG hashes, same
+//! Both modes must produce *identical* solutions (same DAG hashes, same
 //! reuse/build/splice decisions) — the run exits nonzero on any
 //! divergence, which is what the CI `bench-smoke` job gates on. Timing
 //! and cache statistics are written to `BENCH_concretize.json`.
@@ -24,26 +23,24 @@
 //!   search, stability checks and optimization — never a memoized model.
 //!   The modern engine's answers must match the sequential mode's DAG
 //!   hashes, and both engines must reach the same cost vectors;
-//! * a top-level `regressions` array naming every `(workload, mode)`
-//!   whose min-of-trials speedup vs sequential rounds below 1.0× — CI
-//!   gates on this being empty, so a parallel-grounding regression is a
-//!   named failure rather than a buried number;
+//! * a top-level `regressions` array naming every workload whose
+//!   `cached` mode's min-of-trials speedup vs sequential rounds below
+//!   1.0× — CI gates on this being empty, so a memoization regression is
+//!   a named failure rather than a buried number;
 //! * a `delta` workload exercising incremental reconcretization: warm
 //!   the fig5 goals, land one new (least preferred) package version via
 //!   `Repository::upsert` + `GroundCache::apply_delta`, then re-solve
 //!   everything. Only the touched goal re-prepares; the rest ride their
 //!   retained segments. The delta pass must be bit-identical to cold
 //!   solves of the post-delta world (`delta.equivalent`) and at least
-//!   5× faster (`delta.speedup_vs_cold`, gated by CI's `delta-smoke`).
+//!   5× faster (`delta.speedup_vs_cold`, gated by CI's `bench-smoke`).
 //!
 //! Usage:
 //!   perf-report [--trials N] [--warmup N] [--goals N] [--delta-goals N]
-//!               [--public-dags N] [--seed S] [--ground-threads N]
-//!               [--out PATH] [--smoke]
+//!               [--public-dags N] [--seed S] [--out PATH] [--smoke]
 //!
 //! `--smoke` shrinks the workloads for CI (fewer goals, smaller public
-//! cache); `--ground-threads` defaults to 4 to match the paper-harness
-//! speedup criterion.
+//! cache).
 
 use serde::Serialize;
 use spackle_asp::{SolveOutcome, SolveStats, Solver, SolverConfig};
@@ -299,12 +296,11 @@ struct Workload<'a> {
 }
 
 /// One mode's entry in `BENCH_concretize.json`. `speedup_vs_sequential`
-/// is 1.0 for the sequential baseline itself and comes from a
-/// noise-robust estimator for the others — best paired sweep for
-/// `parallel`, best trial vs best trial for `cached` — because on a
-/// shared host the mean-of-trials ratio measures machine load, not the
-/// code (`mean_ms`/`std_ms` stay raw for exactly that diagnosis). The
-/// cache counters are zero for the uncached modes.
+/// is 1.0 for the sequential baseline itself; for `cached` it compares
+/// best trial with best trial, because on a shared host the
+/// mean-of-trials ratio measures machine load, not the code
+/// (`mean_ms`/`std_ms` stay raw for exactly that diagnosis). The cache
+/// counters are zero for the uncached mode.
 #[derive(Serialize)]
 struct ModeJson {
     mean_ms: f64,
@@ -318,7 +314,6 @@ struct ModeJson {
 #[derive(Serialize)]
 struct ModesJson {
     sequential: ModeJson,
-    parallel: ModeJson,
     cached: ModeJson,
 }
 
@@ -372,7 +367,6 @@ struct ReportJson {
     generated_by: String,
     workload: String,
     cpus: usize,
-    ground_threads: usize,
     trials: usize,
     warmup: usize,
     smoke: bool,
@@ -406,7 +400,6 @@ fn main() {
     let smoke = args.has("smoke");
     let trials = args.get_usize("trials", if smoke { 2 } else { 5 });
     let warmup = args.get_usize("warmup", 1);
-    let ground_threads = args.get_usize("ground-threads", 4);
     let goals_n = args.get_usize("goals", if smoke { 3 } else { 32 });
     let public_dags = args.get_usize("public-dags", if smoke { 50 } else { 300 });
     let seed = args.get_u64("seed", 42);
@@ -488,37 +481,29 @@ fn main() {
             warmup
         );
 
-        let mut seq_cfg = w.base_config.clone();
-        seq_cfg.solver.ground_threads = 1;
-        let mut par_cfg = w.base_config.clone();
-        par_cfg.solver.ground_threads = ground_threads;
-
+        let cfg = &w.base_config;
         let ground_cache = GroundCache::shared();
         let modes = [
-            run_mode("sequential", trials, warmup, w.repo, &w.cache, &seq_cfg, None, &w.goals),
-            run_mode("parallel", trials, warmup, w.repo, &w.cache, &par_cfg, None, &w.goals),
+            run_mode("sequential", trials, warmup, w.repo, &w.cache, cfg, None, &w.goals),
             run_mode(
                 "cached",
                 trials,
                 warmup,
                 w.repo,
                 &w.cache,
-                &par_cfg,
+                cfg,
                 Some(&ground_cache),
                 &w.goals,
             ),
         ];
 
         // --- SAT-engine comparison: seed vs modern, search timed alone ---
-        let mut seed_cfg = par_cfg.clone();
-        seed_cfg.solver = SolverConfig {
-            ground_threads: seed_cfg.solver.ground_threads,
-            ..SolverConfig::seed_engine()
+        let seed_cfg = ConcretizerConfig {
+            solver: SolverConfig::seed_engine(),
+            ..cfg.clone()
         };
-        let modern_cfg = par_cfg.clone();
         let seed_engine = run_engine_mode(trials, warmup, w.repo, &w.cache, &seed_cfg, &w.goals);
-        let modern_engine =
-            run_engine_mode(trials, warmup, w.repo, &w.cache, &modern_cfg, &w.goals);
+        let modern_engine = run_engine_mode(trials, warmup, w.repo, &w.cache, cfg, &w.goals);
 
         // Equivalence gate: every sweep of every mode must match the
         // first sequential sweep goal-for-goal.
@@ -565,40 +550,22 @@ fn main() {
             }
         }
 
-        // Named regressions: a mode slower than the sequential baseline
-        // is recorded by name, not buried in the numbers. The judgment
-        // is deliberately noise-robust on loaded machines:
-        //
-        // * `cached` is judged on best trials (min-of-trials on both
-        //   sides) — its margin is an order of magnitude, so noise
-        //   cannot flip it;
-        // * `parallel` is judged on *paired* sweeps: alternate
-        //   sequential/parallel runs back-to-back so machine drift hits
-        //   both sides, and take parallel's best paired ratio. On a
-        //   one-core host the clamped grounder makes the two code paths
-        //   identical, so only a systematic slowdown — never a one-off
-        //   scheduling hiccup — can push every pair below 1.0×.
-        let seq_min = modes[0].min_ms;
-        let mut best_paired = 0.0f64;
-        for _ in 0..trials.max(4) {
-            let (ts, _) = sweep(w.repo, &w.cache, &seq_cfg, None, &w.goals);
-            let (tp, _) = sweep(w.repo, &w.cache, &par_cfg, None, &w.goals);
-            best_paired = best_paired.max(ts.as_secs_f64() / tp.as_secs_f64().max(1e-12));
-        }
-        let par_speedup = round2(best_paired);
-        let cached_speedup = round2(seq_min / modes[2].min_ms.max(1e-9));
-        for (m, speedup) in [(&modes[1], par_speedup), (&modes[2], cached_speedup)] {
-            if speedup < 1.0 {
-                eprintln!(
-                    "perf-report: REGRESSION in {} mode {}: {speedup:.2}x vs sequential",
-                    w.name, m.name
-                );
-                regressions.push(RegressionJson {
-                    workload: w.name.to_string(),
-                    mode: m.name.to_string(),
-                    speedup,
-                });
-            }
+        // Named regression: a `cached` mode slower than the sequential
+        // baseline is recorded by name, not buried in the numbers. It is
+        // judged on best trials (min-of-trials on both sides), which is
+        // noise-robust on loaded machines: its margin is an order of
+        // magnitude, so a one-off scheduling hiccup cannot flip it.
+        let cached_speedup = round2(modes[0].min_ms / modes[1].min_ms.max(1e-9));
+        if cached_speedup < 1.0 {
+            eprintln!(
+                "perf-report: REGRESSION in {} mode {}: {cached_speedup:.2}x vs sequential",
+                w.name, modes[1].name
+            );
+            regressions.push(RegressionJson {
+                workload: w.name.to_string(),
+                mode: modes[1].name.to_string(),
+                speedup: cached_speedup,
+            });
         }
 
         let seq_mean = modes[0].mean_ms;
@@ -635,8 +602,7 @@ fn main() {
             goals: w.goals.iter().map(|g| g.name.clone()).collect(),
             modes: ModesJson {
                 sequential: ModeJson::from_result(&modes[0], 1.0),
-                parallel: ModeJson::from_result(&modes[1], par_speedup),
-                cached: ModeJson::from_result(&modes[2], cached_speedup),
+                cached: ModeJson::from_result(&modes[1], cached_speedup),
             },
             engine: EngineJson {
                 seed: EngineModeJson {
@@ -674,11 +640,10 @@ fn main() {
             spec: parse_spec(r.as_str()).expect("root name"),
         })
         .collect();
-    let mut delta_cfg = ConcretizerConfig {
+    let delta_cfg = ConcretizerConfig {
         prune_dead: true,
         ..ConcretizerConfig::splice_spack_disabled()
     };
-    delta_cfg.solver.ground_threads = ground_threads;
 
     // Pick the mutated package: the first (in goal order, then name
     // order) that appears in exactly one goal's segment set, so the
@@ -797,7 +762,6 @@ fn main() {
         generated_by: "spackle-bench perf-report".to_string(),
         workload: "multi-goal radiuss".to_string(),
         cpus,
-        ground_threads,
         trials,
         warmup,
         smoke,

@@ -390,10 +390,10 @@ impl Concretizer {
     /// [`Concretizer::segment_key`]), the reusable-spec fingerprints in
     /// cache order, the goal, the encode-relevant configuration, and the
     /// grounding limits. The cached entry holds the raw CNF translation.
-    /// Solver search knobs (`ground_threads`, `conflict_budget`,
-    /// `max_stability_loops`, `sat`, `incremental_bnb`) are deliberately
-    /// excluded: they never change the prepared program — search config
-    /// is re-applied per solve. Process-local; never persist it.
+    /// Solver search knobs (`conflict_budget`, `max_stability_loops`,
+    /// `sat`, `incremental_bnb`) are deliberately excluded: they never
+    /// change the prepared program — search config is re-applied per
+    /// solve. Process-local; never persist it.
     ///
     /// Fallible because fingerprinting a remote source reads its index;
     /// a failure here is degradable like any other cache failure.
@@ -467,8 +467,8 @@ impl Concretizer {
 
     /// Fingerprint of the solver knobs that steer the *search* (and can
     /// therefore steer which co-optimal model is found): the model memo
-    /// key. `ground_threads` and the cancellation token are excluded —
-    /// neither changes the model the deterministic engine returns.
+    /// key. The cancellation token is excluded — it never changes the
+    /// model the deterministic engine returns.
     fn search_fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();

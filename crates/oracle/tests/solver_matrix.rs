@@ -4,7 +4,7 @@
 //! satisfiability, identical stable-model sets, identical lexicographic
 //! optima — under every on/off combination in the grid.
 //!
-//! Three corpora drive the check, mirroring `parallel_ground.rs`:
+//! Three corpora drive the check:
 //!
 //! * the 512-case random suite (384 program-case seeds checked against
 //!   the brute-force oracle + 128 repo-case seeds cross-checked between
@@ -102,9 +102,9 @@ fn corpus_seeds_agree_with_oracle_under_every_config() {
     assert!(ran >= 4, "corpus unexpectedly small ({ran} program cases)");
 }
 
-/// The same hand-written hardening programs the parallel-grounding suite
-/// pins, checked against the brute-force oracle under every config:
-/// exact model sets and exact lexicographic optima.
+/// Hand-written hardening programs covering the constructs with the
+/// trickiest emission order, checked against the brute-force oracle
+/// under every config: exact model sets and exact lexicographic optima.
 const HARDENING_PROGRAMS: &[(&str, &str)] = &[
     (
         "recursive-join",
