@@ -1,9 +1,8 @@
 //! A MiniSat-style CDCL SAT solver: two watched literals with blockers,
-//! first-UIP conflict analysis, VSIDS-style activity ordering, phase
-//! saving, Luby restarts, and activity-ranked learnt-clause deletion;
-//! phase saving and restarts are toggleable via [`SatConfig`]. Supports
-//! incremental clause addition between `solve` calls (used by the
-//! optimizer's branch-and-bound loop and the stability CEGAR loop).
+//! first-UIP conflict analysis, VSIDS-style activity ordering with
+//! false-first decisions, and activity-ranked learnt-clause deletion.
+//! Supports incremental clause addition between `solve` calls (used by
+//! the optimizer's branch-and-bound loop and the stability CEGAR loop).
 //! Search runs directly on the translated CNF.
 
 use crate::cancel::CancelToken;
@@ -37,14 +36,6 @@ impl Lit {
     pub fn negate(self) -> Lit {
         Lit(self.0 ^ 1)
     }
-    /// Build from a variable and a desired truth value.
-    pub fn with_value(v: Var, value: bool) -> Lit {
-        if value {
-            Lit::pos(v)
-        } else {
-            Lit::neg(v)
-        }
-    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -68,37 +59,6 @@ impl LBool {
 struct Watcher {
     clause: u32,
     blocker: Lit,
-}
-
-/// Search-heuristic toggles for the CDCL loop. Defaults enable
-/// everything (the "modern" engine); switching one off reproduces the
-/// corresponding seed-engine behavior, which is what the solver-config
-/// differential matrix exercises.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SatConfig {
-    /// Branch on the variable's last-seen polarity instead of `false`.
-    pub phase_saving: bool,
-    /// Luby-scheduled restarts.
-    pub restarts: bool,
-}
-
-impl Default for SatConfig {
-    fn default() -> Self {
-        SatConfig {
-            phase_saving: true,
-            restarts: true,
-        }
-    }
-}
-
-impl SatConfig {
-    /// All heuristics off — the seed engine's search loop.
-    pub fn seed_engine() -> Self {
-        SatConfig {
-            phase_saving: false,
-            restarts: false,
-        }
-    }
 }
 
 /// Outcome of a `solve` call.
@@ -128,8 +88,6 @@ pub struct SatStats {
     pub decisions: u64,
     /// Number of literal propagations.
     pub propagations: u64,
-    /// Number of restarts performed.
-    pub restarts: u64,
     /// Number of learnt clauses deleted by database reductions.
     pub deleted_clauses: u64,
     /// Number of clause-database reductions.
@@ -165,9 +123,8 @@ pub struct Sat {
 
     activity: Vec<f64>,
     var_inc: f64,
-    heap: Vec<Var>,          // binary max-heap on activity
-    heap_index: Vec<u32>,    // var -> heap slot, u32::MAX if absent
-    phase: Vec<bool>,        // saved phases
+    heap: Vec<Var>,       // binary max-heap on activity
+    heap_index: Vec<u32>, // var -> heap slot, u32::MAX if absent
 
     seen: Vec<bool>, // scratch for conflict analysis
 
@@ -182,7 +139,6 @@ pub struct Sat {
     pub stats: SatStats,
     conflict_budget: u64,
     cancel: CancelToken,
-    cfg: SatConfig,
 }
 
 const NO_REASON: u32 = u32::MAX;
@@ -215,14 +171,12 @@ impl Sat {
             var_inc: 1.0,
             heap: Vec::new(),
             heap_index: Vec::new(),
-            phase: Vec::new(),
             seen: Vec::new(),
             final_core: Vec::new(),
             ok: true,
             stats: SatStats::default(),
             conflict_budget: u64::MAX,
             cancel: CancelToken::none(),
-            cfg: SatConfig::default(),
         }
     }
 
@@ -235,12 +189,6 @@ impl Sat {
     /// steps. The default [`CancelToken::none`] never fires.
     pub fn set_cancel(&mut self, cancel: CancelToken) {
         self.cancel = cancel;
-    }
-
-    /// Set the search-heuristic toggles (takes effect on the next
-    /// `solve`).
-    pub fn set_search_config(&mut self, cfg: SatConfig) {
-        self.cfg = cfg;
     }
 
     /// Set the learnt-clause count that triggers a database reduction
@@ -256,7 +204,6 @@ impl Sat {
         self.level.push(0);
         self.reason.push(NO_REASON);
         self.activity.push(0.0);
-        self.phase.push(false);
         self.seen.push(false);
         self.heap_index.push(u32::MAX);
         self.watches.push(Vec::new());
@@ -460,7 +407,6 @@ impl Sat {
         let lim = self.trail_lim[target as usize];
         for i in (lim..self.trail.len()).rev() {
             let v = self.trail[i].var();
-            self.phase[v as usize] = !self.trail[i].is_neg();
             self.assign[v as usize] = LBool::Undef;
             self.reason[v as usize] = NO_REASON;
             if self.heap_index[v as usize] == u32::MAX {
@@ -696,10 +642,10 @@ impl Sat {
         }
     }
 
-    /// Drop every learnt clause, clear saved phases and activities: the
-    /// next `solve` searches from scratch. Used by the optimizer's
-    /// non-incremental branch-and-bound mode (and its differential
-    /// tests) to reproduce the seed engine's re-search behavior.
+    /// Drop every learnt clause and clear activities: the next `solve`
+    /// searches from scratch. Used by the optimizer's non-incremental
+    /// branch-and-bound mode (and its differential tests) to reproduce
+    /// the seed engine's re-search behavior.
     pub fn forget_learnts(&mut self) {
         self.backtrack(0);
         for i in 0..self.clauses.len() {
@@ -714,9 +660,6 @@ impl Sat {
             let v = self.trail[i].var() as usize;
             self.reason[v] = NO_REASON;
         }
-        for p in &mut self.phase {
-            *p = false;
-        }
         for a in &mut self.activity {
             *a = 0.0;
         }
@@ -729,8 +672,7 @@ impl Sat {
     fn pick_branch(&mut self) -> Option<Lit> {
         while let Some(v) = self.heap_pop() {
             if self.assign[v as usize] == LBool::Undef {
-                let polarity = self.cfg.phase_saving && self.phase[v as usize];
-                return Some(Lit::with_value(v, polarity));
+                return Some(Lit::neg(v));
             }
         }
         None
@@ -757,8 +699,6 @@ impl Sat {
             return SatResult::Unsat;
         }
         let mut conflicts_this_call: u64 = 0;
-        let mut restart_unit = 0u64;
-        let mut next_restart = luby(restart_unit) * 100;
         // Each loop iteration is one conflict or one decision, so this
         // polls the token at a bounded interval without an `Instant`
         // syscall per step. `is_cancellable` keeps the common
@@ -798,12 +738,6 @@ impl Sat {
                 if conflicts_this_call >= self.conflict_budget {
                     self.backtrack(0);
                     return SatResult::Unknown;
-                }
-                if self.cfg.restarts && conflicts_this_call >= next_restart {
-                    restart_unit += 1;
-                    next_restart = conflicts_this_call + luby(restart_unit) * 100;
-                    self.stats.restarts += 1;
-                    self.backtrack(0);
                 }
             } else {
                 // Re-establish assumptions before free decisions.
@@ -908,23 +842,6 @@ impl Sat {
             .filter(|&i| !self.learnt[i] && !self.deleted[i])
             .count()
     }
-}
-
-/// The Luby restart sequence (1,1,2,1,1,2,4,...), ported from MiniSat.
-fn luby(x: u64) -> u64 {
-    let mut size: u64 = 1;
-    let mut seq: u32 = 0;
-    while size < x + 1 {
-        seq += 1;
-        size = 2 * size + 1;
-    }
-    let mut x = x;
-    while size - 1 != x {
-        size = (size - 1) >> 1;
-        seq -= 1;
-        x %= size;
-    }
-    1u64 << seq
 }
 
 #[cfg(test)]
@@ -1095,7 +1012,7 @@ mod tests {
             assert!(count <= 7, "too many models");
             let block: Vec<Lit> = vars
                 .iter()
-                .map(|&v| Lit::with_value(v, !s.value(v)))
+                .map(|&v| if s.value(v) { n(v) } else { p(v) })
                 .collect();
             s.add_clause(&block);
         }
@@ -1230,36 +1147,6 @@ mod tests {
     }
 
     #[test]
-    fn luby_sequence_prefix() {
-        let got: Vec<u64> = (0..15).map(luby).collect();
-        assert_eq!(got, vec![1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]);
-    }
-
-    #[test]
-    fn seed_engine_config_still_solves() {
-        let np = 5;
-        let nh = 4;
-        let mut s = Sat::new();
-        s.set_search_config(SatConfig::seed_engine());
-        let x: Vec<Vec<Var>> = (0..np)
-            .map(|_| (0..nh).map(|_| s.new_var()).collect())
-            .collect();
-        for row in &x {
-            let c: Vec<Lit> = row.iter().map(|&v| p(v)).collect();
-            s.add_clause(&c);
-        }
-        for i1 in 0..np {
-            for i2 in (i1 + 1)..np {
-                for (&a, &b) in x[i1].iter().zip(&x[i2]) {
-                    s.add_clause(&[n(a), n(b)]);
-                }
-            }
-        }
-        assert_eq!(s.solve(), SatResult::Unsat);
-        assert_eq!(s.stats.restarts, 0, "restarts disabled");
-    }
-
-    #[test]
     fn forget_learnts_resets_search_state() {
         // Solve something conflict-heavy, forget, and re-solve: same
         // answer, and the learnt database is empty in between.
@@ -1285,11 +1172,25 @@ mod tests {
         assert_eq!(s.solve(), SatResult::Sat);
         s.forget_learnts();
         assert_eq!(s.n_learnt_live, 0);
-        assert!(s.phase.iter().all(|&ph| !ph), "phases cleared");
         // Now place the last pigeon too: the full PHP(6,5) is UNSAT.
         let c: Vec<Lit> = x[np - 1].iter().map(|&v| p(v)).collect();
         s.add_clause(&c);
         assert_eq!(s.solve(), SatResult::Unsat);
+    }
+
+    #[test]
+    fn free_variables_are_decided_false_after_a_solve() {
+        // A solve under an assumption leaves no trace on later
+        // decisions: once the assumption is gone, both variables are
+        // free again and branch false.
+        let mut s = Sat::new();
+        let x = s.new_var();
+        let y = s.new_var();
+        s.add_clause(&[n(x), p(y)]);
+        assert_eq!(s.solve_with(&[p(x)]), SatResult::Sat);
+        assert!(s.value(x) && s.value(y));
+        assert_eq!(s.solve(), SatResult::Sat);
+        assert!(!s.value(x) && !s.value(y));
     }
 
     #[test]

@@ -29,37 +29,33 @@
 //! a deadline yields a *partial* core (`minimal = false`) rather than a
 //! hang.
 //!
-//! Stable-model semantics is preserved on both sides: satisfiable
-//! answers run the same stability CEGAR loop as the solving path
-//! (discovered loop nogoods are added as hard clauses — they
-//! over-approximate external supports, so they are sound for every
-//! selector subset).
+//! Stable-model semantics is preserved on both sides: every probe runs
+//! the solving path's own stability CEGAR loop (`Solver::stable_solve`),
+//! whose loop nogoods are added as hard clauses — they over-approximate
+//! external supports, so they are sound for every selector subset.
 //!
-//! Determinism: the extraction always runs under one fixed internal
-//! engine configuration, so the reported core depends only on the
-//! ground program — not on the caller's [`SolverConfig`] toggles.
+//! Determinism: the CDCL core has one configuration and the
+//! branch-and-bound mode plays no part here, so the reported core
+//! depends only on the ground program.
 
 use crate::cancel::CancelToken;
-use crate::cdcl::{Lit, Sat, SatConfig, SatResult, Var};
+use crate::cdcl::{Lit, Sat, Var};
 use crate::cnf::{translate_collected, ClauseOrigin};
 use crate::ground::GroundProgram;
 use crate::solve::{SolveStats, Solver};
-use crate::stability::{check_stability, Stability};
 use crate::term::AtomId;
 use crate::{AspError, Result};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::time::Instant;
 
-/// Knobs for core extraction. Defaults minimize with a generous probe
+/// Maximum deletion probes per extraction; hitting the cap returns the
+/// current core with `minimal = false`.
+const MAX_PROBES: u64 = 4096;
+
+/// Knobs for core extraction. Defaults use a generous probe conflict
 /// budget and no cancellation.
 #[derive(Clone, Debug)]
 pub struct ExplainConfig {
-    /// Run deletion-based minimization on the initial core. When false
-    /// the (typically larger) final-conflict core is returned directly.
-    pub minimize: bool,
-    /// Maximum deletion probes; hitting the cap returns the current
-    /// core with `minimal = false`.
-    pub max_probes: usize,
     /// CDCL conflict budget per deletion probe. A probe that exhausts
     /// it keeps its candidate (conservative) and clears `minimal`.
     pub probe_conflict_budget: u64,
@@ -67,18 +63,13 @@ pub struct ExplainConfig {
     /// polled inside every SAT call. Firing mid-minimization yields a
     /// partial core; firing before the first UNSAT answer is an error.
     pub cancel: CancelToken,
-    /// Maximum stability-CEGAR iterations per SAT answer.
-    pub max_stability_loops: usize,
 }
 
 impl Default for ExplainConfig {
     fn default() -> Self {
         ExplainConfig {
-            minimize: true,
-            max_probes: 4096,
             probe_conflict_budget: 1 << 20,
             cancel: CancelToken::none(),
-            max_stability_loops: 10_000,
         }
     }
 }
@@ -119,13 +110,6 @@ pub enum ExplainOutcome {
     Satisfiable,
     /// No stable model: here is a core.
     Unsat(UnsatCore),
-}
-
-/// The fixed internal engine configuration for core extraction —
-/// independent of the caller's [`SolverConfig`](crate::SolverConfig) so
-/// cores are reproducible across engine toggles.
-fn canonical_sat_config() -> SatConfig {
-    SatConfig::default()
 }
 
 struct SelectorMap {
@@ -173,7 +157,6 @@ impl Solver {
         // stream.
         let (cnf, tr) = translate_collected(gp);
         let mut sat = Sat::new();
-        sat.set_search_config(canonical_sat_config());
         sat.set_cancel(cfg.cancel.clone());
         for _ in 0..cnf.num_vars {
             sat.new_var();
@@ -207,7 +190,7 @@ impl Solver {
 
         // Initial answer under "every group enabled", with the same
         // stability CEGAR loop as the solving path.
-        let initial = match self.cegar_probe(gp, &tr, &mut sat, &sel, &all, cfg, &mut stats)? {
+        let initial = match self.cegar_probe(gp, &tr, &mut sat, &sel, &all, &mut stats)? {
             CegarAnswer::Stable => {
                 stats.explain_time = t0.elapsed();
                 self.fill_effort(&sat, &mut stats);
@@ -218,56 +201,48 @@ impl Solver {
         stats.explain_core_initial = initial.len();
 
         let mut active: FxHashSet<usize> = initial.iter().copied().collect();
-        let mut minimal = cfg.minimize;
-        if cfg.minimize {
-            // Deletion minimization in canonical origin order. Probes
-            // use a bounded conflict budget; the main loop's budget is
-            // restored afterwards.
-            let mut order: Vec<usize> = initial;
-            order.sort_unstable_by_key(|&i| sel.selectors[i].1);
-            sat.set_conflict_budget(cfg.probe_conflict_budget);
-            for &cand in &order {
-                if !active.contains(&cand) {
-                    continue; // already discarded by a refinement
-                }
-                if stats.explain_probes as usize >= cfg.max_probes {
-                    minimal = false;
-                    break;
-                }
-                if cfg.cancel.check().is_some() {
-                    minimal = false;
-                    break;
-                }
-                let mut probe: Vec<Lit> = active
-                    .iter()
-                    .filter(|&&i| i != cand)
-                    .map(|&i| sel.selectors[i].0)
-                    .collect();
-                probe.sort_unstable();
-                stats.explain_probes += 1;
-                match self.cegar_probe(gp, &tr, &mut sat, &sel, &probe, cfg, &mut stats) {
-                    Ok(CegarAnswer::Stable) => {
-                        // `cand` is necessary — and stays necessary for
-                        // every subset, so it is never probed again.
-                    }
-                    Ok(CegarAnswer::Unsat(refined)) => {
-                        // The candidate is redundant; the probe's own
-                        // final conflict may discard more members.
-                        active = refined.into_iter().collect();
-                    }
-                    Err(AspError::BudgetExhausted { .. }) => {
-                        // Undecided within the probe budget: keep the
-                        // candidate, give up on the minimality claim.
-                        minimal = false;
-                    }
-                    Err(AspError::Cancelled { .. }) => {
-                        minimal = false;
-                        break;
-                    }
-                    Err(e) => return Err(e),
-                }
+        let mut minimal = true;
+        // Deletion minimization in canonical origin order. Probes use a
+        // bounded conflict budget.
+        let mut order: Vec<usize> = initial;
+        order.sort_unstable_by_key(|&i| sel.selectors[i].1);
+        sat.set_conflict_budget(cfg.probe_conflict_budget);
+        for &cand in &order {
+            if !active.contains(&cand) {
+                continue; // already discarded by a refinement
             }
-            sat.set_conflict_budget(u64::MAX);
+            if stats.explain_probes >= MAX_PROBES || cfg.cancel.check().is_some() {
+                minimal = false;
+                break;
+            }
+            let mut probe: Vec<Lit> = active
+                .iter()
+                .filter(|&&i| i != cand)
+                .map(|&i| sel.selectors[i].0)
+                .collect();
+            probe.sort_unstable();
+            stats.explain_probes += 1;
+            match self.cegar_probe(gp, &tr, &mut sat, &sel, &probe, &mut stats) {
+                Ok(CegarAnswer::Stable) => {
+                    // `cand` is necessary — and stays necessary for
+                    // every subset, so it is never probed again.
+                }
+                Ok(CegarAnswer::Unsat(refined)) => {
+                    // The candidate is redundant; the probe's own final
+                    // conflict may discard more members.
+                    active = refined.into_iter().collect();
+                }
+                Err(AspError::BudgetExhausted { .. }) => {
+                    // Undecided within the probe budget: keep the
+                    // candidate, give up on the minimality claim.
+                    minimal = false;
+                }
+                Err(AspError::Cancelled { .. }) => {
+                    minimal = false;
+                    break;
+                }
+                Err(e) => return Err(e),
+            }
         }
         stats.explain_core_minimized = active.len();
         stats.explain_time = t0.elapsed();
@@ -294,7 +269,6 @@ impl Solver {
 
     /// Solve under `assumps` with the stability CEGAR loop; on UNSAT,
     /// map the final conflict back to selector indices.
-    #[allow(clippy::too_many_arguments)]
     fn cegar_probe(
         &self,
         gp: &GroundProgram,
@@ -302,60 +276,23 @@ impl Solver {
         sat: &mut Sat,
         sel: &SelectorMap,
         assumps: &[Lit],
-        cfg: &ExplainConfig,
         stats: &mut SolveStats,
     ) -> Result<CegarAnswer> {
-        for _ in 0..cfg.max_stability_loops {
-            match sat.solve_with(assumps) {
-                SatResult::Unsat => {
-                    return Ok(CegarAnswer::Unsat(
-                        sat.final_core()
-                            .iter()
-                            .filter_map(|&l| sel.index_of(l))
-                            .collect(),
-                    ));
-                }
-                SatResult::Unknown => {
-                    return Err(AspError::BudgetExhausted {
-                        conflicts: sat.stats.conflicts,
-                        decisions: sat.stats.decisions,
-                        propagations: sat.stats.propagations,
-                        restarts: sat.stats.restarts,
-                    });
-                }
-                SatResult::Cancelled { deadline } => {
-                    return Err(AspError::Cancelled { deadline });
-                }
-                SatResult::Sat => {}
-            }
-            let model: FxHashSet<AtomId> = gp
-                .possible
-                .iter()
-                .copied()
-                .filter(|a| sat.value(tr.atom_var[a.0 as usize]))
-                .collect();
-            match check_stability(gp, &model) {
-                Stability::Stable => return Ok(CegarAnswer::Stable),
-                Stability::Unfounded(unfounded) => {
-                    stats.stability_restarts += 1;
-                    // Loop nogoods over-approximate external supports
-                    // (they enumerate every rule of the full program),
-                    // so they are sound — never falsely UNSAT — for
-                    // every selector subset, and stay hard.
-                    self.add_loop_clauses(gp, tr, sat, &unfounded);
-                }
-            }
-        }
-        Err(AspError::ResourceLimit(
-            "stability CEGAR loop exceeded max iterations".into(),
-        ))
+        Ok(match self.stable_solve(gp, tr, sat, assumps, stats)? {
+            Some(_) => CegarAnswer::Stable,
+            None => CegarAnswer::Unsat(
+                sat.final_core()
+                    .iter()
+                    .filter_map(|&l| sel.index_of(l))
+                    .collect(),
+            ),
+        })
     }
 
     fn fill_effort(&self, sat: &Sat, stats: &mut SolveStats) {
         stats.conflicts = sat.stats.conflicts;
         stats.decisions = sat.stats.decisions;
         stats.propagations = sat.stats.propagations;
-        stats.restarts = sat.stats.restarts;
         stats.reductions = sat.stats.reductions;
         stats.deleted_clauses = sat.stats.deleted_clauses;
     }

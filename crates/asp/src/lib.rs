@@ -21,8 +21,8 @@
 //! 3. **Translate** ([`cnf`]) — Clark completion plus sequential-counter
 //!    cardinality encodings to CNF.
 //! 4. **Search** ([`cdcl`]) — a MiniSat-style CDCL SAT solver (two
-//!    watched literals with blockers, 1UIP learning, VSIDS, phase
-//!    saving, Luby restarts, activity-ranked clause deletion) over the
+//!    watched literals with blockers, 1UIP learning, VSIDS with
+//!    false-first decisions, activity-ranked clause deletion) over the
 //!    translated CNF.
 //! 5. **Verify** ([`stability`]) — a model-guided Gelfond–Lifschitz
 //!    stability check; non-stable models are blocked and search resumes
@@ -51,7 +51,6 @@ pub use analysis::{
     derivable_preds, pred_of, relevant_preds, stratify, PredGraph, PredKey, Stratification,
 };
 pub use cancel::CancelToken;
-pub use cdcl::SatConfig;
 pub use certify::{certify_model, CertifyError};
 pub use cnf::ClauseOrigin;
 pub use explain::{CoreMember, ExplainConfig, ExplainOutcome, UnsatCore};
@@ -114,8 +113,6 @@ pub enum AspError {
         decisions: u64,
         /// CDCL literal propagations at the point of giving up.
         propagations: u64,
-        /// CDCL restarts at the point of giving up.
-        restarts: u64,
     },
     /// The solve was cancelled cooperatively; `deadline` is true when a
     /// wall-clock deadline fired rather than an explicit cancel.
@@ -152,12 +149,10 @@ impl fmt::Display for AspError {
                 conflicts,
                 decisions,
                 propagations,
-                restarts,
             } => write!(
                 f,
                 "conflict budget exhausted after {conflicts} conflicts, \
-                 {decisions} decisions, {propagations} propagations, \
-                 {restarts} restarts"
+                 {decisions} decisions, {propagations} propagations"
             ),
             AspError::Cancelled { deadline } => {
                 if *deadline {

@@ -2,7 +2,7 @@
 //! CEGAR → lexicographic branch-and-bound optimization.
 
 use crate::cancel::CancelToken;
-use crate::cdcl::{Lit, Sat, SatConfig, SatResult};
+use crate::cdcl::{Lit, Sat, SatResult};
 use crate::cnf::{add_upper_bound, add_upper_bound_guarded, translate, BoundCounter, Translation};
 use crate::ground::{ground_with_limits, GroundLimits, GroundProgram};
 use crate::model::Model;
@@ -23,14 +23,12 @@ pub struct SolverConfig {
     pub max_stability_loops: usize,
     /// Conflict budget per SAT call (`u64::MAX` = unlimited).
     pub conflict_budget: u64,
-    /// CDCL search-heuristic toggles (phase saving, restarts).
-    pub sat: SatConfig,
     /// Cooperative cancellation: polled in the CDCL search loop
     /// alongside the conflict budget. The default
     /// [`CancelToken::none`] never fires.
     pub cancel: CancelToken,
     /// Incremental `#minimize` branch-and-bound: keep learned clauses
-    /// and saved phases across bound tightenings, build one shared
+    /// and variable activities across bound tightenings, build one shared
     /// [`BoundCounter`] circuit per priority level (each probe/pin
     /// asserts a tighter bound with a single clause), and skip the
     /// post-pin re-solve when the incumbent assignment still encodes
@@ -45,7 +43,6 @@ impl Default for SolverConfig {
             limits: GroundLimits::default(),
             max_stability_loops: 10_000,
             conflict_budget: u64::MAX,
-            sat: SatConfig::default(),
             cancel: CancelToken::none(),
             incremental_bnb: true,
         }
@@ -53,12 +50,10 @@ impl Default for SolverConfig {
 }
 
 impl SolverConfig {
-    /// The seed engine: no search heuristics and from-scratch
-    /// branch-and-bound — the baseline the modern engine is benchmarked
-    /// and differential-tested against.
+    /// The seed engine: from-scratch branch-and-bound — the baseline
+    /// the modern engine is benchmarked and differential-tested against.
     pub fn seed_engine() -> Self {
         SolverConfig {
-            sat: SatConfig::seed_engine(),
             incremental_bnb: false,
             ..Default::default()
         }
@@ -84,8 +79,6 @@ pub struct SolveStats {
     pub decisions: u64,
     /// CDCL literal propagations.
     pub propagations: u64,
-    /// CDCL restarts.
-    pub restarts: u64,
     /// Learnt-clause database reductions.
     pub reductions: u64,
     /// Learnt clauses deleted by reductions.
@@ -222,7 +215,6 @@ impl Solver {
     pub fn translate_ground(&self, gp: Arc<GroundProgram>) -> TranslatedProgram {
         let mut sat = Sat::new();
         sat.set_conflict_budget(self.config.conflict_budget);
-        sat.set_search_config(self.config.sat);
         let tr = translate(&gp, &mut sat);
         TranslatedProgram { gp, sat, tr }
     }
@@ -244,7 +236,6 @@ impl Solver {
         let t1 = Instant::now();
         let mut sat = tp.sat.clone();
         sat.set_conflict_budget(self.config.conflict_budget);
-        sat.set_search_config(self.config.sat);
         sat.set_cancel(self.config.cancel.clone());
         stats.sat_vars = sat.num_vars();
 
@@ -253,7 +244,6 @@ impl Solver {
         stats.conflicts = sat.stats.conflicts;
         stats.decisions = sat.stats.decisions;
         stats.propagations = sat.stats.propagations;
-        stats.restarts = sat.stats.restarts;
         stats.reductions = sat.stats.reductions;
         stats.deleted_clauses = sat.stats.deleted_clauses;
         Ok((outcome, stats))
@@ -261,7 +251,7 @@ impl Solver {
 
     /// Find a stable model under `assumps`, adding loop clauses for
     /// unfounded sets until stable (CEGAR).
-    fn stable_solve(
+    pub(crate) fn stable_solve(
         &self,
         gp: &GroundProgram,
         tr: &Translation,
@@ -277,7 +267,6 @@ impl Solver {
                         conflicts: sat.stats.conflicts,
                         decisions: sat.stats.decisions,
                         propagations: sat.stats.propagations,
-                        restarts: sat.stats.restarts,
                     });
                 }
                 SatResult::Cancelled { deadline } => {
@@ -307,7 +296,7 @@ impl Solver {
     /// For unfounded set `u`: each atom may only be true when some
     /// external support (a rule whose positive body avoids the set) has a
     /// true body.
-    pub(crate) fn add_loop_clauses(
+    fn add_loop_clauses(
         &self,
         gp: &GroundProgram,
         tr: &Translation,
@@ -484,7 +473,6 @@ impl Solver {
         let tp = self.translate_ground(gp);
         let mut sat = tp.sat.clone();
         sat.set_conflict_budget(self.config.conflict_budget);
-        sat.set_search_config(self.config.sat);
         sat.set_cancel(self.config.cancel.clone());
         let (gp, tr) = (&tp.gp, &tp.tr);
         let mut out = Vec::new();
@@ -692,8 +680,8 @@ mod tests {
 
     #[test]
     fn seed_engine_matches_modern_engine() {
-        // The all-off configuration must reach the same optima and the
-        // same satisfiability as the all-on default.
+        // The seed engine must reach the same optima and the same
+        // satisfiability as the default.
         let programs = [
             r#"
             cand("v1"). cand("v2"). cand("v3").

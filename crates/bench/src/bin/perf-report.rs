@@ -158,7 +158,6 @@ struct SearchJson {
     conflicts: u64,
     decisions: u64,
     propagations: u64,
-    restarts: u64,
 }
 
 impl SearchJson {
@@ -166,7 +165,6 @@ impl SearchJson {
         self.conflicts += s.conflicts;
         self.decisions += s.decisions;
         self.propagations += s.propagations;
-        self.restarts += s.restarts;
     }
 }
 
@@ -180,8 +178,8 @@ struct EngineModeJson {
 }
 
 /// The SAT-engine comparison: the same workload solved by the
-/// pre-modernization engine (no phase saving / restarts, from-scratch
-/// branch-and-bound) and by the full modern engine. Each
+/// pre-modernization engine (from-scratch branch-and-bound) and by the
+/// modern engine (incremental branch-and-bound). Each
 /// sweep times `Solver::solve_translated` on programs prepared before
 /// the timed region.
 #[derive(Serialize)]

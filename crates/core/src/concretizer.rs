@@ -391,7 +391,7 @@ impl Concretizer {
     /// cache order, the goal, the encode-relevant configuration, and the
     /// grounding limits. The cached entry holds the raw CNF translation.
     /// Solver search knobs (`conflict_budget`, `max_stability_loops`,
-    /// `sat`, `incremental_bnb`) are deliberately excluded: they never
+    /// `incremental_bnb`) are deliberately excluded: they never
     /// change the prepared program — search config is re-applied per
     /// solve. Process-local; never persist it.
     ///
@@ -475,7 +475,6 @@ impl Concretizer {
         self.config.solver.conflict_budget.hash(&mut h);
         self.config.solver.max_stability_loops.hash(&mut h);
         self.config.solver.incremental_bnb.hash(&mut h);
-        format!("{:?}", self.config.solver.sat).hash(&mut h);
         h.finish()
     }
 
@@ -599,13 +598,12 @@ impl Concretizer {
     ///   the identity mapping from parsed-rule index to the grounder's
     ///   `*_src` tables, and explanation is an off-path diagnostic — it
     ///   must never pollute or depend on the hot solve pipeline.
-    /// * **Canonical solver configuration.** Core extraction runs under
-    ///   the engine's fixed internal search settings
-    ///   regardless of [`SolverConfig`] tuning, so the reported core is
-    ///   stable across solver-knob changes. Only grounding limits and
-    ///   the cancellation token carry over; the configured
-    ///   `conflict_budget` bounds each deletion probe so a configured
-    ///   budget still limits total explain effort.
+    /// * **No branch-and-bound.** Core extraction never optimizes, and
+    ///   the CDCL core has one configuration, so the reported core does
+    ///   not depend on [`SolverConfig::incremental_bnb`]. Grounding
+    ///   limits, the stability-loop cap and the cancellation token carry
+    ///   over; the configured `conflict_budget` bounds each deletion
+    ///   probe so a configured budget still limits total explain effort.
     ///
     /// Cancellation (an explicit kill or a request deadline installed
     /// via [`Concretizer::with_cancel`]) is honored between probes: the
@@ -623,7 +621,6 @@ impl Concretizer {
         let cfg = ExplainConfig {
             cancel: self.config.solver.cancel.clone(),
             probe_conflict_budget: self.config.solver.conflict_budget.min(1 << 20),
-            ..ExplainConfig::default()
         };
         let (outcome, stats) = solver.explain_ground(&gp, &cfg).map_err(solve_error)?;
         match outcome {
@@ -822,12 +819,10 @@ fn solve_error(e: AspError) -> CoreError {
             conflicts,
             decisions,
             propagations,
-            restarts,
         } => CoreError::BudgetExhausted {
             conflicts,
             decisions,
             propagations,
-            restarts,
         },
         AspError::Cancelled { deadline } => CoreError::Cancelled { deadline },
         other => CoreError::Solve(other.to_string()),

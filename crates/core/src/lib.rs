@@ -81,8 +81,6 @@ pub enum CoreError {
         decisions: u64,
         /// CDCL literal propagations at the point of giving up.
         propagations: u64,
-        /// CDCL restarts at the point of giving up.
-        restarts: u64,
     },
     /// No concretization satisfies the constraints.
     Unsatisfiable,
@@ -133,11 +131,10 @@ impl fmt::Display for CoreError {
                 conflicts,
                 decisions,
                 propagations,
-                restarts,
             } => write!(
                 f,
                 "solver: conflict budget exhausted after {conflicts} conflicts, \
-                 {decisions} decisions, {propagations} propagations, {restarts} restarts"
+                 {decisions} decisions, {propagations} propagations"
             ),
             CoreError::Unsatisfiable => write!(f, "no satisfying concretization exists"),
             CoreError::Interpret(m) => write!(f, "interpretation: {m}"),

@@ -51,8 +51,8 @@ pub fn check_program_case(seed: u64) -> Result<CaseStats, String> {
 
 /// Run one program differential case under an explicit
 /// [`SolverConfig`] — the entry point for the solver-config
-/// differential matrix, which replays the same cases under every
-/// engine-technique toggle combination.
+/// differential matrix, which replays the same cases under the modern
+/// and the seed engine.
 pub fn check_program_case_with(seed: u64, config: &SolverConfig) -> Result<CaseStats, String> {
     let mut rng = TestRng::seed_from_u64(seed);
     let prog = random_program(&mut rng);

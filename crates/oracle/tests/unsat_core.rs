@@ -21,10 +21,10 @@
 //!    program and re-solve": removing a rule also strengthens its
 //!    head's completion, so textual deletion over-approximates the
 //!    clause-level drop and the textual property is genuinely false.
-//! 3. **Config stability** — extraction runs under one fixed internal
-//!    engine configuration, so the rendered core must be bit-identical
-//!    under every [`SolverConfig`] toggle combination of the solver
-//!    matrix, including the seed engine.
+//! 3. **Config stability** — the CDCL core has one configuration and
+//!    extraction never runs branch-and-bound, so the rendered core must
+//!    be bit-identical under both [`SolverConfig`]s of the solver
+//!    matrix, the modern and the seed engine.
 //!
 //! Set `UNSAT_CORE_CASES` to shrink or grow the random scan.
 
@@ -38,21 +38,9 @@ use spackle_oracle::reference;
 
 /// The solver-matrix configuration grid (mirrors `solver_matrix.rs`).
 fn matrix() -> Vec<(&'static str, SolverConfig)> {
-    let all_on = SolverConfig::default();
-    let one_off = |f: &dyn Fn(&mut SolverConfig)| {
-        let mut c = all_on.clone();
-        f(&mut c);
-        c
-    };
     vec![
-        ("all-on", all_on.clone()),
-        ("all-off", SolverConfig::seed_engine()),
-        ("no-phase-saving", one_off(&|c| c.sat.phase_saving = false)),
-        ("no-restarts", one_off(&|c| c.sat.restarts = false)),
-        (
-            "no-incremental-bnb",
-            one_off(&|c| c.incremental_bnb = false),
-        ),
+        ("modern", SolverConfig::default()),
+        ("seed", SolverConfig::seed_engine()),
     ]
 }
 

@@ -119,7 +119,6 @@ fn concretize(state: &ServerState, session: &mut Session, request: &Request) -> 
                 search.conflicts,
                 search.decisions,
                 search.propagations,
-                search.restarts,
             );
             if solution.stats.degraded {
                 state.telemetry().record_degraded();
@@ -128,7 +127,6 @@ fn concretize(state: &ServerState, session: &mut Session, request: &Request) -> 
             r.conflicts = search.conflicts;
             r.decisions = search.decisions;
             r.propagations = search.propagations;
-            r.restarts = search.restarts;
             r.hashes = solution
                 .specs
                 .iter()
@@ -187,13 +185,11 @@ fn concretize(state: &ServerState, session: &mut Session, request: &Request) -> 
                     conflicts,
                     decisions,
                     propagations,
-                    restarts,
                 } => {
                     state.telemetry().record_budget_exhausted();
                     r.conflicts = conflicts;
                     r.decisions = decisions;
                     r.propagations = propagations;
-                    r.restarts = restarts;
                 }
                 _ => {}
             }
@@ -283,7 +279,6 @@ fn stats(state: &ServerState, request: &Request) -> Response {
     r.conflicts = telemetry.conflicts;
     r.decisions = telemetry.decisions;
     r.propagations = telemetry.propagations;
-    r.restarts = telemetry.restarts;
     r.ground_hits = cache.hits;
     r.ground_misses = cache.misses;
     r.hit_rate = cache.hit_rate();
@@ -371,7 +366,6 @@ mod tests {
         );
         assert_eq!(stats.propagations, resp.propagations + again.propagations);
         assert_eq!(stats.conflicts, resp.conflicts + again.conflicts);
-        assert_eq!(stats.restarts, resp.restarts + again.restarts);
     }
 
     #[test]

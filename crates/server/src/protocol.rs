@@ -11,7 +11,7 @@
 //! | op           | request fields              | response fields |
 //! |--------------|-----------------------------|-----------------|
 //! | `ping`       | —                           | `ok`, `protocol` |
-//! | `concretize` | `spec` or `roots`, `forbid`, `config`, `explain` | `hashes`, `reused`, `built`, `spliced`, `ground_cache_hit`, `solve_ms`, `conflicts`, `decisions`, `propagations`, `restarts`; on unsat with `explain`: `explanation`, `explain_minimal`, `explain_core_size`, `explain_probes` |
+//! | `concretize` | `spec` or `roots`, `forbid`, `config`, `explain` | `hashes`, `reused`, `built`, `spliced`, `ground_cache_hit`, `solve_ms`, `conflicts`, `decisions`, `propagations`; on unsat with `explain`: `explanation`, `explain_minimal`, `explain_core_size`, `explain_probes` |
 //! | `last`       | —                           | the previous concretize response for this connection |
 //! | `set-config` | `config`                    | `ok` (session default updated) |
 //! | `audit`      | —                           | `audit_errors`, `audit_warnings`, `audit_report` |
@@ -38,8 +38,9 @@ use serde::{Deserialize, Serialize};
 /// Wire protocol revision; echoed in every `ping` response.
 pub const PROTOCOL_VERSION: u64 = 1;
 
-/// Upper bound on one request line, in bytes. A line longer than this is
-/// rejected without parsing (protects the server from unbounded reads).
+/// Upper bound on one request line, in bytes. The server stops reading
+/// a longer line at this limit, answers with an error and closes the
+/// connection (protects the server from unbounded reads).
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// One client request. Flat on purpose: every field defaults, `op`
@@ -219,9 +220,6 @@ pub struct Response {
     /// SAT literal propagations performed.
     #[serde(default)]
     pub propagations: u64,
-    /// SAT restarts performed.
-    #[serde(default)]
-    pub restarts: u64,
 
     // --- audit ---
     /// Error-severity diagnostics found.

@@ -46,7 +46,7 @@ use spackle_buildcache::CacheSource;
 use spackle_core::{repo_delta, Concretizer, ConcretizerConfig, DeltaReport, GroundCache};
 use spackle_repo::Repository;
 use spackle_spec::{Sym, Version};
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -395,11 +395,13 @@ fn should_shed(state: &ServerState, request: &Request) -> bool {
 }
 
 /// Serve one connection until EOF: read a line, handle it, answer with a
-/// line. Parse failures answer with `ok:false` and keep the connection.
+/// line. Parse failures answer with `ok:false` and keep the connection;
+/// a line longer than [`MAX_LINE_BYTES`] is answered with an error as
+/// soon as the limit is crossed, and the connection closed.
 ///
 /// Reads poll on a short timeout so an idle worker notices a drain and
 /// exits instead of blocking shutdown forever. A timeout mid-line keeps
-/// the partial bytes (`read_line` appends, and the buffer is cleared
+/// the partial bytes (`read_until` appends, and the buffer is cleared
 /// only after a complete line is processed), so slow writers never get
 /// their requests truncated or spliced together.
 fn serve_connection(stream: TcpStream, addr: SocketAddr, state: &ServerState) {
@@ -410,10 +412,13 @@ fn serve_connection(stream: TcpStream, addr: SocketAddr, state: &ServerState) {
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
     let mut session = Session::new();
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
 
     loop {
-        match reader.read_line(&mut line) {
+        // Read at most one byte past the limit, so an endless line is
+        // cut off while it streams in rather than buffered whole.
+        let cap = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(cap).read_until(b'\n', &mut line) {
             Ok(0) => break, // client hung up
             Ok(_) => {}
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
@@ -425,50 +430,52 @@ fn serve_connection(stream: TcpStream, addr: SocketAddr, state: &ServerState) {
             }
             Err(_) => break,
         }
-        let trimmed = line.trim();
+        if line.len() > MAX_LINE_BYTES {
+            // The rest of the line was never read, so the stream cannot
+            // resynchronize: answer, then close the connection.
+            let _guard = state.telemetry().begin_request();
+            state.telemetry().record_failure();
+            let response = Response::err_for(
+                &Request::default(),
+                format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+            );
+            send(&mut writer, &response);
+            break;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            break; // not UTF-8, so not a request
+        };
+        let trimmed = text.trim();
         if trimmed.is_empty() {
             line.clear();
             continue;
         }
 
         let _guard = state.telemetry().begin_request();
-        let response = if line.len() > MAX_LINE_BYTES {
-            state.telemetry().record_failure();
-            Response::err_for(
-                &Request::default(),
-                format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-            )
-        } else {
-            match Request::from_line(trimmed) {
-                Ok(request) if should_shed(state, &request) => {
-                    state.telemetry().record_shed();
-                    let mut r = Response::err_for(
-                        &request,
-                        format!(
-                            "server overloaded ({} requests in flight); retry shortly",
-                            state.telemetry().in_flight()
-                        ),
-                    );
-                    r.error_kind = "overloaded".to_string();
-                    r.retry_after_ms = 100;
-                    r
-                }
-                Ok(request) => handle(state, &mut session, &request),
-                Err(e) => {
-                    state.telemetry().record_failure();
-                    Response::err_for(&Request::default(), format!("bad request: {e}"))
-                }
+        let response = match Request::from_line(trimmed) {
+            Ok(request) if should_shed(state, &request) => {
+                state.telemetry().record_shed();
+                let mut r = Response::err_for(
+                    &request,
+                    format!(
+                        "server overloaded ({} requests in flight); retry shortly",
+                        state.telemetry().in_flight()
+                    ),
+                );
+                r.error_kind = "overloaded".to_string();
+                r.retry_after_ms = 100;
+                r
+            }
+            Ok(request) => handle(state, &mut session, &request),
+            Err(e) => {
+                state.telemetry().record_failure();
+                Response::err_for(&Request::default(), format!("bad request: {e}"))
             }
         };
         line.clear();
 
         let is_shutdown = response.ok && response.op == "shutdown";
-        if writer
-            .write_all(response.to_line().as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
+        if !send(&mut writer, &response) {
             break;
         }
         if is_shutdown {
@@ -480,4 +487,13 @@ fn serve_connection(stream: TcpStream, addr: SocketAddr, state: &ServerState) {
             break;
         }
     }
+}
+
+/// Write one response line; false when the client is gone.
+fn send(writer: &mut impl Write, response: &Response) -> bool {
+    writer
+        .write_all(response.to_line().as_bytes())
+        .and_then(|()| writer.write_all(b"\n"))
+        .and_then(|()| writer.flush())
+        .is_ok()
 }

@@ -23,7 +23,6 @@ pub struct Telemetry {
     conflicts: AtomicU64,
     decisions: AtomicU64,
     propagations: AtomicU64,
-    restarts: AtomicU64,
     shed: AtomicU64,
     timeouts: AtomicU64,
     budget_exhausted: AtomicU64,
@@ -55,7 +54,6 @@ impl Telemetry {
             conflicts: AtomicU64::new(0),
             decisions: AtomicU64::new(0),
             propagations: AtomicU64::new(0),
-            restarts: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
             budget_exhausted: AtomicU64::new(0),
@@ -88,11 +86,10 @@ impl Telemetry {
 
     /// Record the SAT-search effort behind one concretization (the ASP
     /// engine's own `SolveStats` counters, summed service-wide).
-    pub fn record_search(&self, conflicts: u64, decisions: u64, propagations: u64, restarts: u64) {
+    pub fn record_search(&self, conflicts: u64, decisions: u64, propagations: u64) {
         self.conflicts.fetch_add(conflicts, Ordering::Relaxed);
         self.decisions.fetch_add(decisions, Ordering::Relaxed);
         self.propagations.fetch_add(propagations, Ordering::Relaxed);
-        self.restarts.fetch_add(restarts, Ordering::Relaxed);
     }
 
     /// Record one failed request (any operation).
@@ -159,7 +156,6 @@ impl Telemetry {
             conflicts: self.conflicts.load(Ordering::Relaxed),
             decisions: self.decisions.load(Ordering::Relaxed),
             propagations: self.propagations.load(Ordering::Relaxed),
-            restarts: self.restarts.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
             budget_exhausted: self.budget_exhausted.load(Ordering::Relaxed),
@@ -208,8 +204,6 @@ pub struct TelemetrySnapshot {
     pub decisions: u64,
     /// SAT literal propagations across all concretizations.
     pub propagations: u64,
-    /// SAT restarts performed across all concretizations.
-    pub restarts: u64,
     /// Requests shed by overload protection.
     pub shed: u64,
     /// Concretize requests that hit their deadline.
@@ -268,7 +262,7 @@ mod tests {
                 let t = Arc::clone(&t);
                 std::thread::spawn(move || {
                     for i in 0..50u64 {
-                        t.record_search(i, 2 * i, 10 * i, i % 3);
+                        t.record_search(i, 2 * i, 10 * i);
                     }
                 })
             })
@@ -281,7 +275,6 @@ mod tests {
         assert_eq!(s.conflicts, 4 * tri);
         assert_eq!(s.decisions, 8 * tri);
         assert_eq!(s.propagations, 40 * tri);
-        assert_eq!(s.restarts, 4 * (0..50u64).map(|i| i % 3).sum::<u64>());
     }
 
     #[test]

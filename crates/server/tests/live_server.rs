@@ -8,8 +8,10 @@ use spackle_buildcache::{BuildCache, CacheSource, FaultConfig, FaultInjector};
 use spackle_core::Concretizer;
 use spackle_repo::{PackageBuilder, Repository};
 use spackle_server::server::{OpsConfig, ServerState};
-use spackle_server::{serve, Client, Request, RetryConfig};
+use spackle_server::{serve, Client, Request, Response, RetryConfig, MAX_LINE_BYTES};
 use spackle_spec::parse_spec;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -342,5 +344,40 @@ fn session_config_is_per_connection() {
     assert!(down.ok);
     drop(a);
     drop(b);
+    server.join().expect("clean shutdown");
+}
+
+/// A line that never ends is cut off at the limit while it streams in:
+/// the server answers with the size error and closes the connection.
+#[test]
+fn endless_request_line_is_answered_at_the_limit() {
+    let state = Arc::new(ServerState::new(test_repo(), Vec::new()));
+    let server = serve(Arc::clone(&state), "127.0.0.1:0").expect("bind");
+
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("an answer within 10 s");
+    let resp = Response::from_line(reply.trim()).unwrap();
+    assert!(!resp.ok);
+    assert!(
+        resp.error.starts_with("request line exceeds"),
+        "{}",
+        resp.error
+    );
+    reply.clear();
+    assert_eq!(
+        reader.read_line(&mut reply).unwrap(),
+        0,
+        "connection closed"
+    );
+
+    let mut control = Client::connect(server.addr()).unwrap();
+    assert!(control.shutdown().unwrap().ok);
+    drop(control);
     server.join().expect("clean shutdown");
 }
