@@ -797,6 +797,15 @@ impl Grounder {
         }
     }
 
+    /// Whether `pattern`'s relation holds an atom of rank `>= since`.
+    /// Relations are in rank order, so their last atom decides.
+    fn gained_since(&self, pattern: &Atom, since: usize) -> bool {
+        self.rels
+            .get(&(pattern.pred, pattern.args.len()))
+            .and_then(|rel| rel.atoms.last())
+            .is_some_and(|&a| self.rank(a) >= since)
+    }
+
     /// Enumerate instantiations of `spec` starting from the bindings
     /// `init`. Read-only over the grounder; the caller interns.
     fn join(&self, spec: &JoinSpec, init: &Subst, delta: Delta) -> Result<Vec<Match>> {
@@ -827,18 +836,16 @@ impl Grounder {
             });
             return Ok(());
         }
-        let (lo, hi) = match delta {
-            Some((dpos, lo, hi)) if dpos == i => (lo, hi),
-            _ => (0, usize::MAX),
-        };
-        let cands = self.candidates(s, &spec.pats[i], spec.probes[i]);
-        for &cand in cands {
-            if lo != 0 || hi != usize::MAX {
-                let r = self.rank(cand);
-                if r < lo || r >= hi {
-                    continue;
-                }
+        let mut cands = self.candidates(s, &spec.pats[i], spec.probes[i]);
+        if let Some((dpos, lo, hi)) = delta {
+            if dpos == i {
+                // Candidates are in rank order: the delta window is a slice.
+                let start = cands.partition_point(|&a| self.rank(a) < lo);
+                let len = cands[start..].partition_point(|&a| self.rank(a) < hi);
+                cands = &cands[start..start + len];
             }
+        }
+        for &cand in cands {
             let mark = s.len();
             let (_, args) = self.store.atom_data(cand);
             let ok = spec.pats[i]
@@ -946,21 +953,26 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
         // derived *this* round is found next round, when that atom is in
         // the delta window — the fixpoint is unchanged); the heads are
         // interned in join order only afterwards, which fixes the
-        // possible-atom ranks.
+        // possible-atom ranks. A delta literal whose relation gained no
+        // atom this round matches nothing, so its join is skipped.
         let mut found: Vec<(&Atom, Vec<Match>)> = Vec::new();
         for rp in &plans {
             match &rp.head {
                 HeadPlan::Atom(a) => {
-                    for dpos in 0..rp.body.pats.len() {
-                        let delta = Some((dpos, prev_start, prev_end));
-                        found.push((a, g.join(&rp.body, &no_subst, delta)?));
+                    for (dpos, pat) in rp.body.pats.iter().enumerate() {
+                        if g.gained_since(pat, prev_start) {
+                            let delta = Some((dpos, prev_start, prev_end));
+                            found.push((a, g.join(&rp.body, &no_subst, delta)?));
+                        }
                     }
                 }
                 HeadPlan::Choice { elements, .. } => {
                     for el in elements {
-                        for dpos in 0..el.closure.pats.len() {
-                            let delta = Some((dpos, prev_start, prev_end));
-                            found.push((el.atom, g.join(&el.closure, &no_subst, delta)?));
+                        for (dpos, pat) in el.closure.pats.iter().enumerate() {
+                            if g.gained_since(pat, prev_start) {
+                                let delta = Some((dpos, prev_start, prev_end));
+                                found.push((el.atom, g.join(&el.closure, &no_subst, delta)?));
+                            }
                         }
                     }
                 }
