@@ -2,10 +2,9 @@
 //! predicate dependency graph, derivability and relevance closures, and
 //! stratification of the negation fragment.
 //!
-//! Shared by the grounder's dead-rule pruning
-//! ([`Program::prune_unreachable`](crate::Program::prune_unreachable))
-//! and the `spackle-audit` static analyzer. Everything here works on the
-//! *predicate* abstraction of the program — `(name, arity)` pairs — so
+//! The `spackle-audit` static analyzer reports these closures as
+//! findings. Everything here works on the *predicate* abstraction of the
+//! program — `(name, arity)` pairs — so
 //! the closures are cheap over-approximations of what the grounder's
 //! possible-atom closure computes at the ground level:
 //!

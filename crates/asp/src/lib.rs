@@ -57,7 +57,7 @@ pub use explain::{CoreMember, ExplainConfig, ExplainOutcome, UnsatCore};
 pub use ground::{unsafe_variables, GroundLimits, GroundProgram, SafetyContext, UnsafeVariable};
 pub use model::Model;
 pub use parser::{parse_program, parse_program_spanned};
-pub use program::{Program, PruneReport, Rule};
+pub use program::{Program, Rule};
 pub use solve::{SolveOutcome, SolveStats, Solver, SolverConfig, TranslatedProgram};
 pub use term::{Atom, Term};
 

@@ -233,153 +233,6 @@ impl Program {
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
     }
-
-    /// Remove rules that provably cannot matter, returning the pruned
-    /// program and a report. Two analyses run, both at predicate level
-    /// (see [`crate::analysis`]):
-    ///
-    /// 1. **Dead-rule removal** (exactly model-preserving): a rule with a
-    ///    positive body literal over an underivable predicate can never
-    ///    fire — the grounder would instantiate it zero times — so
-    ///    removing it changes nothing. Choice *elements* whose condition
-    ///    is underivable are dropped the same way, but the choice rule
-    ///    itself is kept (possibly with no elements) so cardinality
-    ///    bounds keep constraining exactly as before. `#minimize`
-    ///    elements with underivable conditions ground to nothing and are
-    ///    dropped; all others are kept untouched so cost vectors keep
-    ///    their shape.
-    /// 2. **Relevance removal** (projection-preserving): normal rules
-    ///    whose head predicate is not backward-reachable from
-    ///    `goal_preds` (matched by name, any arity), any constraint, any
-    ///    choice, or any `#minimize` condition derive atoms nothing
-    ///    reads. By the splitting-set theorem, dropping them preserves
-    ///    stable models projected to the remaining predicates, and —
-    ///    because minimize conditions are always kept relevant — optimal
-    ///    costs exactly. This argument needs the dropped subprogram to
-    ///    be *stratified*: a stratified normal program contributes
-    ///    exactly one stable extension per surviving-program model,
-    ///    while an unstratified one (an irrelevant `p :- not p.`) could
-    ///    contribute zero and flip satisfiability. When the candidate
-    ///    drop set is unstratified the phase is skipped entirely. Pass
-    ///    every head predicate as a goal to disable this phase and keep
-    ///    full models identical.
-    pub fn prune_unreachable(&self, goal_preds: &[Sym]) -> (Program, PruneReport) {
-        use crate::analysis::{derivable_preds, head_preds, pred_of, relevant_preds};
-
-        let derivable = derivable_preds(self);
-        let mut report = PruneReport::default();
-        let body_alive = |body: &[BodyElem]| {
-            body.iter().all(|e| match e {
-                BodyElem::Pos(a) => derivable.contains(&pred_of(a)),
-                _ => true,
-            })
-        };
-
-        let mut pruned = Program::new();
-        for rule in &self.rules {
-            if !body_alive(&rule.body) {
-                report.dropped_dead_rules += 1;
-                continue;
-            }
-            match &rule.head {
-                Head::Choice {
-                    lower,
-                    upper,
-                    elements,
-                } => {
-                    let kept: Vec<ChoiceElem> = elements
-                        .iter()
-                        .filter(|el| body_alive(&el.condition))
-                        .cloned()
-                        .collect();
-                    report.dropped_choice_elements += elements.len() - kept.len();
-                    pruned.rules.push(Rule {
-                        head: Head::Choice {
-                            lower: *lower,
-                            upper: *upper,
-                            elements: kept,
-                        },
-                        body: rule.body.clone(),
-                    });
-                }
-                _ => pruned.rules.push(rule.clone()),
-            }
-        }
-        for me in &self.minimize {
-            if body_alive(&me.condition) {
-                pruned.minimize.push(me.clone());
-            } else {
-                report.dropped_minimize += 1;
-            }
-        }
-
-        let relevant = relevant_preds(&pruned, goal_preds);
-        let is_irrelevant = |rule: &Rule| {
-            matches!(&rule.head, Head::Atom(a) if !relevant.contains(&pred_of(a)))
-        };
-        // The splitting-set argument requires the dropped "top" to be
-        // stratified on its own (negative edges into the kept "bottom"
-        // are fine: the bottom model fixes them).
-        let top = Program {
-            rules: pruned
-                .rules
-                .iter()
-                .filter(|r| is_irrelevant(r))
-                .cloned()
-                .collect(),
-            minimize: Vec::new(),
-        };
-        let top_stratified = crate::analysis::stratify(&crate::analysis::PredGraph::build(&top))
-            .unstratified
-            .is_empty();
-        if top_stratified && !top.rules.is_empty() {
-            let before = std::mem::take(&mut pruned.rules);
-            for rule in before {
-                if is_irrelevant(&rule) {
-                    report.dropped_irrelevant_rules += 1;
-                    continue;
-                }
-                pruned.rules.push(rule);
-            }
-        }
-
-        let heads_before = head_preds(self);
-        let heads_after = head_preds(&pruned);
-        report.dead_preds = heads_before.difference(&heads_after).copied().collect();
-        (pruned, report)
-    }
-}
-
-/// What [`Program::prune_unreachable`] removed.
-#[derive(Clone, Debug, Default)]
-pub struct PruneReport {
-    /// Rules removed because a positive body predicate can never be
-    /// derived (removal is exactly model-preserving).
-    pub dropped_dead_rules: usize,
-    /// Normal rules removed because their head predicate cannot reach
-    /// the goals, constraints, choices, or costs (model-preserving up to
-    /// projection onto the surviving predicates).
-    pub dropped_irrelevant_rules: usize,
-    /// Choice elements removed because their condition can never hold.
-    pub dropped_choice_elements: usize,
-    /// `#minimize` elements removed because their condition can never
-    /// hold (they ground to nothing, so costs are unchanged).
-    pub dropped_minimize: usize,
-    /// Predicates that headed at least one rule before pruning and none
-    /// after.
-    pub dead_preds: std::collections::BTreeSet<(Sym, usize)>,
-}
-
-impl PruneReport {
-    /// Total rules removed by both phases.
-    pub fn dropped_rules(&self) -> usize {
-        self.dropped_dead_rules + self.dropped_irrelevant_rules
-    }
-
-    /// True when pruning removed nothing at all.
-    pub fn is_noop(&self) -> bool {
-        self.dropped_rules() == 0 && self.dropped_choice_elements == 0 && self.dropped_minimize == 0
-    }
 }
 
 impl fmt::Display for Program {
@@ -438,63 +291,6 @@ mod tests {
             body: vec![BodyElem::Pos(Atom::new("bad", vec![]))],
         };
         assert_eq!(r.to_string(), " :- bad.");
-    }
-
-    #[test]
-    fn prune_drops_dead_rules_but_keeps_choice_bounds() {
-        let p = crate::parse_program(
-            r#"
-            a. goal :- a.
-            never :- ghost.
-            :- phantom, goal.
-            1 { pick(X) : missing(X) } 1 :- a.
-            #minimize { 1@1 : ghost }.
-            "#,
-        )
-        .unwrap();
-        let (pruned, report) = p.prune_unreachable(&[spackle_spec::Sym::intern("goal")]);
-        // `never :- ghost.` and `:- phantom, goal.` can never fire.
-        assert_eq!(report.dropped_dead_rules, 2);
-        // The choice survives (its lower bound still constrains) with its
-        // impossible element removed.
-        assert_eq!(report.dropped_choice_elements, 1);
-        assert!(pruned.rules.iter().any(|r| matches!(
-            &r.head,
-            Head::Choice { elements, lower: Some(1), .. } if elements.is_empty()
-        )));
-        assert_eq!(report.dropped_minimize, 1);
-        assert!(report.dead_preds.contains(&(spackle_spec::Sym::intern("never"), 0)));
-    }
-
-    #[test]
-    fn prune_drops_rules_irrelevant_to_goal() {
-        let p = crate::parse_program("a. goal :- a. side :- a.").unwrap();
-        let (pruned, report) = p.prune_unreachable(&[spackle_spec::Sym::intern("goal")]);
-        assert_eq!(report.dropped_irrelevant_rules, 1);
-        assert_eq!(pruned.rules.len(), 2);
-        // With every head predicate as a goal, nothing is dropped.
-        let all: Vec<spackle_spec::Sym> = ["a", "goal", "side"]
-            .iter()
-            .map(|s| spackle_spec::Sym::intern(s))
-            .collect();
-        let (_, report) = p.prune_unreachable(&all);
-        assert!(report.is_noop());
-    }
-
-    #[test]
-    fn prune_keeps_unstratified_irrelevant_top() {
-        // `p :- not p.` leaves the program without stable models even
-        // though nothing reads `p`; dropping it as irrelevant would
-        // "fix" an unsatisfiable program. The stratified-top guard must
-        // keep it (and, all-or-nothing, the other irrelevant rule too).
-        let p = crate::parse_program("a. goal :- a. side :- a. p :- not p.").unwrap();
-        let (pruned, report) = p.prune_unreachable(&[spackle_spec::Sym::intern("goal")]);
-        assert_eq!(report.dropped_irrelevant_rules, 0);
-        assert_eq!(pruned.rules.len(), p.rules.len());
-        // Without the poison rule, relevance removal proceeds.
-        let q = crate::parse_program("a. goal :- a. side :- a.").unwrap();
-        let (_, report) = q.prune_unreachable(&[spackle_spec::Sym::intern("goal")]);
-        assert_eq!(report.dropped_irrelevant_rules, 1);
     }
 
     #[test]

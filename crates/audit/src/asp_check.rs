@@ -2,9 +2,8 @@
 //!
 //! The checks are the diagnostic face of `spackle_asp::analysis`: rule
 //! safety (L001), undefined predicates (L002), stratification (L003),
-//! and the two reachability analyses backing
-//! [`Program::prune_unreachable`] — rules that can never fire (L004)
-//! and predicates irrelevant to the goal predicates (L005).
+//! and two reachability analyses: rules that can never fire (L004) and
+//! predicates irrelevant to the goal predicates (L005).
 
 use crate::diag::{Code, Diagnostic, Provenance};
 use spackle_asp::analysis::{derivable_preds, pred_name, relevant_preds, stratify, PredGraph};
@@ -99,7 +98,7 @@ pub fn audit_program(program: &Program, goal_preds: &[Sym]) -> Vec<Diagnostic> {
                     format!("rule can never fire: {} is never derivable", dead.join(", ")),
                     rule_text(i),
                 )
-                .with_hint("Program::prune_unreachable drops this rule before grounding"),
+                .with_hint("it grounds to nothing; derive the predicate or delete the rule"),
             );
         }
     }
@@ -128,7 +127,7 @@ pub fn audit_program(program: &Program, goal_preds: &[Sym]) -> Vec<Diagnostic> {
                     ),
                     Provenance::Predicate { name },
                 )
-                .with_hint("its rules are dropped by Program::prune_unreachable"),
+                .with_hint("no constraint, choice or cost reads it; its rules only add ground work"),
             );
         }
     }

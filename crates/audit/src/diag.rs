@@ -72,7 +72,7 @@ pub enum Code {
     /// but never derivable.
     L004,
     /// A predicate is derivable but irrelevant to the goal predicates:
-    /// `Program::prune_unreachable` removes its rules.
+    /// no goal predicate, constraint, choice or cost depends on it.
     L005,
     /// A goal (or package) is statically unconcretizable: the solver
     /// proved UNSAT and extracted a minimized core of the responsible

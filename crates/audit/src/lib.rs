@@ -11,9 +11,9 @@
 //!   targets that can never match.
 //! * **Level 2 (logic program, `SPKL-L…`)** lints an ASP [`Program`]:
 //!   rule safety with precise binding contexts, undefined predicates,
-//!   stratification, and the reachability analyses that back
-//!   [`Program::prune_unreachable`] — rules that can never fire and
-//!   predicates irrelevant to the model consumer's goal predicates.
+//!   stratification, and two reachability analyses: rules that can never
+//!   fire and predicates irrelevant to the model consumer's goal
+//!   predicates.
 //!
 //! Every finding carries a stable [`Code`], a [`Severity`], provenance
 //! (directive text with a byte [`Span`](spackle_spec::Span) for caret

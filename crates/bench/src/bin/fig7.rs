@@ -10,7 +10,7 @@
 //! MPI dependency.
 //!
 //! Usage:
-//!   fig7 [--trials N] [--warmup N] [--seed S] [--threads N] [--replicas a,b,c]
+//!   fig7 [--trials N] [--warmup N] [--seed S] [--threads N]
 
 use spackle_bench::{default_threads, mean_std_ms, parallel_map, percent_increase, run_trials_warm, Args};
 use spackle_core::{Concretizer, ConcretizerConfig, Goal};
@@ -117,14 +117,15 @@ fn main() {
         percent_increase(m10, m100)
     );
     if let Some(ctrl) = rows.iter().find(|r| r.root == "py-shroud") {
-        let first = ctrl.means.first().map(|&(_, m, _)| m).unwrap_or(0.0);
-        let last = ctrl.means.last().map(|&(_, m, _)| m).unwrap_or(0.0);
+        // Over the same span as the MPI aggregate.
+        let at = |n| ctrl.means.iter().find(|m| m.0 == n).map_or(0.0, |m| m.1);
+        let (c10, c100) = (at(10), at(100));
         println!(
-            "control py-shroud (no MPI dependency): {:.2} ms -> {:.2} ms ({:+.1}%) — \
-             expected flat",
-            first,
-            last,
-            percent_increase(first, last)
+            "control py-shroud (no MPI dependency): {:.2} ms at 10 replicas -> {:.2} ms at \
+             100 ({:+.1}%) — expected flat",
+            c10,
+            c100,
+            percent_increase(c10, c100)
         );
     }
 }

@@ -413,9 +413,8 @@ fn main() {
     );
 
     // Workload 1 (fig5-style): plain RADIUSS roots, indirect encoding,
-    // splicing off, local cache, static dead-rule pruning on — the full
-    // fast-path configuration (pruning cost is part of what a
-    // ground-cache hit amortizes away).
+    // splicing off, local cache — the shipped `splice_spack_disabled`
+    // preset.
     let fig5_goals: Vec<NamedGoal> = env
         .roots
         .iter()
@@ -450,10 +449,7 @@ fn main() {
             name: "fig5-multi-goal",
             repo: &env.repo_plain,
             cache: Arc::clone(&local),
-            base_config: ConcretizerConfig {
-                prune_dead: true,
-                ..ConcretizerConfig::splice_spack_disabled()
-            },
+            base_config: ConcretizerConfig::splice_spack_disabled(),
             goals: fig5_goals,
         },
         Workload {
@@ -638,10 +634,7 @@ fn main() {
             spec: parse_spec(r.as_str()).expect("root name"),
         })
         .collect();
-    let delta_cfg = ConcretizerConfig {
-        prune_dead: true,
-        ..ConcretizerConfig::splice_spack_disabled()
-    };
+    let delta_cfg = ConcretizerConfig::splice_spack_disabled();
 
     // Pick the mutated package: the first (in goal order, then name
     // order) that appears in exactly one goal's segment set, so the

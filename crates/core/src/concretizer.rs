@@ -41,11 +41,6 @@ pub struct ConcretizerConfig {
     /// Restrict facts to the goal's possible dependency closure
     /// (default true; `false` is the scope-filter ablation).
     pub filter_irrelevant: bool,
-    /// Statically prune rules that can never fire (and rules irrelevant
-    /// to the solution predicates) before grounding, via
-    /// [`spackle_asp::Program::prune_unreachable`]. Off by default; the
-    /// `spackle-audit` analyses back its soundness.
-    pub prune_dead: bool,
     /// Graceful degradation (default `true`): when a reusable-spec
     /// source fails past its retry budget, drop that source, re-solve
     /// source-only over the survivors, and flag the solution
@@ -65,7 +60,6 @@ impl Default for ConcretizerConfig {
             os: Os::new("linux"),
             target: Target::new("x86_64"),
             filter_irrelevant: true,
-            prune_dead: false,
             degrade_on_cache_failure: true,
             solver: SolverConfig::default(),
         }
@@ -160,9 +154,6 @@ pub struct ConcretizeStats {
     pub reusable_specs: usize,
     /// Generated program size in bytes.
     pub program_bytes: usize,
-    /// Non-ground rules removed by static pruning before grounding
-    /// (0 unless [`ConcretizerConfig::prune_dead`] is set).
-    pub pruned_rules: usize,
     /// Whether this solve reused a memoized ground program (always
     /// `false` without [`Concretizer::with_ground_cache`]).
     pub ground_cache_hit: bool,
@@ -451,13 +442,12 @@ impl Concretizer {
         // formatting rules out).
         format!("{goal:?}").hash(&mut h);
         format!(
-            "{:?}|{}|{:?}|{:?}|{}|{}",
+            "{:?}|{}|{:?}|{:?}|{}",
             self.config.encoding,
             self.config.splicing,
             self.config.os,
             self.config.target,
             self.config.filter_irrelevant,
-            self.config.prune_dead,
         )
         .hash(&mut h);
         self.config.solver.limits.max_atoms.hash(&mut h);
@@ -478,9 +468,9 @@ impl Concretizer {
         h.finish()
     }
 
-    /// Run the pre-solve pipeline — encode, parse, optionally prune,
-    /// ground, translate — returning a prepared program with a fresh
-    /// model memo plus the encode / parse / ground wall times.
+    /// Run the pre-solve pipeline — encode, parse, ground, translate —
+    /// returning a prepared program with a fresh model memo plus the
+    /// encode / parse / ground wall times.
     fn prepare(
         &self,
         goal: &Goal,
@@ -497,17 +487,8 @@ impl Concretizer {
         let encode_time = t0.elapsed();
 
         let t1 = Instant::now();
-        let mut program = parse_program(&text)
+        let program = parse_program(&text)
             .map_err(|e| CoreError::Solve(format!("generated program invalid: {e}")))?;
-        let mut pruned_rules = 0usize;
-        if self.config.prune_dead {
-            // The interpreter reads exactly `attr` and `splice_to` from
-            // the model; constraints, choices, and costs are always kept.
-            let goals = [Sym::intern("attr"), Sym::intern("splice_to")];
-            let (pruned, report) = program.prune_unreachable(&goals);
-            program = pruned;
-            pruned_rules = report.dropped_rules();
-        }
         let parse_time = t1.elapsed();
 
         // Ground and CNF-translate together: both are skipped on a cache
@@ -524,7 +505,6 @@ impl Concretizer {
                 root_names,
                 reusable_count,
                 program_bytes: text.len(),
-                pruned_rules,
                 models: PreparedProgram::fresh_memo(),
             },
             encode_time,
@@ -715,7 +695,6 @@ impl Concretizer {
             root_names,
             reusable_count,
             program_bytes,
-            pruned_rules,
             models,
         } = prepared;
 
@@ -794,7 +773,6 @@ impl Concretizer {
                 total_time: t_total.elapsed(),
                 reusable_specs: reusable_count,
                 program_bytes,
-                pruned_rules,
                 ground_cache_hit,
                 model_memo_hit,
                 ground_cache_hits: cache_hits,

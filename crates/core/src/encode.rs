@@ -773,6 +773,10 @@ fn emit_package(
                 ));
             }
         }
+        if !c_deps.is_empty() {
+            // Seed the link-run closure this conflict's `reach` reads.
+            writeln!(rules, "reach_from({pq}).").ok();
+        }
         writeln!(rules, ":- {}.", body.join(", ")).ok();
     }
 
@@ -875,6 +879,8 @@ fn emit_goal_root(
             }
             writeln!(rules, ":- not virtual_used({}).", q(dn.as_str())).ok();
         } else {
+            // Seed the link-run closure from the goal root for this reader.
+            writeln!(rules, "reach_from({gq}).").ok();
             writeln!(
                 rules,
                 ":- not reach({gq}, {d}).",

@@ -93,8 +93,6 @@ pub struct PreparedProgram {
     pub reusable_count: usize,
     /// Generated program text size in bytes.
     pub program_bytes: usize,
-    /// Non-ground rules removed by static pruning before grounding.
-    pub pruned_rules: usize,
     /// Memoized optimal models, one per search-config fingerprint (see
     /// module docs). Shared across every clone of this entry.
     pub models: ModelMemo,

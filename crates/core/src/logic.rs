@@ -35,24 +35,24 @@ attr("node", node(D)) :- attr("depends_on", node(P), node(D), T).
 
 % ------------------------------------------------------------------
 % Virtual dependencies: one provider per needed virtual, and at most
-% one provider of a virtual anywhere in the DAG (Spack's single
-% implementation rule, the premise of trivial ABI consistency in 1).
+% one provider node per virtual (Spack's single implementation rule,
+% the premise of trivial ABI consistency in 1), linear in providers.
 % ------------------------------------------------------------------
 virtual_needed(V) :- attr("virtual_dep", node(P), V).
 1 { virtual_chosen(V, Prov) : provider_decl(Prov, V) } 1 :- virtual_needed(V).
 attr("depends_on", node(P), node(Prov), "link-run") :-
     attr("virtual_dep", node(P), V), virtual_chosen(V, Prov).
 virtual_used(V) :- virtual_chosen(V, Prov).
-% A provider present in the DAG (e.g. imposed by a reused or spliced
-% spec) also counts as the virtual being in use.
+% A provider node (e.g. imposed by a reused or spliced spec) puts its
+% virtual in use, and forces the one pick onto itself.
 virtual_used(V) :- provider_decl(P, V), attr("node", node(P)).
-:- provider_decl(P1, V), provider_decl(P2, V), attr("node", node(P1)),
-   attr("node", node(P2)), P1 != P2.
+1 { provider_pick(V, P) : provider_decl(P, V) } 1 :- virtual_used(V).
+:- provider_decl(P, V), attr("node", node(P)), not provider_pick(V, P).
 
 % ------------------------------------------------------------------
-% Link-run reachability, for ^-style constraints.
+% Link-run reachability from each reach_from(P) a ^-style reader seeds.
 % ------------------------------------------------------------------
-reach(P, D) :- attr("depends_on", node(P), node(D), "link-run").
+reach(P, D) :- reach_from(P), attr("depends_on", node(P), node(D), "link-run").
 reach(P, E) :- reach(P, D), attr("depends_on", node(D), node(E), "link-run").
 
 % ------------------------------------------------------------------

@@ -138,36 +138,48 @@ fn mismatched_os_cache_not_reused() {
 
 #[test]
 fn conflicts_directive_excludes_combination() {
-    let repo = Repository::from_packages([
+    let zlib = || {
         PackageBuilder::new("zlib")
             .version("2.0")
             .version("1.3")
             .build()
-            .unwrap(),
+            .unwrap()
+    };
+    // legacy mode cannot use zlib 2.x
+    let app = |dep: &str| {
         PackageBuilder::new("app")
             .version("1.0")
             .variant_bool("legacy", false)
-            .depends_on("zlib")
-            // legacy mode cannot use zlib 2.x
+            .depends_on(dep)
             .conflicts_when("^zlib@2:", "+legacy")
             .build()
-            .unwrap(),
-    ])
-    .unwrap();
-    let c = Concretizer::new(&repo);
-    // Default (~legacy): newest zlib fine.
-    let sol = c.concretize(&parse_spec("app").unwrap()).unwrap();
-    let z = sol.spec().find(Sym::intern("zlib")).unwrap();
-    assert_eq!(sol.spec().node(z).version, v("2.0"));
-    // +legacy: forced down to zlib 1.3.
-    let sol = c.concretize(&parse_spec("app+legacy").unwrap()).unwrap();
-    let z = sol.spec().find(Sym::intern("zlib")).unwrap();
-    assert_eq!(sol.spec().node(z).version, v("1.3"));
-    // +legacy with explicit zlib@2 is unsatisfiable.
-    let err = c
-        .concretize(&parse_spec("app+legacy ^zlib@2.0").unwrap())
-        .unwrap_err();
-    assert!(matches!(err, CoreError::Unsatisfiable));
+            .unwrap()
+    };
+    let direct = Repository::from_packages([zlib(), app("zlib")]).unwrap();
+    // app reaches zlib only through mid: both `^` readers, the conflict
+    // and the goal's `^zlib@2.0`, close over two link-run edges.
+    let mid = PackageBuilder::new("mid")
+        .version("1.0")
+        .depends_on("zlib")
+        .build()
+        .unwrap();
+    let transitive = Repository::from_packages([zlib(), mid, app("mid")]).unwrap();
+    for repo in [direct, transitive] {
+        let c = Concretizer::new(&repo);
+        // Default (~legacy): newest zlib fine.
+        let sol = c.concretize(&parse_spec("app").unwrap()).unwrap();
+        let z = sol.spec().find(Sym::intern("zlib")).unwrap();
+        assert_eq!(sol.spec().node(z).version, v("2.0"));
+        // +legacy: forced down to zlib 1.3.
+        let sol = c.concretize(&parse_spec("app+legacy").unwrap()).unwrap();
+        let z = sol.spec().find(Sym::intern("zlib")).unwrap();
+        assert_eq!(sol.spec().node(z).version, v("1.3"));
+        // +legacy with explicit zlib@2 is unsatisfiable.
+        let err = c
+            .concretize(&parse_spec("app+legacy ^zlib@2.0").unwrap())
+            .unwrap_err();
+        assert!(matches!(err, CoreError::Unsatisfiable));
+    }
 }
 
 #[test]

@@ -172,6 +172,35 @@ fn unknown_package_is_bad_goal() {
     assert!(matches!(err, CoreError::BadGoal(_)));
 }
 
+#[test]
+fn ambiguous_virtual_root_lists_all_providers() {
+    let repo = test_repo();
+    let err = Concretizer::new(&repo)
+        .concretize(&parse_spec("mpi").unwrap())
+        .unwrap_err();
+    match err {
+        CoreError::BadGoal(msg) => {
+            assert!(msg.contains("mpich"), "missing first provider: {msg}");
+            assert!(msg.contains("openmpi"), "missing second provider: {msg}");
+        }
+        other => panic!("expected BadGoal, got {other:?}"),
+    }
+}
+
+#[test]
+fn sole_provider_virtual_root_resolves() {
+    let repo = Repository::from_packages([PackageBuilder::new("mpich")
+        .version("3.4.3")
+        .provides("mpi")
+        .build()
+        .unwrap()])
+    .unwrap();
+    let sol = Concretizer::new(&repo)
+        .concretize(&parse_spec("mpi@3.4.3").unwrap())
+        .unwrap();
+    assert_eq!(sol.spec().root().name.as_str(), "mpich");
+}
+
 /// Build a cache from a fresh concretization of `spec_str`.
 fn cache_of(repo: &Repository, spec_str: &str) -> BuildCache {
     let c = Concretizer::new(repo);

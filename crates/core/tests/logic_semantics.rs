@@ -57,6 +57,7 @@ fn dependency_derivation_and_reach() {
     let m = solve(
         r#"
         attr("root", node("a")).
+        reach_from("a").
         pkg_fact("a", version_declared("1.0", 0)).
         pkg_fact("b", version_declared("1.0", 0)).
         pkg_fact("c", version_declared("1.0", 0)).
@@ -69,6 +70,10 @@ fn dependency_derivation_and_reach() {
     let rendered = m.render();
     assert!(rendered.contains(&r#"attr("node",node("c"))"#.to_string()));
     assert!(rendered.contains(&r#"reach("a","c")"#.to_string()), "transitive reach");
+    assert!(
+        !rendered.contains(&r#"reach("b","c")"#.to_string()),
+        "reach closes only over seeded packages"
+    );
     assert!(rendered.contains(&"build(\"a\")".to_string()));
 }
 
@@ -208,6 +213,30 @@ fn single_provider_constraint() {
         &[BASE_PROGRAM, REUSE_INDIRECT, NO_SPLICE_STUB],
     );
     assert!(result.is_none(), "two providers of one virtual must conflict");
+}
+
+#[test]
+fn single_provider_constraint_without_virtual_dep() {
+    // No node depends on `v`, so `virtual_needed("v")` is false and only
+    // the `provider_pick` count keeps two provider nodes apart.
+    let result = solve(
+        r#"
+        attr("root", node("a")).
+        pkg_fact("a", version_declared("1.0", 0)).
+        pkg_fact("p1", version_declared("1.0", 0)).
+        pkg_fact("p2", version_declared("1.0", 0)).
+        provider_decl("p1", "v").
+        provider_decl("p2", "v").
+        provider_weight("v", "p1", 0).
+        provider_weight("v", "p2", 1).
+        attr("depends_on", node("a"), node("p1"), "link-run") :- attr("node", node("a")), build("a").
+        attr("depends_on", node("a"), node("p2"), "link-run") :- attr("node", node("a")), build("a").
+        :- not attr("node", node("p1")).
+        :- not attr("node", node("p2")).
+        "#,
+        &[BASE_PROGRAM, REUSE_INDIRECT, NO_SPLICE_STUB],
+    );
+    assert!(result.is_none(), "two provider nodes of one virtual must conflict");
 }
 
 #[test]

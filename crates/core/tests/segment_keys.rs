@@ -121,12 +121,9 @@ fn key_covers_sources_goal_and_config_axes() {
     // The goal and the encode-shaping config axes are key inputs too.
     let (other_goal_key, _) = key_of(&repo, &Goal::single(parse_spec("app@1.0").unwrap()));
     assert_ne!(bare_key, other_goal_key, "distinct goal, distinct key");
-    let pruned = Concretizer::new(&repo).with_config(ConcretizerConfig {
-        prune_dead: true,
-        ..Default::default()
-    });
-    let (pruned_key, _) = pruned.segment_key(&goal).unwrap();
-    assert_ne!(bare_key, pruned_key, "config axis change, distinct key");
+    let no_splice = Concretizer::new(&repo).with_config(ConcretizerConfig::splice_spack_disabled());
+    let (no_splice_key, _) = no_splice.segment_key(&goal).unwrap();
+    assert_ne!(bare_key, no_splice_key, "config axis change, distinct key");
 }
 
 #[test]

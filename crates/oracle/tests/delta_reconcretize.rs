@@ -8,8 +8,7 @@
 //!
 //! Two mutation families drive the check, each over the random
 //! repository generator (`genrepo`) and the concretizer-config matrix
-//! (direct vs splice encoding, dead-rule pruning, seed vs modern SAT
-//! engine):
+//! (direct vs splice encoding, seed vs modern SAT engine):
 //!
 //! * **package mutations** — a randomly chosen package gains a new
 //!   version; the repo-level [`SegmentDelta`] is applied to the warm
@@ -45,15 +44,8 @@ fn env_cases(var: &str, default: u64) -> u64 {
 /// configuration cannot pass unnoticed.
 fn matrix() -> Vec<(&'static str, ConcretizerConfig)> {
     vec![
-        ("direct", ConcretizerConfig::default()),
+        ("direct", ConcretizerConfig::old_spack()),
         ("splice", ConcretizerConfig::splice_spack()),
-        (
-            "prune-dead",
-            ConcretizerConfig {
-                prune_dead: true,
-                ..Default::default()
-            },
-        ),
         (
             "seed-solver",
             ConcretizerConfig {

@@ -23,7 +23,7 @@
 //!   rewiring (§3.4, §4.2).
 //! * [`core`] — the concretizer with automatic splicing (§5).
 //! * [`audit`] — static analysis over repositories and the generated
-//!   logic program, with structured diagnostics and dead-rule pruning.
+//!   logic program, with structured diagnostics.
 //! * [`radiuss`] — the synthetic RADIUSS experiment stack (§6.1).
 //!
 //! ## Quickstart

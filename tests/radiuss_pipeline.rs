@@ -141,6 +141,37 @@ fn rq4_replicas_all_valid_choices() {
     assert_eq!(impls.len(), 1, "impls: {impls:?}");
 }
 
+/// Fig 7's axis: the ground program grows linearly in the number of
+/// splice candidates. Ten times the replicas may cost at most six times
+/// the ground instances; a rule quadratic in the `mpi` providers would
+/// cost about thirteen times.
+#[test]
+fn rq4_ground_size_is_linear_in_replicas() {
+    let fx = fixture();
+    let ground_size = |replicas: usize| -> usize {
+        let repo = with_replicas(&fx.repo, replicas);
+        let concretizer = Concretizer::new(&repo)
+            .with_config(ConcretizerConfig::splice_spack())
+            .with_reusable(&fx.cache);
+        ["hypre", "mfem", "conduit"]
+            .iter()
+            .map(|root| {
+                let mut goal = Goal::single(parse_spec(root).unwrap());
+                goal.forbidden.push(Sym::intern("mpich"));
+                let text = concretizer.program_text(&goal).unwrap().program;
+                let program = spackle::asp::parse_program(&text).unwrap();
+                let gp = spackle::asp::ground::ground(&program).unwrap();
+                gp.rules.len() + gp.choices.len() + gp.constraints.len()
+            })
+            .sum()
+    };
+    let (at_10, at_100) = (ground_size(10), ground_size(100));
+    assert!(
+        at_100 <= 6 * at_10,
+        "ground instances grew {at_10} -> {at_100} from 10 to 100 replicas"
+    );
+}
+
 #[test]
 fn joint_concretization_of_mpi_subset() {
     let fx = fixture();
