@@ -30,8 +30,9 @@
 //! hang.
 //!
 //! Stable-model semantics is preserved on both sides: every probe runs
-//! the solving path's own stability CEGAR loop (`Solver::stable_solve`),
-//! whose loop nogoods are added as hard clauses — they over-approximate
+//! the solving path's own stability CEGAR loop (`Solver::stable_solve`)
+//! with the check on, even for tight programs (see `cegar_probe`). Its
+//! loop nogoods are added as hard clauses — they over-approximate
 //! external supports, so they are sound for every selector subset.
 //!
 //! Determinism: the CDCL core has one configuration and the
@@ -278,7 +279,14 @@ impl Solver {
         assumps: &[Lit],
         stats: &mut SolveStats,
     ) -> Result<CegarAnswer> {
-        Ok(match self.stable_solve(gp, tr, sat, assumps, stats)? {
+        // Never skip the stability check here, even on a tight program:
+        // a selector guards each completion clause, so a probe that drops
+        // one admits models with unsupported atoms, which Fages' theorem
+        // does not cover. Only the check keeps such probes founded (for
+        // `p1 :- not p0, not p1.` with p1's completion dropped, {p1}
+        // satisfies every remaining clause but is not stable).
+        let stable = self.stable_solve(gp, tr, false, sat, assumps, stats)?;
+        Ok(match stable {
             Some(_) => CegarAnswer::Stable,
             None => CegarAnswer::Unsat(
                 sat.final_core()

@@ -28,7 +28,7 @@
 //!    stability check; non-stable models are blocked and search resumes
 //!    (CEGAR). Programs whose ground positive-dependency graph is acyclic
 //!    — like the concretizer's, where ground recursion follows package
-//!    DAGs — never trigger the loop.
+//!    DAGs — skip the check ([`stability::is_tight`]).
 //! 6. **Optimize** ([`solve`]) — lexicographic branch-and-bound over
 //!    `#minimize` priorities, incrementally reusing learned clauses
 //!    across bound tightenings.

@@ -6,8 +6,9 @@
 //! program's reduct w.r.t. the candidate; atoms in the candidate but not
 //! in the least model form an *unfounded set*, which the solve loop turns
 //! into loop clauses (CEGAR). Ground programs whose positive dependency
-//! graph is acyclic — like the concretizer's, where ground recursion
-//! follows acyclic package DAGs — always pass on the first try.
+//! graph is acyclic ([`is_tight`]) — like the concretizer's, where
+//! ground recursion follows acyclic package DAGs — skip the check: by
+//! Fages' theorem every model of their completion is stable.
 
 use crate::ground::GroundProgram;
 use crate::term::AtomId;
@@ -19,6 +20,79 @@ pub enum Stability {
     Stable,
     /// The candidate is not stable; the unfounded atoms are returned.
     Unfounded(Vec<AtomId>),
+}
+
+/// Whether `gp` is *tight*: its positive dependency graph is acyclic.
+///
+/// Nodes are the interned atoms plus one node per choice instance.
+/// Each positive body atom has an edge to its rule's head; each positive
+/// choice-body atom has an edge to the choice node, which has an edge to
+/// each element, so the graph stays linear in program size. Negated
+/// atoms add no edges. Kahn's algorithm decides acyclicity.
+///
+/// On a tight program [`check_stability`] cannot fail for a model of the
+/// whole completion (Fages' theorem). Take the atoms in topological
+/// order: a true atom has a true supporting body (completion), whose
+/// positive atoms come earlier and so are in the reduct's least model,
+/// and whose negated atoms are false, so the rule survives the reduct.
+pub fn is_tight(gp: &GroundProgram) -> bool {
+    let atoms = gp.atom_count();
+    let nodes = atoms + gp.choices.len();
+    // Edges in compressed rows: node `v`'s successors are
+    // `succ[start[v]..start[v + 1]]`.
+    let mut start = vec![0usize; nodes + 1];
+    for r in &gp.rules {
+        for p in r.pos.iter() {
+            start[p.0 as usize + 1] += 1;
+        }
+    }
+    for (ci, c) in gp.choices.iter().enumerate() {
+        for p in c.pos.iter() {
+            start[p.0 as usize + 1] += 1;
+        }
+        start[atoms + ci + 1] += c.elements.len();
+    }
+    for v in 0..nodes {
+        start[v + 1] += start[v];
+    }
+    let mut next = start.clone();
+    let mut succ = vec![0u32; start[nodes]];
+    let mut indegree = vec![0u32; nodes];
+    let mut edge = |from: usize, to: usize| {
+        succ[next[from]] = to as u32;
+        next[from] += 1;
+        indegree[to] += 1;
+    };
+    for r in &gp.rules {
+        for p in r.pos.iter() {
+            edge(p.0 as usize, r.head.0 as usize);
+        }
+    }
+    for (ci, c) in gp.choices.iter().enumerate() {
+        let node = atoms + ci;
+        for p in c.pos.iter() {
+            edge(p.0 as usize, node);
+        }
+        for e in c.elements.iter() {
+            edge(node, e.0 as usize);
+        }
+    }
+
+    let mut ready: Vec<u32> = (0..nodes as u32)
+        .filter(|&v| indegree[v as usize] == 0)
+        .collect();
+    let mut ordered = 0;
+    while let Some(v) = ready.pop() {
+        ordered += 1;
+        let v = v as usize;
+        for &w in &succ[start[v]..start[v + 1]] {
+            indegree[w as usize] -= 1;
+            if indegree[w as usize] == 0 {
+                ready.push(w);
+            }
+        }
+    }
+    ordered == nodes
 }
 
 /// Check whether `model` (the set of true atoms) is a stable model of
@@ -168,6 +242,31 @@ mod tests {
             out.insert(found);
         }
         out
+    }
+
+    #[test]
+    fn positive_loops_are_not_tight() {
+        // The grounder emits no rule whose positive body can never hold,
+        // so a leading choice makes each loop's atoms possible.
+        for text in [
+            "{ a }. a :- a.",
+            "{ a }. a :- b. b :- a.",
+            "{ q }. { p } :- q. q :- p.",
+        ] {
+            assert!(!is_tight(&gp_of(text)), "{text} has a positive loop");
+        }
+    }
+
+    #[test]
+    fn acyclic_and_negative_dependencies_are_tight() {
+        for text in [
+            "a. b.",
+            "a. b :- a. c :- b, a. { d } :- c. e :- d.",
+            "a :- not b. b :- not a.",
+            "b. a :- b, b.",
+        ] {
+            assert!(is_tight(&gp_of(text)), "{text} has no positive loop");
+        }
     }
 
     #[test]

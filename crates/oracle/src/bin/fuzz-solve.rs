@@ -133,6 +133,7 @@ fn main() {
     let mut failures: Vec<(Kind, u64)> = Vec::new();
     let mut ran: u64 = 0;
     let mut skipped: u64 = 0;
+    let mut non_tight: u64 = 0;
 
     let mut run_case = |kind: Kind, seed: u64, failures: &mut Vec<(Kind, u64)>| {
         ran += 1;
@@ -140,6 +141,8 @@ fn main() {
             Ok(stats) => {
                 if stats.skipped {
                     skipped += 1;
+                } else if kind == Kind::Program && !stats.tight {
+                    non_tight += 1;
                 }
             }
             Err(msg) => {
@@ -174,7 +177,8 @@ fn main() {
     }
 
     println!(
-        "ran {ran} cases ({skipped} skipped as too large) in {:.1}s: {} failures",
+        "ran {ran} cases ({skipped} skipped as too large, {non_tight} non-tight programs) \
+         in {:.1}s: {} failures",
         started.elapsed().as_secs_f64(),
         failures.len()
     );

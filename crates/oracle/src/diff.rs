@@ -23,6 +23,7 @@ use proptest::TestRng;
 use rustc_hash::FxHashSet;
 use spackle_asp::certify;
 use spackle_asp::ground::ground;
+use spackle_asp::stability::is_tight;
 use spackle_asp::term::AtomId;
 use spackle_asp::{parse_program, AspError, SolveOutcome, Solver, SolverConfig};
 use spackle_core::{Concretizer, ConcretizerConfig, CoreError, Goal};
@@ -40,6 +41,9 @@ pub struct CaseStats {
     pub models: usize,
     /// The case was skipped (too large for the oracle / resource limit).
     pub skipped: bool,
+    /// The program case's ground program is tight, so the production
+    /// solver skipped its stability check.
+    pub tight: bool,
 }
 
 /// Run one program differential case with the default solver
@@ -69,12 +73,14 @@ pub fn check_program_case_with(seed: u64, config: &SolverConfig) -> Result<CaseS
         }
         Err(e) => return fail(format!("grounder rejected generated program: {e}")),
     };
+    let tight = is_tight(&gp);
 
     let oracle = match reference::solve(&gp, PROGRAM_CASE_MAX_FREE) {
         Ok(s) => s,
         Err(reference::OracleError::TooLarge { .. }) => {
             return Ok(CaseStats {
                 skipped: true,
+                tight,
                 ..Default::default()
             })
         }
@@ -171,6 +177,7 @@ pub fn check_program_case_with(seed: u64, config: &SolverConfig) -> Result<CaseS
     Ok(CaseStats {
         models: oracle.models.len(),
         skipped: false,
+        tight,
     })
 }
 

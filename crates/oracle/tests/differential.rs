@@ -9,7 +9,11 @@
 //! to `fuzz-solve --replay-only` via a corpus line.
 
 use proptest::prelude::*;
+use proptest::TestRng;
+use spackle_asp::ground::ground;
+use spackle_asp::stability::is_tight;
 use spackle_oracle::diff;
+use spackle_oracle::genprog::random_program;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(384))]
@@ -119,4 +123,25 @@ fn certificate_checker_rejects_corrupted_models() {
         certify::certify(&gp, &base, Some(&lie)),
         Err(certify::CertifyError::CostMismatch { .. })
     ));
+}
+
+/// The solver skips its stability check on tight programs, so the
+/// random programs above must exercise both sides of that gate: a
+/// generator that drifts to one side leaves the other untested.
+#[test]
+fn random_programs_cover_tight_and_non_tight() {
+    let (mut tight, mut non_tight) = (0, 0);
+    for seed in 0..256u64 {
+        let prog = random_program(&mut TestRng::seed_from_u64(seed));
+        let Ok(gp) = ground(&prog) else { continue };
+        if is_tight(&gp) {
+            tight += 1;
+        } else {
+            non_tight += 1;
+        }
+    }
+    assert!(
+        tight >= 64 && non_tight >= 64,
+        "seeds 0..256 gave {tight} tight and {non_tight} non-tight programs"
+    );
 }

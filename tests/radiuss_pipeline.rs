@@ -172,6 +172,59 @@ fn rq4_ground_size_is_linear_in_replicas() {
     );
 }
 
+/// The solver skips the Gelfond–Lifschitz stability check on tight
+/// ground programs, and the concretizer's programs are tight: ground
+/// recursion follows acyclic package DAGs. Pins that for the encodings
+/// of RQ1 (direct and bypassed splicing), RQ3 (`^mpiabi` splices) and
+/// RQ4 (replicas with `mpich` forbidden).
+#[test]
+fn shipped_programs_are_tight() {
+    let fx = fixture();
+    let replicas = with_replicas(&fx.repo, 10);
+    let rq1 = ["hypre", "mfem", "py-shroud", "conduit ~mpi"];
+    let cases = [
+        (&fx.repo, ConcretizerConfig::old_spack(), &rq1[..], false),
+        (
+            &fx.repo,
+            ConcretizerConfig::splice_spack_disabled(),
+            &rq1[..],
+            false,
+        ),
+        (
+            &fx.repo_mpiabi,
+            ConcretizerConfig::splice_spack(),
+            &["hypre ^mpiabi", "mfem ^mpiabi"][..],
+            false,
+        ),
+        (
+            &replicas,
+            ConcretizerConfig::splice_spack(),
+            &["hypre", "mfem", "conduit"][..],
+            true,
+        ),
+    ];
+    for (repo, config, specs, forbid_mpich) in cases {
+        let concretizer = Concretizer::new(repo)
+            .with_config(config)
+            .with_reusable(&fx.cache);
+        for spec in specs {
+            let mut goal = Goal::single(parse_spec(spec).unwrap());
+            if forbid_mpich {
+                goal.forbidden.push(Sym::intern("mpich"));
+            }
+            let text = concretizer.program_text(&goal).unwrap().program;
+            let program = spackle::asp::parse_program(&text).unwrap();
+            let gp = spackle::asp::ground::ground(&program).unwrap();
+            assert!(
+                spackle::asp::stability::is_tight(&gp),
+                "the ground program for {spec:?} (mpich forbidden: {forbid_mpich}) has a \
+                 positive loop, which puts the Gelfond–Lifschitz stability check back on \
+                 every SAT model"
+            );
+        }
+    }
+}
+
 #[test]
 fn joint_concretization_of_mpi_subset() {
     let fx = fixture();
