@@ -99,7 +99,8 @@ pub struct SatStats {
 /// `Clone` copies the complete solver state (clause arena, watches,
 /// heuristics). Cloning a freshly-translated instance and searching on
 /// the clone is indistinguishable from translating again — the basis
-/// for re-solving memoized programs without re-running translation.
+/// for re-solving one translation any number of times
+/// (`Solver::solve_translated`).
 #[derive(Clone)]
 pub struct Sat {
     // Clause storage. Original and learnt clauses share the arena;

@@ -12,8 +12,7 @@ use std::sync::Arc;
 ///
 /// Cloning is cheap relative to a solve — the ground program is shared
 /// behind an `Arc` — which is what lets warm caches memoize solved
-/// models per search configuration and replay them on identical
-/// translated programs.
+/// models and replay them.
 #[derive(Clone)]
 pub struct Model {
     ground: Arc<GroundProgram>,

@@ -14,13 +14,15 @@ use rustc_hash::FxHashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Stability-restart (CEGAR) iterations before `Solver::stable_solve`
+/// gives up.
+const MAX_STABILITY_LOOPS: usize = 10_000;
+
 /// Solver configuration.
 #[derive(Clone, Debug)]
 pub struct SolverConfig {
     /// Grounding resource limits.
     pub limits: GroundLimits,
-    /// Maximum stability-restart (CEGAR) iterations before giving up.
-    pub max_stability_loops: usize,
     /// Conflict budget per SAT call (`u64::MAX` = unlimited).
     pub conflict_budget: u64,
     /// Cooperative cancellation: polled in the CDCL search loop
@@ -41,7 +43,6 @@ impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             limits: GroundLimits::default(),
-            max_stability_loops: 10_000,
             conflict_budget: u64::MAX,
             cancel: CancelToken::none(),
             incremental_bnb: true,
@@ -111,10 +112,12 @@ pub enum SolveOutcome {
 }
 
 /// A ground program with its CNF translation and a pristine (pre-search)
-/// SAT instance — the unit of ground-program memoization. Produced by
-/// [`Solver::translate_ground`]; every [`Solver::solve_translated`] call
-/// clones the SAT instance, so repeated re-solves start from identical
-/// state and never contaminate one another.
+/// SAT instance, for callers that time translation and search apart.
+/// Produced by [`Solver::translate_ground`]; every
+/// [`Solver::solve_translated`] call clones the SAT instance, so repeated
+/// solves start from identical state and never contaminate one another.
+/// [`Solver::solve_ground`] searches the instance it translates and
+/// clones nothing.
 pub struct TranslatedProgram {
     gp: Arc<GroundProgram>,
     sat: Sat,
@@ -141,11 +144,6 @@ pub struct PreprocessStats {
 }
 
 impl TranslatedProgram {
-    /// The underlying ground program.
-    pub fn ground(&self) -> &Arc<GroundProgram> {
-        &self.gp
-    }
-
     /// The raw instance's clause count as both `clauses_in` and
     /// `clauses_out`, and zero for every other field. The engine has no
     /// CNF preprocessing; this remains only because the repository
@@ -189,62 +187,72 @@ impl Solver {
     }
 
     /// Ground `program` under this solver's limits, returning a
-    /// shareable handle suitable for [`Solver::solve_ground`] — the
-    /// ground-program memoization entry point.
+    /// shareable handle suitable for [`Solver::solve_ground`].
     pub fn ground(&self, program: &Program) -> Result<Arc<GroundProgram>> {
         Ok(Arc::new(ground_with_limits(program, self.config.limits)?))
     }
 
-    /// Solve an already-grounded program. Equivalent to
+    /// Solve an already-grounded program: translate it and search the
+    /// instance just built. Searches exactly as
     /// [`Solver::translate_ground`] followed by
-    /// [`Solver::solve_translated`]; one cached [`GroundProgram`] can be
-    /// re-solved any number of times, and because the engine is
-    /// deterministic a re-solve returns the same outcome as the original
-    /// solve. `stats.ground_time` is zero here (the caller knows whether
-    /// grounding actually ran); `stats.solve_time` includes translation.
+    /// [`Solver::solve_translated`] does, without the clone. The engine
+    /// is deterministic, so solving one [`GroundProgram`] again returns
+    /// the same outcome. `stats.ground_time` is zero here (the caller
+    /// knows whether grounding actually ran); `stats.solve_time` includes
+    /// translation.
     pub fn solve_ground(&self, gp: Arc<GroundProgram>) -> Result<(SolveOutcome, SolveStats)> {
         let t1 = Instant::now();
-        let tp = self.translate_ground(gp);
-        let (outcome, mut stats) = self.solve_translated(&tp)?;
+        let TranslatedProgram { gp, sat, tr, tight } = self.translate_ground(gp);
+        let (outcome, mut stats) = self.solve_sat(gp, &tr, tight, sat)?;
         stats.solve_time = t1.elapsed();
         Ok((outcome, stats))
     }
 
     /// Translate an already-grounded program to CNF once, producing a
-    /// [`TranslatedProgram`] that [`Solver::solve_translated`] can
-    /// re-solve without repeating the translation — the second layer of
-    /// ground-program memoization. The memoized instance is the raw
-    /// translation, together with whether the program is tight.
+    /// [`TranslatedProgram`] that [`Solver::solve_translated`] can solve
+    /// any number of times without repeating the translation. It holds
+    /// the raw translation, together with whether the program is tight.
     pub fn translate_ground(&self, gp: Arc<GroundProgram>) -> TranslatedProgram {
         let mut sat = Sat::new();
-        sat.set_conflict_budget(self.config.conflict_budget);
         let tr = translate(&gp, &mut sat);
         let tight = is_tight(&gp);
         TranslatedProgram { gp, sat, tr, tight }
     }
 
     /// Solve a translated program. The pristine SAT instance is cloned
-    /// per call (so repeated solves are independent and start from
-    /// identical state) and the conflict budget is re-applied from this
-    /// solver's config, since the budget is a per-solve knob rather than
-    /// part of the translation.
+    /// per call, so repeated solves are independent and start from
+    /// identical state. `stats.solve_time` includes the clone.
     pub fn solve_translated(&self, tp: &TranslatedProgram) -> Result<(SolveOutcome, SolveStats)> {
+        let t1 = Instant::now();
+        let (outcome, mut stats) =
+            self.solve_sat(Arc::clone(&tp.gp), &tp.tr, tp.tight, tp.sat.clone())?;
+        stats.solve_time = t1.elapsed();
+        Ok((outcome, stats))
+    }
+
+    /// Search `sat`, the translation `tr` of `gp`, which this call owns.
+    /// The conflict budget and the cancellation token are applied from
+    /// this solver's config: they are per-solve knobs, not part of the
+    /// translation. Leaves `stats.solve_time` to the caller.
+    fn solve_sat(
+        &self,
+        gp: Arc<GroundProgram>,
+        tr: &Translation,
+        tight: bool,
+        mut sat: Sat,
+    ) -> Result<(SolveOutcome, SolveStats)> {
         let mut stats = SolveStats {
-            ground_atoms: tp.gp.possible.len(),
-            ground_rules: tp.gp.rules.len(),
-            ground_choices: tp.gp.choices.len(),
-            ground_constraints: tp.gp.constraints.len(),
+            ground_atoms: gp.possible.len(),
+            ground_rules: gp.rules.len(),
+            ground_choices: gp.choices.len(),
+            ground_constraints: gp.constraints.len(),
+            sat_vars: sat.num_vars(),
             ..Default::default()
         };
-
-        let t1 = Instant::now();
-        let mut sat = tp.sat.clone();
         sat.set_conflict_budget(self.config.conflict_budget);
         sat.set_cancel(self.config.cancel.clone());
-        stats.sat_vars = sat.num_vars();
 
-        let outcome = self.search(tp.gp.clone(), &tp.tr, tp.tight, &mut sat, &mut stats)?;
-        stats.solve_time = t1.elapsed();
+        let outcome = self.search(gp, tr, tight, &mut sat, &mut stats)?;
         stats.conflicts = sat.stats.conflicts;
         stats.decisions = sat.stats.decisions;
         stats.propagations = sat.stats.propagations;
@@ -267,7 +275,7 @@ impl Solver {
         assumps: &[Lit],
         stats: &mut SolveStats,
     ) -> Result<Option<FxHashSet<AtomId>>> {
-        for _ in 0..self.config.max_stability_loops {
+        for _ in 0..MAX_STABILITY_LOOPS {
             match sat.solve_with(assumps) {
                 SatResult::Unsat => return Ok(None),
                 SatResult::Unknown => {
@@ -482,15 +490,17 @@ impl Solver {
     pub fn enumerate(&self, program: &Program, limit: usize) -> Result<Vec<Model>> {
         let mut stats = SolveStats::default();
         let gp = self.ground(program)?;
-        let tp = self.translate_ground(gp);
-        let mut sat = tp.sat.clone();
+        let TranslatedProgram {
+            gp,
+            mut sat,
+            tr,
+            tight,
+        } = self.translate_ground(gp);
         sat.set_conflict_budget(self.config.conflict_budget);
         sat.set_cancel(self.config.cancel.clone());
-        let (gp, tr) = (&tp.gp, &tp.tr);
         let mut out = Vec::new();
         while out.len() < limit {
-            let Some(model) = self.stable_solve(gp, tr, tp.tight, &mut sat, &[], &mut stats)?
-            else {
+            let Some(model) = self.stable_solve(&gp, &tr, tight, &mut sat, &[], &mut stats)? else {
                 break;
             };
             // Block this assignment over the possible-atom universe.
@@ -533,6 +543,37 @@ mod tests {
         }
     }
 
+    /// Priority 2 dominates: the optimum must avoid "expensive" even
+    /// though that forces a higher priority-1 cost.
+    const LEXICOGRAPHIC: &str = r#"
+        opt("a"). opt("b").
+        1 { pick(V) : opt(V) } 1.
+        p2cost("a", 5). p2cost("b", 1).
+        p1cost("a", 0). p1cost("b", 100).
+        #minimize { C@2,V : pick(V), p2cost(V, C) }.
+        #minimize { C@1,V : pick(V), p1cost(V, C) }.
+    "#;
+
+    /// A knapsack: take(3) alone is optimal.
+    const KNAPSACK: &str = r#"
+        item(1). item(2). item(3). item(4).
+        { take(I) : item(I) }.
+        :- take(1), take(2).
+        covered :- take(3). covered :- take(4).
+        :- not covered.
+        w(1,4). w(2,3). w(3,2). w(4,5).
+        #minimize { W@1,I : take(I), w(I,W) }.
+    "#;
+
+    /// Three-colouring a triangle.
+    const COLORING: &str = r#"
+        node(1). node(2). node(3).
+        edge(1,2). edge(2,3). edge(1,3).
+        color("r"). color("g"). color("b").
+        1 { assign(N,C) : color(C) } 1 :- node(N).
+        :- edge(A,B), assign(A,C), assign(B,C).
+    "#;
+
     #[test]
     fn facts_only() {
         let m = model_of(r#"a. b("x")."#);
@@ -564,18 +605,7 @@ mod tests {
 
     #[test]
     fn lexicographic_priorities() {
-        // Priority 2 dominates: must avoid "expensive" even though that
-        // forces higher priority-1 cost.
-        let m = model_of(
-            r#"
-            opt("a"). opt("b").
-            1 { pick(V) : opt(V) } 1.
-            p2cost("a", 5). p2cost("b", 1).
-            p1cost("a", 0). p1cost("b", 100).
-            #minimize { C@2,V : pick(V), p2cost(V, C) }.
-            #minimize { C@1,V : pick(V), p1cost(V, C) }.
-        "#,
-        );
+        let m = model_of(LEXICOGRAPHIC);
         assert!(m.holds_str("pick", &["b"]));
         assert_eq!(m.cost, vec![(2, 1), (1, 100)]);
     }
@@ -633,15 +663,7 @@ mod tests {
 
     #[test]
     fn graph_coloring_three_nodes() {
-        let m = model_of(
-            r#"
-            node(1). node(2). node(3).
-            edge(1,2). edge(2,3). edge(1,3).
-            color("r"). color("g"). color("b").
-            1 { assign(N,C) : color(C) } 1 :- node(N).
-            :- edge(A,B), assign(A,C), assign(B,C).
-        "#,
-        );
+        let m = model_of(COLORING);
         let assigns = m.atoms_of("assign");
         assert_eq!(assigns.len(), 3);
         // All three nodes distinct colors (triangle).
@@ -748,16 +770,7 @@ mod tests {
 
     #[test]
     fn incremental_and_scratch_bnb_agree() {
-        let text = r#"
-            item(1). item(2). item(3). item(4).
-            { take(I) : item(I) }.
-            :- take(1), take(2).
-            covered :- take(3). covered :- take(4).
-            :- not covered.
-            w(1,4). w(2,3). w(3,2). w(4,5).
-            #minimize { W@1,I : take(I), w(I,W) }.
-        "#;
-        let program = parse_program(text).unwrap();
+        let program = parse_program(KNAPSACK).unwrap();
         let scratch_cfg = SolverConfig {
             incremental_bnb: false,
             ..Default::default()
@@ -770,6 +783,31 @@ mod tests {
                 assert_eq!(a.cost, vec![(1, 2)], "take(3) alone is optimal");
             }
             _ => panic!("expected optima from both modes"),
+        }
+    }
+
+    #[test]
+    fn solve_ground_searches_like_solve_translated() {
+        // The solving path searches the instance it translates; the
+        // benchmark's traced path searches a clone of a kept translation.
+        // The two must search alike, down to the counters.
+        let solver = Solver::new();
+        for text in [LEXICOGRAPHIC, KNAPSACK, COLORING] {
+            let gp = solver.ground(&parse_program(text).unwrap()).unwrap();
+            let (owned, os) = solver.solve_ground(Arc::clone(&gp)).unwrap();
+            let (cloned, cs) = solver
+                .solve_translated(&solver.translate_ground(gp))
+                .unwrap();
+            let (SolveOutcome::Optimal(a), SolveOutcome::Optimal(b)) = (owned, cloned) else {
+                panic!("expected optima on {text}");
+            };
+            assert_eq!(a.render(), b.render(), "models diverge on {text}");
+            assert_eq!(a.cost, b.cost, "optima diverge on {text}");
+            assert_eq!(
+                (os.conflicts, os.decisions, os.propagations),
+                (cs.conflicts, cs.decisions, cs.propagations),
+                "search effort diverges on {text}"
+            );
         }
     }
 

@@ -7,7 +7,8 @@
 //!   grounds, translates and searches (the baseline every prior figure
 //!   measured);
 //! * `cached`     — a shared [`spackle_core::GroundCache`], so repeated
-//!   solves skip encode + parse + ground + CNF translation entirely.
+//!   solves replay their answers: no encode, parse, ground, translation
+//!   or search.
 //!
 //! Both modes must produce *identical* solutions (same DAG hashes, same
 //! reuse/build/splice decisions) — the run exits nonzero on any
@@ -43,11 +44,13 @@
 //! cache).
 
 use serde::Serialize;
-use spackle_asp::{SolveOutcome, SolveStats, Solver, SolverConfig};
+use spackle_asp::{
+    parse_program, SolveOutcome, SolveStats, Solver, SolverConfig, TranslatedProgram,
+};
 use spackle_bench::{mean_std_ms, run_trials_warm, Args};
 use spackle_buildcache::CacheSource;
 use spackle_core::interpret::interpret;
-use spackle_core::{repo_delta, Concretizer, ConcretizerConfig, Goal, GroundCache, PreparedProgram};
+use spackle_core::{repo_delta, Concretizer, ConcretizerConfig, Goal, GroundCache};
 use spackle_radiuss::ExperimentEnv;
 use spackle_repo::Repository;
 use spackle_spec::{parse_spec, AbstractSpec, ConcreteSpec, Sym, Version};
@@ -188,29 +191,30 @@ struct EngineJson {
     modern: EngineModeJson,
 }
 
-/// Prepare every goal's translated program under `config`, untimed: one
-/// solve per goal fills a private ground cache, and the entry is read
-/// back by its key.
+/// Translate every goal's program under `config`, untimed, through the
+/// stages `concretize_goal` runs before its search: `program_text`,
+/// `parse_program`, `Solver::ground` and `Solver::translate_ground`.
+/// Each program comes with its root names, which interpretation reads.
 fn prepare_goals(
     repo: &Repository,
     cache: &Arc<dyn CacheSource>,
     config: &ConcretizerConfig,
     goals: &[NamedGoal],
-) -> Vec<PreparedProgram> {
-    let ground_cache = GroundCache::shared();
+) -> Vec<(TranslatedProgram, Vec<Sym>)> {
     let conc = Concretizer::new(repo)
         .with_config(config.clone())
-        .with_reusable(cache)
-        .with_ground_cache(Arc::clone(&ground_cache));
+        .with_reusable(cache);
+    let solver = Solver::with_config(config.solver.clone());
     goals
         .iter()
         .map(|g| {
-            let goal = Goal::single(g.spec.clone());
-            let prepared = conc.concretize_goal(&goal).and_then(|_| conc.ground_key(&goal));
-            let key = prepared.unwrap_or_else(|e| panic!("perf-report engine {}: {e}", g.name));
-            ground_cache
-                .lookup(key)
-                .expect("the solve inserted its prepared program")
+            let stages = || -> Result<_, Box<dyn std::error::Error>> {
+                let encoded = conc.program_text(&Goal::single(g.spec.clone()))?;
+                let program = parse_program(&encoded.program)?;
+                let ground = solver.ground(&program)?;
+                Ok((solver.translate_ground(ground), encoded.root_names))
+            };
+            stages().unwrap_or_else(|e| panic!("perf-report engine {}: {e}", g.name))
         })
         .collect()
 }
@@ -222,15 +226,15 @@ fn engine_sweep(
     solver: &Solver,
     cache: &Arc<dyn CacheSource>,
     goals: &[NamedGoal],
-    prepared: &[PreparedProgram],
+    prepared: &[(TranslatedProgram, Vec<Sym>)],
 ) -> (Duration, Vec<String>, Vec<String>, SearchJson) {
     let mut elapsed = Duration::ZERO;
     let mut sigs = Vec::with_capacity(goals.len());
     let mut costs = Vec::with_capacity(goals.len());
     let mut effort = SearchJson::default();
-    for (g, p) in goals.iter().zip(prepared) {
+    for (g, (program, root_names)) in goals.iter().zip(prepared) {
         let t = Instant::now();
-        let solved = solver.solve_translated(&p.program);
+        let solved = solver.solve_translated(program);
         elapsed += t.elapsed();
         let (outcome, stats) =
             solved.unwrap_or_else(|e| panic!("perf-report engine {}: {e}", g.name));
@@ -238,7 +242,7 @@ fn engine_sweep(
             panic!("perf-report engine {}: unsatisfiable", g.name);
         };
         effort.absorb(&stats);
-        let answer = interpret(&model, std::slice::from_ref(cache), &p.root_names)
+        let answer = interpret(&model, std::slice::from_ref(cache), root_names)
             .unwrap_or_else(|e| panic!("perf-report engine {}: {e}", g.name));
         let counts = [answer.reused.len(), answer.built.len(), answer.spliced.len()];
         costs.push(format!("{} cost={:?}", g.name, model.cost));
@@ -622,8 +626,8 @@ fn main() {
     // new (least preferred, so solutions are unchanged) version on a
     // package sitting in exactly one goal's encode closure, partially
     // invalidate by segment, and re-solve the whole set. Untouched
-    // goals ride their retained entries and memoized models; only the
-    // touched goal re-encodes / re-grounds / re-solves.
+    // goals replay their retained answers; only the touched goal
+    // re-encodes / re-grounds / re-solves.
     let delta_goals_n = args.get_usize("delta-goals", if smoke { 12 } else { 32 });
     let delta_goals: Vec<NamedGoal> = env
         .roots
@@ -674,7 +678,7 @@ fn main() {
         if affected_goals == 1 { "" } else { "s" },
     );
 
-    // Warm pass (untimed): populate the ground cache and model memos.
+    // Warm pass (untimed): populate the ground cache.
     let delta_ground_cache = GroundCache::shared();
     sweep(
         &env.repo_plain,

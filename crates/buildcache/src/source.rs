@@ -148,12 +148,12 @@ pub trait CacheSource: Send + Sync {
     /// An order-sensitive fingerprint of the reusable-spec set: the DAG
     /// hash of every entry, in [`iter`] order. Two sources with the same
     /// fingerprint inject the same reuse facts into the concretizer, so
-    /// this is the cache-identity input to ground-program memoization.
+    /// this is the cache-identity input to the ground cache's keys.
     /// Valid within one process only (it uses the default `Hasher`);
     /// never persist it. Fallible because it reads the full index: a
     /// down backend cannot be fingerprinted, which is exactly what keeps
-    /// a degraded solve from reusing a ground program memoized against
-    /// the healthy source set.
+    /// a degraded solve from reusing an answer memoized against the
+    /// healthy source set.
     ///
     /// [`iter`]: CacheSource::iter
     fn fingerprint(&self) -> Result<u64, CacheError> {
@@ -264,7 +264,7 @@ impl CacheSource for Labeled {
 ///   every solve reads one index instead of copying it.
 ///
 /// Clones share the original's [`CacheSource::fingerprint`] (it is
-/// content-derived), so ground-program memoization keys are unaffected
+/// content-derived), so ground-cache keys are unaffected
 /// by which conversion a call site picks. (Coherence keeps this trait
 /// from also accepting `&source` or `Arc<ConcreteType>` directly: a
 /// downstream crate may implement `CacheSource` for its own references

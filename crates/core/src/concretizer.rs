@@ -12,7 +12,7 @@ use crate::encode::{
     cache_error, encode, goal_scope, EncodeConfig, EncodeOrigin, Encoded, Encoding, Goal,
 };
 use crate::explain::{ExplainEntry, Explanation};
-use crate::ground_cache::{GroundCache, PreparedProgram};
+use crate::ground_cache::{GroundCache, SolvedGoal};
 use crate::interpret::{interpret, Interpretation, SpliceReport};
 use crate::segment::SegmentSet;
 use crate::CoreError;
@@ -144,7 +144,8 @@ pub struct ConcretizeStats {
     pub encode_time: Duration,
     /// Wall time for parsing the generated program.
     pub parse_time: Duration,
-    /// Wall time for ground + solve + optimize (from the ASP engine).
+    /// Wall time for ground + translate + search + optimize (from the
+    /// ASP engine).
     pub solve_time: Duration,
     /// Wall time for model interpretation.
     pub interpret_time: Duration,
@@ -154,15 +155,11 @@ pub struct ConcretizeStats {
     pub reusable_specs: usize,
     /// Generated program size in bytes.
     pub program_bytes: usize,
-    /// Whether this solve reused a memoized ground program (always
-    /// `false` without [`Concretizer::with_ground_cache`]).
+    /// Whether this solve replayed a memoized answer (always `false`
+    /// without [`Concretizer::with_ground_cache`]). A hit runs no
+    /// encode, parse, ground or search: its times and
+    /// [`ConcretizeStats::solver`] are zero.
     pub ground_cache_hit: bool,
-    /// Whether this solve replayed a memoized optimal model (skipping
-    /// the SAT search entirely): a ground-cache hit whose entry already
-    /// solved under the same search configuration. The replayed model
-    /// is bit-identical to what a fresh search would return — the
-    /// engine is deterministic per search config.
-    pub model_memo_hit: bool,
     /// Cumulative hits on the attached [`GroundCache`] *as of this
     /// solve's lookup* — taken from the counter update itself, so the
     /// value is exact even when many threads share the cache.
@@ -305,15 +302,15 @@ impl Concretizer {
         self
     }
 
-    /// Memoize prepared ground programs in `cache`. Repeated solves of
-    /// the same (closure package content, reusable-spec set, goal,
-    /// encode config) skip encode + parse + ground + CNF translation
-    /// entirely and go straight to
-    /// [`spackle_asp::Solver::solve_translated`]; the engine's
-    /// determinism makes the cached result identical to an uncached
-    /// solve. The cache is a shared handle: one warm [`GroundCache`] may
-    /// back every concretizer and every thread in a process — that is
-    /// the `spackled` service's entire fast path.
+    /// Memoize answers in `cache`. Repeated solves of the same
+    /// (closure package content, reusable-spec set, goal, encode config,
+    /// grounding limits, search knobs) skip encode, parse, ground,
+    /// translation and search, and replay the answer: the optimal model,
+    /// or [`CoreError::Unsatisfiable`]. The engine's determinism makes
+    /// the replay identical to an uncached solve. The cache is a shared
+    /// handle: one warm [`GroundCache`] may back every concretizer and
+    /// every thread in a process — that is the `spackled` service's
+    /// entire fast path.
     pub fn with_ground_cache(mut self, cache: Arc<GroundCache>) -> Self {
         self.ground_cache = Some(cache);
         self
@@ -375,31 +372,21 @@ impl Concretizer {
         Ok(enc)
     }
 
-    /// The memoization key for `goal` under this concretizer: a
-    /// fingerprint of every input that determines the prepared ground
-    /// program — the goal's package-segment fingerprints (see
-    /// [`Concretizer::segment_key`]), the reusable-spec fingerprints in
-    /// cache order, the goal, the encode-relevant configuration, and the
-    /// grounding limits. The cached entry holds the raw CNF translation.
-    /// Solver search knobs (`conflict_budget`, `max_stability_loops`,
-    /// `incremental_bnb`) are deliberately excluded: they never
-    /// change the prepared program — search config is re-applied per
-    /// solve. Process-local; never persist it.
+    /// The memoization key for `goal` plus the [`SegmentSet`] it is
+    /// composed from: one fingerprint per package in the goal's encode
+    /// closure (computed by the same `goal_scope` the encoder uses, so
+    /// the segment boundary can never drift from the fact base) and one
+    /// per reusable-spec source partition. The key also hashes the goal,
+    /// the encode-relevant configuration, the grounding limits and the
+    /// search knobs (`conflict_budget`, `incremental_bnb`), which can
+    /// steer which co-optimal model the search finds; the cancellation
+    /// token is left out, as it never changes an answer. The key is
+    /// **content-addressed**, so a delta that leaves every referenced
+    /// segment untouched leaves the key — and the cached entry's
+    /// validity — untouched too. Process-local; never persist it.
     ///
     /// Fallible because fingerprinting a remote source reads its index;
     /// a failure here is degradable like any other cache failure.
-    pub fn ground_key(&self, goal: &Goal) -> Result<u64, CoreError> {
-        Ok(self.segment_key_for(goal, &self.caches)?.0)
-    }
-
-    /// The composed memoization key for `goal` plus the [`SegmentSet`]
-    /// it is composed from: one fingerprint per package in the goal's
-    /// encode closure (computed by the same `goal_scope` the encoder
-    /// uses, so the segment boundary can never drift from the fact
-    /// base) and one per reusable-spec source partition. The key is
-    /// **content-addressed**, so a delta that leaves every referenced
-    /// segment untouched leaves the key — and the cached entry's
-    /// validity — untouched too.
     pub fn segment_key(&self, goal: &Goal) -> Result<(u64, Arc<SegmentSet>), CoreError> {
         self.segment_key_for(goal, &self.caches)
     }
@@ -452,31 +439,28 @@ impl Concretizer {
         .hash(&mut h);
         self.config.solver.limits.max_atoms.hash(&mut h);
         self.config.solver.limits.max_rules.hash(&mut h);
+        self.config.solver.conflict_budget.hash(&mut h);
+        self.config.solver.incremental_bnb.hash(&mut h);
         Ok((h.finish(), Arc::new(segments)))
     }
 
-    /// Fingerprint of the solver knobs that steer the *search* (and can
-    /// therefore steer which co-optimal model is found): the model memo
-    /// key. The cancellation token is excluded — it never changes the
-    /// model the deterministic engine returns.
-    fn search_fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.config.solver.conflict_budget.hash(&mut h);
-        self.config.solver.max_stability_loops.hash(&mut h);
-        self.config.solver.incremental_bnb.hash(&mut h);
-        h.finish()
+    /// An expired deadline or an explicit cancel, as a typed error.
+    fn check_cancel(&self) -> Result<(), CoreError> {
+        match self.config.solver.cancel.check() {
+            Some(deadline) => Err(CoreError::Cancelled { deadline }),
+            None => Ok(()),
+        }
     }
 
-    /// Run the pre-solve pipeline — encode, parse, ground, translate —
-    /// returning a prepared program with a fresh model memo plus the
-    /// encode / parse / ground wall times.
-    fn prepare(
+    /// The miss path: encode, parse, ground and solve `goal`, filling
+    /// `stats` with the encode, parse, ground and solve times and the
+    /// engine's statistics.
+    fn solve_cold(
         &self,
         goal: &Goal,
-        solver: &Solver,
         sources: &[Arc<dyn CacheSource>],
-    ) -> Result<(PreparedProgram, Duration, Duration, Duration), CoreError> {
+        stats: &mut ConcretizeStats,
+    ) -> Result<SolvedGoal, CoreError> {
         let t0 = Instant::now();
         let Encoded {
             program: text,
@@ -484,33 +468,52 @@ impl Concretizer {
             reusable_count,
             ledger: _,
         } = self.program_text_for(goal, sources)?;
-        let encode_time = t0.elapsed();
+        stats.encode_time = t0.elapsed();
 
         let t1 = Instant::now();
         let program = parse_program(&text)
             .map_err(|e| CoreError::Solve(format!("generated program invalid: {e}")))?;
-        let parse_time = t1.elapsed();
+        stats.parse_time = t1.elapsed();
 
-        // Ground and CNF-translate together: both are skipped on a cache
-        // hit, so `ground_time` covers the whole prepared-program cost
-        // beyond encode + parse.
+        let solver = Solver::with_config(self.config.solver.clone());
         let t2 = Instant::now();
         let ground = solver.ground(&program).map_err(solve_error)?;
-        let translated = Arc::new(solver.translate_ground(ground));
         let ground_time = t2.elapsed();
 
-        Ok((
-            PreparedProgram {
-                program: translated,
-                root_names,
-                reusable_count,
-                program_bytes: text.len(),
-                models: PreparedProgram::fresh_memo(),
-            },
-            encode_time,
-            parse_time,
-            ground_time,
-        ))
+        // Stage boundary: catch an expired deadline here even when the
+        // search itself would be too quick to poll its token — slow
+        // backends (injected or real latency) spend the budget before
+        // grounding ends, and the request must still time out
+        // deterministically.
+        self.check_cancel()?;
+        let (outcome, mut solver_stats) = solver.solve_ground(ground).map_err(solve_error)?;
+        solver_stats.ground_time = ground_time;
+        stats.solve_time = solver_stats.ground_time + solver_stats.solve_time;
+        stats.solver = solver_stats;
+        let model = match outcome {
+            SolveOutcome::Unsat => None,
+            SolveOutcome::Optimal(m) => Some(Arc::new(m)),
+        };
+
+        // Debug builds certificate-check the optimal model against its
+        // ground program (rule satisfaction, reduct minimality, cost
+        // honesty) before it is stored or interpreted. A failure here is
+        // a solver bug, never a user error.
+        #[cfg(debug_assertions)]
+        if let Some(model) = &model {
+            if let Err(e) = spackle_asp::certify::certify_model(model) {
+                return Err(CoreError::Solve(format!(
+                    "solver emitted an uncertifiable model: {e}"
+                )));
+            }
+        }
+
+        Ok(SolvedGoal {
+            model,
+            root_names,
+            reusable_count,
+            program_bytes: text.len(),
+        })
     }
 
     /// Concretize a goal (possibly multiple roots, possibly with
@@ -532,9 +535,7 @@ impl Concretizer {
         let mut active: Vec<Arc<dyn CacheSource>> = self.caches.clone();
         let mut skipped: Vec<SkippedSource> = Vec::new();
         loop {
-            if let Some(deadline) = self.config.solver.cancel.check() {
-                return Err(CoreError::Cancelled { deadline });
-            }
+            self.check_cancel()?;
             match self.concretize_with_sources(goal, &active) {
                 Ok(mut solution) => {
                     solution.stats.degraded = !skipped.is_empty();
@@ -574,16 +575,16 @@ impl Concretizer {
     ///
     /// This path deliberately differs from [`Concretizer::concretize_goal`]:
     ///
-    /// * **No dead-rule pruning and no ground cache.** Provenance needs
-    ///   the identity mapping from parsed-rule index to the grounder's
-    ///   `*_src` tables, and explanation is an off-path diagnostic — it
-    ///   must never pollute or depend on the hot solve pipeline.
+    /// * **No ground cache.** The cache keeps answers, while a core needs
+    ///   the ground program and each parsed rule's source offset; and
+    ///   explanation is an off-path diagnostic — it must never pollute or
+    ///   depend on the hot solve pipeline.
     /// * **No branch-and-bound.** Core extraction never optimizes, and
     ///   the CDCL core has one configuration, so the reported core does
     ///   not depend on [`SolverConfig::incremental_bnb`]. Grounding
-    ///   limits, the stability-loop cap and the cancellation token carry
-    ///   over; the configured `conflict_budget` bounds each deletion
-    ///   probe so a configured budget still limits total explain effort.
+    ///   limits and the cancellation token carry over; the configured
+    ///   `conflict_budget` bounds each deletion probe so a configured
+    ///   budget still limits total explain effort.
     ///
     /// Cancellation (an explicit kill or a request deadline installed
     /// via [`Concretizer::with_cancel`]) is honored between probes: the
@@ -658,97 +659,40 @@ impl Concretizer {
         sources: &[Arc<dyn CacheSource>],
     ) -> Result<Solution, CoreError> {
         let t_total = Instant::now();
-        let solver = Solver::with_config(self.config.solver.clone());
-
-        let mut ground_cache_hit = false;
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
-        let (prepared, encode_time, parse_time, ground_time) = match &self.ground_cache {
+        let mut stats = ConcretizeStats::default();
+        let solved = match &self.ground_cache {
             Some(cache) => {
                 let (key, segments) = self.segment_key_for(goal, sources)?;
                 let (found, hits, misses) = cache.lookup_counted(key);
-                cache_hits = hits;
-                cache_misses = misses;
+                stats.ground_cache_hits = hits;
+                stats.ground_cache_misses = misses;
                 match found {
-                    Some(prepared) => {
-                        ground_cache_hit = true;
-                        (prepared, Duration::ZERO, Duration::ZERO, Duration::ZERO)
+                    // A hit did no grounding and no search: its times and
+                    // solver statistics stay zero. It keeps the deadline
+                    // check a miss makes before its search.
+                    Some(solved) => {
+                        stats.ground_cache_hit = true;
+                        self.check_cancel()?;
+                        solved
                     }
+                    // Only a finished search is stored, after it ran: a
+                    // cancelled or budget-exhausted solve inserts nothing.
                     None => {
-                        let (prepared, et, pt, gt) = self.prepare(goal, &solver, sources)?;
-                        cache.insert(key, segments, prepared.clone());
-                        (prepared, et, pt, gt)
+                        let solved = self.solve_cold(goal, sources, &mut stats)?;
+                        cache.insert(key, segments, solved.clone());
+                        solved
                     }
                 }
             }
-            None => self.prepare(goal, &solver, sources)?,
+            None => self.solve_cold(goal, sources, &mut stats)?,
         };
-        // Stage boundary: catch an expired deadline here even when the
-        // search itself would be too quick to poll its token — slow
-        // backends (injected or real latency) spend the budget during
-        // prepare, and the request must still time out deterministically.
-        if let Some(deadline) = self.config.solver.cancel.check() {
-            return Err(CoreError::Cancelled { deadline });
-        }
-        let PreparedProgram {
-            program: translated,
+        let SolvedGoal {
+            model,
             root_names,
             reusable_count,
             program_bytes,
-            models,
-        } = prepared;
-
-        // Model memo: a warm entry that already solved under this search
-        // configuration replays the memoized model instead of searching.
-        // Keyed per search config because co-optimal models can differ
-        // across configs; within one config the engine is deterministic,
-        // so the replay is bit-identical to a fresh search (and was
-        // certificate-checked when first produced).
-        let search_key = self.search_fingerprint();
-        let memoized = models.read().get(&search_key).cloned();
-        let mut model_memo_hit = false;
-        let (model, mut solver_stats) = match memoized {
-            Some((model, stats)) => {
-                model_memo_hit = true;
-                let mut stats = stats;
-                // The memo hit does no search or grounding *now*; keep
-                // the search counters (they describe the model's
-                // provenance) but report zero wall time for this solve.
-                stats.solve_time = Duration::ZERO;
-                (model, stats)
-            }
-            None => {
-                let (outcome, stats) =
-                    solver.solve_translated(&translated).map_err(solve_error)?;
-                let model = match outcome {
-                    SolveOutcome::Unsat => return Err(CoreError::Unsatisfiable),
-                    SolveOutcome::Optimal(m) => Arc::new(m),
-                };
-
-                // Debug builds certificate-check the optimal model
-                // against its ground program (rule satisfaction, reduct
-                // minimality, cost honesty) before interpreting it into
-                // specs. A failure here is a solver bug, never a user
-                // error.
-                #[cfg(debug_assertions)]
-                if let Err(e) = spackle_asp::certify::certify_model(&model) {
-                    return Err(CoreError::Solve(format!(
-                        "solver emitted an uncertifiable model: {e}"
-                    )));
-                }
-
-                models
-                    .write()
-                    .entry(search_key)
-                    .or_insert_with(|| (model.clone(), stats));
-                (model, stats)
-            }
-        };
-        // `solve_translated` cannot know grounding cost; restore the
-        // stats convention that `solver.ground_time` covers this solve's
-        // ground + translate work (zero on a cache hit — that is the
-        // point).
-        solver_stats.ground_time = ground_time;
+        } = solved;
+        let model = model.ok_or(CoreError::Unsatisfiable)?;
 
         let t2 = Instant::now();
         let Interpretation {
@@ -757,32 +701,21 @@ impl Concretizer {
             built,
             spliced,
         } = interpret(&model, sources, &root_names)?;
-        let interpret_time = t2.elapsed();
+        stats.interpret_time = t2.elapsed();
+        stats.total_time = t_total.elapsed();
+        stats.reusable_specs = reusable_count;
+        stats.program_bytes = program_bytes;
 
+        // Degradation and fault-delta fields are filled in by the
+        // `concretize_goal` fault boundary, which sees the whole retry
+        // history rather than one attempt.
         Ok(Solution {
             specs,
             reused,
             built,
             spliced,
             cost: model.cost.clone(),
-            stats: ConcretizeStats {
-                encode_time,
-                parse_time,
-                solve_time: solver_stats.ground_time + solver_stats.solve_time,
-                interpret_time,
-                total_time: t_total.elapsed(),
-                reusable_specs: reusable_count,
-                program_bytes,
-                ground_cache_hit,
-                model_memo_hit,
-                ground_cache_hits: cache_hits,
-                ground_cache_misses: cache_misses,
-                solver: solver_stats,
-                // Degradation and fault-delta fields are filled in by
-                // the `concretize_goal` fault boundary, which sees the
-                // whole retry history rather than one attempt.
-                ..Default::default()
-            },
+            stats,
         })
     }
 }

@@ -1,25 +1,21 @@
-//! Ground-program memoization: skip encode + parse + ground + CNF
-//! translation on repeated solves.
+//! Answer memoization: skip encode, parse, ground, translation and
+//! search on repeated solves.
 //!
 //! The radiuss workloads solve dozens of near-identical goals against one
-//! repository and one reusable-spec set; encoding, grounding, and
-//! translation dominate their latency. A [`GroundCache`] keys a fully
-//! prepared [`spackle_asp::TranslatedProgram`] by a fingerprint of
-//! everything that determines it — the goal's package-segment
-//! fingerprints, the reusable-spec sets (in cache order), the goal, the
-//! encode configuration, and the grounding limits — so a repeated solve
-//! goes straight to [`spackle_asp::Solver::solve_translated`], which
-//! clones the pristine pre-search SAT instance and searches. The engine
-//! is deterministic, so a cached re-solve returns a bit-identical model
-//! (and therefore identical specs and DAG hashes) to an uncached one.
+//! repository and one reusable-spec set. A [`GroundCache`] keys each
+//! goal's answer — a [`SolvedGoal`]: the optimal model, or the fact that
+//! there is none — by a fingerprint of everything that determines it:
+//! the goal's package-segment fingerprints, the reusable-spec sets (in
+//! cache order), the goal, the encode configuration, the grounding
+//! limits and the search knobs. A repeated solve replays the answer and
+//! goes straight to interpretation. The search knobs are in the key
+//! because co-optimal models may differ *across* search configurations
+//! (only the cost vector is guaranteed equal); within one configuration
+//! the engine is deterministic, so a replay is bit-identical to a fresh
+//! solve (same specs, same DAG hashes).
 //!
-//! On top of that, each [`PreparedProgram`] carries a **model memo**: the
-//! optimal model per search configuration, so a warm hit under an
-//! already-seen search config skips the SAT search too and goes straight
-//! to interpretation. Memoized models are keyed by a search-config
-//! fingerprint because co-optimal models may differ *across* search
-//! configs (only the cost vector is guaranteed equal); within one config
-//! the engine is deterministic, so replaying the memo is bit-identical.
+//! Only finished searches are stored: a solve that is cancelled or runs
+//! out of its conflict budget inserts nothing.
 //!
 //! ## Concurrency
 //!
@@ -37,25 +33,25 @@
 //!
 //! ## Segment-keyed partial invalidation
 //!
-//! Every entry records the [`SegmentSet`] it was prepared over — one
+//! Every entry records the [`SegmentSet`] it was solved over — one
 //! fingerprint per closure package plus one per reusable-spec source
 //! partition. A repository or buildcache delta becomes a
 //! [`SegmentDelta`]; [`GroundCache::apply_delta`] drops exactly the
 //! entries whose segments moved and **retains the rest** (their keys are
 //! content-composed, so they keep hitting after the delta). A dropped
-//! entry is gone: the next solve for its goal re-grounds, re-translates
-//! and searches afresh. [`GroundCache::clear`] drops everything, for a
-//! service that wants a wholly cold cache.
+//! entry is gone: the next solve for its goal re-grounds and searches
+//! afresh. [`GroundCache::clear`] drops everything, for a service that
+//! wants a wholly cold cache.
 //!
 //! Stale-segment rejection under concurrency: `apply_delta` publishes
 //! the post-delta fingerprints to a *retired* table **before** sweeping
 //! the shards, and [`GroundCache::insert`] checks that table while
-//! holding the target shard's write lock. An in-flight solve that
-//! prepared against pre-delta content therefore either inserts before
-//! the sweep (and is swept) or after the retire publication (and is
-//! rejected) — a stale program can never survive a delta. A solve that
-//! finishes after a `clear` may re-insert its program: the key is
-//! computed from the content the program was prepared over, so the entry
+//! holding the target shard's write lock. An in-flight solve over
+//! pre-delta content therefore either inserts before the sweep (and is
+//! swept) or after the retire publication (and is rejected) — a stale
+//! answer can never survive a delta. A solve that
+//! finishes after a `clear` may re-insert its answer: the key is
+//! computed from the content the answer was solved over, so the entry
 //! is exactly what a fresh solve would insert.
 //!
 //! Fingerprints use the process-default hasher, so a cache is only
@@ -65,7 +61,7 @@
 use crate::segment::{SegmentDelta, SegmentSet};
 use parking_lot::RwLock;
 use rustc_hash::FxHashMap;
-use spackle_asp::{Model, SolveStats, TranslatedProgram};
+use spackle_asp::Model;
 use spackle_spec::Sym;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -75,42 +71,27 @@ use std::sync::Arc;
 /// counts a one-box service runs (requests far outnumber cores).
 pub const SHARD_COUNT: usize = 16;
 
-/// Shared memo of optimal models per search-config fingerprint. Lives on
-/// the [`PreparedProgram`] behind an `Arc`, so every clone handed out by
-/// cache lookups writes into (and reads from) the same memo.
-pub type ModelMemo = Arc<RwLock<FxHashMap<u64, (Arc<Model>, SolveStats)>>>;
-
-/// Everything the concretizer needs to resume after the ground and
-/// translate steps: the translated program plus the encode-time
-/// byproducts that feed model interpretation and statistics.
+/// One goal's answer: the optimal model, or none when the goal is
+/// unsatisfiable, plus the encode-time byproducts that feed model
+/// interpretation and statistics.
 #[derive(Clone)]
-pub struct PreparedProgram {
-    /// The grounded + CNF-translated program, shareable across solves.
-    pub program: Arc<TranslatedProgram>,
+pub struct SolvedGoal {
+    /// The optimal model (its ground program included, which
+    /// interpretation reads); `None` means unsatisfiable.
+    pub model: Option<Arc<Model>>,
     /// Root package names, in request order (interpretation input).
     pub root_names: Vec<Sym>,
     /// Reusable specs encoded into the program.
     pub reusable_count: usize,
     /// Generated program text size in bytes.
     pub program_bytes: usize,
-    /// Memoized optimal models, one per search-config fingerprint (see
-    /// module docs). Shared across every clone of this entry.
-    pub models: ModelMemo,
 }
 
-impl PreparedProgram {
-    /// An empty, shareable model memo (the state every fresh
-    /// preparation starts with).
-    pub fn fresh_memo() -> ModelMemo {
-        Arc::new(RwLock::new(FxHashMap::default()))
-    }
-}
-
-/// A cached entry: the prepared program tagged with the segment
-/// fingerprints it was prepared over (the delta invalidation key).
+/// A cached entry: the answer tagged with the segment fingerprints it
+/// was solved over (the delta invalidation key).
 struct Entry {
     segments: Arc<SegmentSet>,
-    prepared: PreparedProgram,
+    solved: SolvedGoal,
 }
 
 /// What one [`GroundCache::apply_delta`] call did.
@@ -159,10 +140,10 @@ impl GroundCacheStats {
     }
 }
 
-/// A process-local memo table from solve fingerprints to prepared ground
-/// programs, sharded for concurrent access, with atomic hit/miss
-/// counters and segment-keyed partial invalidation. One cache may back
-/// an entire service — every worker thread, every session — through a
+/// A process-local memo table from solve fingerprints to answers,
+/// sharded for concurrent access, with atomic hit/miss counters and
+/// segment-keyed partial invalidation. One cache may back an entire
+/// service — every worker thread, every session — through a
 /// shared [`Arc<GroundCache>`].
 pub struct GroundCache {
     shards: [RwLock<FxHashMap<u64, Entry>>; SHARD_COUNT],
@@ -218,7 +199,7 @@ impl GroundCache {
     }
 
     /// Look up `key`, counting a hit or a miss.
-    pub fn lookup(&self, key: u64) -> Option<PreparedProgram> {
+    pub fn lookup(&self, key: u64) -> Option<SolvedGoal> {
         self.lookup_counted(key).0
     }
 
@@ -227,12 +208,8 @@ impl GroundCache {
     /// atomic update itself, so a solve's reported counters are exact
     /// even when other threads interleave lookups — reading
     /// [`GroundCache::hits`] after the fact cannot promise that.
-    pub fn lookup_counted(&self, key: u64) -> (Option<PreparedProgram>, u64, u64) {
-        let found = self
-            .shard(key)
-            .read()
-            .get(&key)
-            .map(|e| e.prepared.clone());
+    pub fn lookup_counted(&self, key: u64) -> (Option<SolvedGoal>, u64, u64) {
+        let found = self.shard(key).read().get(&key).map(|e| e.solved.clone());
         match &found {
             Some(_) => {
                 let hits = self.hits.fetch_add(1, Ordering::Relaxed) + 1;
@@ -267,24 +244,24 @@ impl GroundCache {
             .any(|(idx, fp)| retired.get(idx).is_some_and(|cur| *cur != Some(*fp)))
     }
 
-    /// Store the prepared program for `key`, tagged with the
-    /// [`SegmentSet`] it was prepared over (last writer wins; entries for
-    /// one key are interchangeable because the preparation pipeline is
-    /// deterministic). Inserts referencing a segment fingerprint a delta
-    /// has retired are dropped: a solve that raced a delta update cannot
-    /// resurrect a stale program.
-    pub fn insert(&self, key: u64, segments: Arc<SegmentSet>, prepared: PreparedProgram) {
+    /// Store the answer for `key`, tagged with the [`SegmentSet`] it was
+    /// solved over (last writer wins; entries for one key are
+    /// interchangeable because the solve pipeline is deterministic).
+    /// Inserts referencing a segment fingerprint a delta has retired are
+    /// dropped: a solve that raced a delta update cannot resurrect a
+    /// stale answer.
+    pub fn insert(&self, key: u64, segments: Arc<SegmentSet>, solved: SolvedGoal) {
         let mut shard = self.shard(key).write();
         // The stale check must happen under the shard lock: apply_delta
         // publishes retirements before sweeping, so an insert that
         // misses the retirement here commits before the sweep and is
         // swept, and one that sees it is rejected. No interleaving lets
-        // a stale program survive.
+        // a stale answer survive.
         if self.is_stale(&segments) {
             self.invalidated.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        shard.insert(key, Entry { segments, prepared });
+        shard.insert(key, Entry { segments, solved });
     }
 
     /// Apply a segment delta: drop exactly the entries whose recorded
@@ -354,7 +331,7 @@ impl GroundCache {
         }
     }
 
-    /// Number of cached ground programs.
+    /// Number of cached answers.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.read().len()).sum()
     }
@@ -366,7 +343,7 @@ impl GroundCache {
 
     /// Drop every entry and return how many were dropped, counting them
     /// as invalidated. The retirement tables are kept, so a straggler
-    /// prepared before an earlier delta is still rejected afterwards.
+    /// solved before an earlier delta is still rejected afterwards.
     /// In-flight solves keep their `Arc` handles and finish untouched.
     pub fn clear(&self) -> usize {
         let mut dropped = 0;
@@ -387,16 +364,15 @@ impl GroundCache {
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<GroundCache>();
-    assert_send_sync::<PreparedProgram>();
+    assert_send_sync::<SolvedGoal>();
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // PreparedProgram requires a TranslatedProgram, which only the
-    // solver can make; unit tests here cover the counter and retirement
-    // logic via the public surface exercised by integration tests.
+    // Answers come from solves; unit tests here cover the counter and
+    // retirement logic, and the integration tests cover the entries.
     #[test]
     fn empty_cache_misses_coherently() {
         let gc = GroundCache::new();

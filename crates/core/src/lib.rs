@@ -30,7 +30,7 @@ pub use concretizer::{ConcretizeStats, Concretizer, ConcretizerConfig, SkippedSo
 pub use encode::{EncodeConfig, EncodeOrigin, Encoded, Encoding, Goal};
 pub use explain::{ExplainEntry, Explanation};
 pub use ground_cache::{
-    DeltaReport, GroundCache, GroundCacheStats, ModelMemo, PreparedProgram, SHARD_COUNT,
+    DeltaReport, GroundCache, GroundCacheStats, SolvedGoal, SHARD_COUNT,
 };
 pub use interpret::SpliceReport;
 pub use segment::{repo_delta, SegmentDelta, SegmentSet};

@@ -3,8 +3,8 @@
 //! The encoded fact base decomposes into independently fingerprinted
 //! **segments**: one per package in the goal's encode closure (see
 //! `encode::goal_scope`) plus one per reusable-spec source partition.
-//! A cached [`PreparedProgram`](crate::PreparedProgram) records the
-//! [`SegmentSet`] it was prepared over; when the world changes — a new
+//! A cached [`SolvedGoal`](crate::SolvedGoal) records the
+//! [`SegmentSet`] it was solved over; when the world changes — a new
 //! package version lands, a buildcache index refreshes — the change is
 //! expressed as a [`SegmentDelta`] and applied with
 //! [`GroundCache::apply_delta`](crate::GroundCache::apply_delta), which
@@ -34,7 +34,7 @@
 use spackle_repo::Repository;
 use spackle_spec::Sym;
 
-/// The fingerprinted segments one prepared program depends on.
+/// The fingerprinted segments one cached answer depends on.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SegmentSet {
     /// `(package, fingerprint)` per closure package, sorted by name.

@@ -1,11 +1,12 @@
-//! Ground-program memoization semantics: a cache hit must be exactly
-//! that — same key, same prepared program, bit-identical solution — and
-//! every input that can change the ground program must change the key.
+//! Answer memoization semantics: a cache hit must be exactly that — same
+//! key, same answer, bit-identical solution — and every input that can
+//! change the answer must change the key.
 
 use proptest::prelude::*;
 use proptest::TestRng;
+use spackle_asp::SolverConfig;
 use spackle_buildcache::BuildCache;
-use spackle_core::{Concretizer, ConcretizerConfig, Goal, GroundCache};
+use spackle_core::{Concretizer, ConcretizerConfig, CoreError, Goal, GroundCache};
 use spackle_repo::{PackageBuilder, Repository};
 use spackle_spec::{parse_spec, Target};
 use std::time::Duration;
@@ -43,10 +44,12 @@ fn identical_resolve_hits_and_matches() {
     assert_eq!(second.stats.ground_cache_hits, 1);
     assert_eq!(second.stats.ground_cache_misses, 1);
 
-    // A hit skips encode + parse + ground + CNF translation entirely...
+    // A hit skips encode + parse + ground + search entirely...
     assert_eq!(second.stats.encode_time, Duration::ZERO);
     assert_eq!(second.stats.parse_time, Duration::ZERO);
     assert_eq!(second.stats.solver.ground_time, Duration::ZERO);
+    assert_eq!(second.stats.solve_time, Duration::ZERO);
+    assert_eq!(second.stats.solver.propagations, 0);
     // ...and still returns the identical concretization.
     assert_eq!(first.spec().dag_hash(), second.spec().dag_hash());
     assert_eq!(first.reused, second.reused);
@@ -146,6 +149,77 @@ fn config_change_misses() {
     assert!(!sol.stats.ground_cache_hit, "encoding change must miss");
     assert_eq!(cache.misses(), 3);
     assert_eq!(cache.hits(), 0);
+}
+
+#[test]
+fn search_config_change_misses() {
+    let repo = tiny_repo();
+    let cache = GroundCache::shared();
+    let goal = parse_spec("app").unwrap();
+    let modern = Concretizer::new(&repo)
+        .with_ground_cache(cache.clone())
+        .concretize(&goal)
+        .unwrap();
+
+    // Co-optimal models can differ across search configurations, so a
+    // search knob is part of the key: the seed engine solves for itself.
+    let seed = Concretizer::new(&repo)
+        .with_config(ConcretizerConfig {
+            solver: SolverConfig::seed_engine(),
+            ..Default::default()
+        })
+        .with_ground_cache(cache.clone());
+    let first = seed.concretize(&goal).unwrap();
+    assert!(
+        !first.stats.ground_cache_hit,
+        "search config change must miss"
+    );
+    assert_eq!(first.cost, modern.cost, "both engines reach one optimum");
+
+    let second = seed.concretize(&goal).unwrap();
+    assert!(second.stats.ground_cache_hit, "same search config must hit");
+    assert_eq!(second.spec().dag_hash(), first.spec().dag_hash());
+    assert_eq!((cache.misses(), cache.hits(), cache.len()), (2, 1, 2));
+}
+
+#[test]
+fn unsatisfiable_answer_is_replayed() {
+    // app's two deps pin zlib to disjoint versions.
+    let repo = Repository::from_packages([
+        PackageBuilder::new("zlib")
+            .version("1.3")
+            .version("1.2.11")
+            .build()
+            .unwrap(),
+        PackageBuilder::new("liba")
+            .version("1.0")
+            .depends_on("zlib@1.2")
+            .build()
+            .unwrap(),
+        PackageBuilder::new("libb")
+            .version("1.0")
+            .depends_on("zlib@1.3")
+            .build()
+            .unwrap(),
+        PackageBuilder::new("app")
+            .version("2.0")
+            .depends_on("liba")
+            .depends_on("libb")
+            .build()
+            .unwrap(),
+    ])
+    .unwrap();
+    let cache = GroundCache::shared();
+    let conc = Concretizer::new(&repo).with_ground_cache(cache.clone());
+    let goal = parse_spec("app").unwrap();
+    for attempt in ["miss", "hit"] {
+        match conc.concretize(&goal) {
+            Err(CoreError::Unsatisfiable) => {}
+            other => panic!("{attempt}: expected Unsatisfiable, got {other:?}"),
+        }
+    }
+    // The second solve replayed the stored UNSAT answer.
+    assert_eq!((cache.misses(), cache.hits(), cache.len()), (1, 1, 1));
 }
 
 #[test]

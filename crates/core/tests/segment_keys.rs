@@ -4,13 +4,14 @@
 //! properties checked here at the public-API level:
 //!
 //! * **composition** — the memo key is composed from exactly the
-//!   content the prepared program depends on: one fingerprint per
+//!   content the cached answer depends on: one fingerprint per
 //!   closure package, one per reusable-spec source partition, the goal,
-//!   and the encode-shaping config axes. Nothing else may leak in, or
-//!   retained entries would stop hitting after unrelated deltas.
+//!   the encode-shaping config axes and the search knobs. Nothing else
+//!   may leak in, or retained entries would stop hitting after
+//!   unrelated deltas.
 //! * **stale rejection** — a solve that raced a delta (started on the
 //!   pre-delta snapshot, finished after `apply_delta`) must not be able
-//!   to re-insert its stale program: the retirement tables reject the
+//!   to re-insert its stale answer: the retirement tables reject the
 //!   insert under the shard lock, and the dropped entry leaves nothing
 //!   behind in the cache. Checked directly for a straggler and under a
 //!   concurrent solver/mutator stress loop.
@@ -147,15 +148,15 @@ fn stale_straggler_insert_is_rejected_after_delta() {
     let old = Concretizer::new(&repo_old).with_ground_cache(gc.clone());
     old.concretize(&goal).unwrap();
     assert_eq!(gc.len(), 1);
-    let key = old.ground_key(&Goal::single(goal.clone())).unwrap();
+    let (key, _) = old.segment_key(&Goal::single(goal.clone())).unwrap();
     let warm = gc.lookup(key).expect("warm entry");
     let report = gc.apply_delta(&repo_delta(&repo_old, &repo_new));
     assert_eq!((report.invalidated, report.retained), (1, 0));
     assert_eq!(gc.len(), 0);
     // The cache keeps nothing of a dropped entry: this clone holds the
-    // last references to its translation and its model memo.
-    assert_eq!(Arc::strong_count(&warm.program), 1);
-    assert_eq!(Arc::strong_count(&warm.models), 1);
+    // last reference to its model.
+    let model = warm.model.as_ref().expect("app is satisfiable");
+    assert_eq!(Arc::strong_count(model), 1);
 
     // A straggler still holding the pre-delta snapshot re-solves: it
     // misses (entry gone) and its re-insert references the retired

@@ -348,6 +348,12 @@ mod tests {
         assert!(again.ok);
         assert!(again.ground_cache_hit, "warm cache");
         assert_eq!(again.hashes, resp.hashes, "warm solve is bit-identical");
+        // A replayed answer ran no search, so it reports none.
+        assert_eq!(
+            (again.conflicts, again.decisions, again.propagations),
+            (0, 0, 0),
+            "a ground-cache hit must not count the first search again"
+        );
 
         let last = handle(&state, &mut session, &Request::op("last").with_id(3));
         assert!(last.ok);
@@ -404,7 +410,7 @@ mod tests {
         assert!(!late.stats.ground_cache_hit, "invalidate dropped the entry");
         assert_eq!(state.ground_cache().len(), 1, "the late solve repopulates");
 
-        // Its key is computed from the content it was prepared over, so
+        // Its key is computed from the content it was solved over, so
         // the late insert is exactly what a fresh solve would store.
         let resp = handle(&state, &mut session, &Request::concretize("app"));
         assert!(resp.ok);

@@ -2,8 +2,8 @@
 
 //! # spackle-server — `spackled`, the long-lived concretization service
 //!
-//! PR 5's ground-program memoization makes warm solves ~2.5× faster,
-//! but a cold CLI process throws the warm state away every time. This
+//! The ground cache replays the answers to repeated solves, but a cold
+//! CLI process throws the warm state away every time. This
 //! crate keeps it resident: `spackled` owns a [`Repository`] snapshot,
 //! chained [`CacheSource`] indexes, and one shared warm
 //! [`GroundCache`], and serves concurrent concretize / audit / stats /

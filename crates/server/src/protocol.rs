@@ -171,7 +171,7 @@ pub struct Response {
     /// Number of executed splices.
     #[serde(default)]
     pub spliced: u64,
-    /// Did this solve reuse a memoized ground program?
+    /// Did this solve replay a memoized answer?
     #[serde(default)]
     pub ground_cache_hit: bool,
     /// End-to-end solve wall time in milliseconds.
@@ -211,13 +211,14 @@ pub struct Response {
 
     // --- search effort (this solve's in `concretize`/`last`,
     //     cumulative since boot in `stats`) ---
-    /// SAT conflicts resolved.
+    /// SAT conflicts resolved; 0 on a ground-cache hit, which replays
+    /// its answer without searching.
     #[serde(default)]
     pub conflicts: u64,
-    /// SAT decisions made.
+    /// SAT decisions made; 0 on a ground-cache hit.
     #[serde(default)]
     pub decisions: u64,
-    /// SAT literal propagations performed.
+    /// SAT literal propagations performed; 0 on a ground-cache hit.
     #[serde(default)]
     pub propagations: u64,
 
@@ -254,7 +255,7 @@ pub struct Response {
     /// `ground_hits / (ground_hits + ground_misses)`, 0.0 when idle.
     #[serde(default)]
     pub hit_rate: f64,
-    /// Prepared programs currently resident in the ground cache.
+    /// Answers currently resident in the ground cache.
     #[serde(default)]
     pub cache_entries: u64,
     /// Ground-cache entries dropped (cumulative in `stats`; this call's

@@ -11,12 +11,12 @@
 //! Invalidation is *graceful by construction*: `update` publishes a new
 //! repository snapshot and drops the ground-cache entries whose segments
 //! it moved, and `invalidate` clears the ground cache. Solves already in
-//! flight keep their own `Arc` snapshot of the repository and their own
-//! handle to the prepared program, so they finish — bit-identical to
-//! what they would have produced. The cache's retirement table rejects
-//! stale stragglers from before an update; a straggler that finishes
-//! after `invalidate` may re-insert its program, which is correct
-//! because cache keys are computed from content.
+//! flight keep their own `Arc` snapshot of the repository and solve it
+//! to the end, so they finish — bit-identical to what they would have
+//! produced. The cache's retirement table rejects stale stragglers from
+//! before an update; a straggler that finishes after `invalidate` may
+//! re-insert its answer, which is correct because cache keys are
+//! computed from content.
 //!
 //! Overload and shutdown are handled here too, as [`OpsConfig`] knobs:
 //!
@@ -199,8 +199,8 @@ impl ServerState {
 
     /// Drop every ground-cache entry and return how many were dropped.
     /// In-flight solves finish untouched; one that finishes afterwards
-    /// may re-insert its program, which is still valid because the key
-    /// is computed from the content it was prepared over.
+    /// may re-insert its answer, which is still valid because the key
+    /// is computed from the content it was solved over.
     pub fn invalidate(&self) -> usize {
         self.ground_cache.clear()
     }

@@ -1,6 +1,6 @@
 //! `--explain` provenance after a delta update.
 //!
-//! The incremental-reconcretization pipeline retains prepared programs
+//! The incremental-reconcretization pipeline retains cached answers
 //! across repository deltas and re-grounds only affected segments; the
 //! unsat-core explainer maps core members back to source directives by
 //! looking the originating definitions up in the *current* repository.
