@@ -107,7 +107,7 @@ pub struct GroundProgram {
     /// Ground minimize terms.
     pub minimize: Vec<GroundMin>,
     /// Provenance: for each entry of `rules`, the index of the source
-    /// [`Program`](crate::program::Program) rule that emitted it. When
+    /// [`Program`] rule that emitted it. When
     /// two source rules ground to the same (deduplicated) instance, the
     /// first emitter in rule order wins.
     pub rule_src: Vec<u32>,

@@ -11,7 +11,7 @@
 //! Every lookup is **fallible**: a backend may time out, refuse, or
 //! serve corrupt data, so each read returns `Result<_, CacheError>` with
 //! transient/permanent/corrupt provenance (see
-//! [`CacheError`](crate::CacheError)). In-memory sources simply always
+//! [`CacheError`]). In-memory sources simply always
 //! return `Ok`; the [`FaultInjector`](crate::FaultInjector) wrapper and
 //! real remote backends exercise the error paths.
 //!

@@ -160,14 +160,6 @@ pub struct ConcretizeStats {
     /// encode, parse, ground or search: its times and
     /// [`ConcretizeStats::solver`] are zero.
     pub ground_cache_hit: bool,
-    /// Cumulative hits on the attached [`GroundCache`] *as of this
-    /// solve's lookup* — taken from the counter update itself, so the
-    /// value is exact even when many threads share the cache.
-    pub ground_cache_hits: u64,
-    /// Cumulative misses on the attached [`GroundCache`] as of this
-    /// solve's lookup (same atomic-snapshot guarantee as
-    /// [`ConcretizeStats::ground_cache_hits`]).
-    pub ground_cache_misses: u64,
     /// True when one or more reusable-spec sources failed past their
     /// retry budget and the solve proceeded without them (see
     /// [`ConcretizerConfig::degrade_on_cache_failure`]). A degraded
@@ -177,20 +169,11 @@ pub struct ConcretizeStats {
     /// Which sources a degraded solve skipped, in the order they were
     /// dropped. Empty when `degraded` is false.
     pub skipped_sources: Vec<SkippedSource>,
-    /// Cache-source retries performed during this solve (delta of the
-    /// sources' cumulative [`SourceFaultStats`] across the call).
-    pub cache_retries: u64,
-    /// Transient cache-source errors observed during this solve.
-    pub cache_transient_errors: u64,
-    /// Permanent cache-source errors observed during this solve.
-    pub cache_permanent_errors: u64,
-    /// Corrupt cache entries detected (and refused) during this solve.
-    pub cache_corrupt_entries: u64,
-    /// Circuit-breaker opens during this solve.
-    pub cache_breaker_opens: u64,
-    /// Faults injected by [`spackle_buildcache::FaultInjector`] wrappers
-    /// during this solve (zero outside chaos testing).
-    pub cache_injected_faults: u64,
+    /// Cache-source faults handled during this solve: the delta of the
+    /// sources' cumulative [`SourceFaultStats`] across the call. Its
+    /// `injected_faults` count [`spackle_buildcache::FaultInjector`]
+    /// faults, zero outside chaos testing.
+    pub cache_faults: SourceFaultStats,
     /// ASP engine statistics.
     pub solver: SolveStats,
 }
@@ -540,13 +523,8 @@ impl Concretizer {
                 Ok(mut solution) => {
                     solution.stats.degraded = !skipped.is_empty();
                     solution.stats.skipped_sources = std::mem::take(&mut skipped);
-                    let delta = self.merged_fault_stats().saturating_sub(fault_before);
-                    solution.stats.cache_retries = delta.retries;
-                    solution.stats.cache_transient_errors = delta.transient_errors;
-                    solution.stats.cache_permanent_errors = delta.permanent_errors;
-                    solution.stats.cache_corrupt_entries = delta.corrupt_entries;
-                    solution.stats.cache_breaker_opens = delta.breaker_opens;
-                    solution.stats.cache_injected_faults = delta.injected_faults;
+                    solution.stats.cache_faults =
+                        self.merged_fault_stats().saturating_sub(fault_before);
                     return Ok(solution);
                 }
                 Err(CoreError::Cache {
@@ -663,10 +641,7 @@ impl Concretizer {
         let solved = match &self.ground_cache {
             Some(cache) => {
                 let (key, segments) = self.segment_key_for(goal, sources)?;
-                let (found, hits, misses) = cache.lookup_counted(key);
-                stats.ground_cache_hits = hits;
-                stats.ground_cache_misses = misses;
-                match found {
+                match cache.lookup(key) {
                     // A hit did no grounding and no search: its times and
                     // solver statistics stay zero. It keeps the deadline
                     // check a miss makes before its search.

@@ -21,38 +21,34 @@
 //!
 //! One cache backs *many* threads: the `spackled` concretization service
 //! shares a single warm `GroundCache` across every in-flight request.
-//! The table is therefore **sharded** — keys are distributed over
-//! [`SHARD_COUNT`] independent read-mostly [`parking_lot::RwLock`]
-//! maps, so the hot path (a warm hit) takes one shard's read lock and
-//! never serializes against hits on other shards or against inserts
-//! into other shards. Hit/miss counters are atomics; use
-//! [`GroundCache::lookup_counted`] to get the counter values that
-//! include *this* lookup as one atomic read-modify-write, which is what
-//! per-solve statistics must report when other threads are hammering the
-//! same cache.
+//! The table is one [`parking_lot::RwLock`] over one map. A warm hit
+//! holds the read lock only to clone one [`SolvedGoal`] (an `Arc` and a
+//! few names), so concurrent hits share it; inserts, delta sweeps and
+//! [`GroundCache::clear`] take the write lock. Hit and miss counters are
+//! atomics.
 //!
 //! ## Segment-keyed partial invalidation
 //!
 //! Every entry records the [`SegmentSet`] it was solved over — one
 //! fingerprint per closure package plus one per reusable-spec source
-//! partition. A repository or buildcache delta becomes a
-//! [`SegmentDelta`]; [`GroundCache::apply_delta`] drops exactly the
-//! entries whose segments moved and **retains the rest** (their keys are
+//! partition. A repository delta becomes a [`SegmentDelta`];
+//! [`GroundCache::apply_delta`] drops exactly the entries whose package
+//! segments moved and **retains the rest** (their keys are
 //! content-composed, so they keep hitting after the delta). A dropped
 //! entry is gone: the next solve for its goal re-grounds and searches
 //! afresh. [`GroundCache::clear`] drops everything, for a service that
 //! wants a wholly cold cache.
 //!
-//! Stale-segment rejection under concurrency: `apply_delta` publishes
-//! the post-delta fingerprints to a *retired* table **before** sweeping
-//! the shards, and [`GroundCache::insert`] checks that table while
-//! holding the target shard's write lock. An in-flight solve over
-//! pre-delta content therefore either inserts before the sweep (and is
-//! swept) or after the retire publication (and is rejected) — a stale
-//! answer can never survive a delta. A solve that
-//! finishes after a `clear` may re-insert its answer: the key is
-//! computed from the content the answer was solved over, so the entry
-//! is exactly what a fresh solve would insert.
+//! The key is the only staleness rule. It is composed from the content
+//! its answer was solved over, and every request composes its key from
+//! the content it solves, so a request on the current world can never
+//! look up an answer solved over content that has since moved. A solve
+//! that raced a delta — started on the pre-delta snapshot, inserted after
+//! the sweep — leaves an unreachable entry, not a wrong answer, just like
+//! an entry a package addition orphans. That straggler stays until the
+//! next delta that moves one of its packages, or until `clear`. Nothing
+//! depends on the order deltas arrive in: a sweep only drops entries, so
+//! a late one costs at most a re-solve.
 //!
 //! Fingerprints use the process-default hasher, so a cache is only
 //! meaningful within one process — exactly the scope a long-lived
@@ -65,11 +61,6 @@ use spackle_asp::Model;
 use spackle_spec::Sym;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Number of independent shards. A power of two so shard selection is a
-/// mask; 16 keeps lock contention negligible for the worker-thread
-/// counts a one-box service runs (requests far outnumber cores).
-pub const SHARD_COUNT: usize = 16;
 
 /// One goal's answer: the optimal model, or none when the goal is
 /// unsatisfiable, plus the encode-time byproducts that feed model
@@ -113,8 +104,7 @@ pub struct GroundCacheStats {
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
-    /// Entries dropped by a delta or by [`GroundCache::clear`]
-    /// (including stale stragglers rejected at insert time).
+    /// Entries dropped by a delta or by [`GroundCache::clear`].
     pub invalidated: u64,
     /// Entries currently resident.
     pub entries: usize,
@@ -140,44 +130,19 @@ impl GroundCacheStats {
     }
 }
 
-/// A process-local memo table from solve fingerprints to answers,
-/// sharded for concurrent access, with atomic hit/miss counters and
-/// segment-keyed partial invalidation. One cache may back an entire
-/// service — every worker thread, every session — through a
-/// shared [`Arc<GroundCache>`].
+/// A process-local memo table from solve fingerprints to answers, with
+/// atomic hit/miss counters and segment-keyed partial invalidation. One
+/// cache may back an entire service — every worker thread, every
+/// session — through a shared [`Arc<GroundCache>`].
+#[derive(Default)]
 pub struct GroundCache {
-    shards: [RwLock<FxHashMap<u64, Entry>>; SHARD_COUNT],
+    entries: RwLock<FxHashMap<u64, Entry>>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidated: AtomicU64,
-    /// Post-delta segment fingerprints (`None` = segment removed):
-    /// inserts referencing a retired fingerprint are rejected. Written
-    /// *before* the shard sweep in [`GroundCache::apply_delta`] and read
-    /// under the shard write lock in [`GroundCache::insert`] — see the
-    /// module docs for why that ordering closes the concurrent-insert
-    /// race.
-    retired_packages: RwLock<FxHashMap<Sym, Option<u64>>>,
-    /// Post-delta source-partition fingerprints, by source index.
-    retired_sources: RwLock<FxHashMap<usize, Option<u64>>>,
     delta_updates: AtomicU64,
     segments_invalidated: AtomicU64,
     segments_retained: AtomicU64,
-}
-
-impl Default for GroundCache {
-    fn default() -> GroundCache {
-        GroundCache {
-            shards: std::array::from_fn(|_| RwLock::new(FxHashMap::default())),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            invalidated: AtomicU64::new(0),
-            retired_packages: RwLock::new(FxHashMap::default()),
-            retired_sources: RwLock::new(FxHashMap::default()),
-            delta_updates: AtomicU64::new(0),
-            segments_invalidated: AtomicU64::new(0),
-            segments_retained: AtomicU64::new(0),
-        }
-    }
 }
 
 impl GroundCache {
@@ -192,112 +157,38 @@ impl GroundCache {
         Arc::new(GroundCache::new())
     }
 
-    fn shard(&self, key: u64) -> &RwLock<FxHashMap<u64, Entry>> {
-        // Key bits are hasher output, so any bit range is uniform; the
-        // low bits pick the shard.
-        &self.shards[(key as usize) & (SHARD_COUNT - 1)]
-    }
-
     /// Look up `key`, counting a hit or a miss.
     pub fn lookup(&self, key: u64) -> Option<SolvedGoal> {
-        self.lookup_counted(key).0
-    }
-
-    /// Look up `key`, returning the cumulative hit and miss counts *as
-    /// of this lookup* (i.e. including it). The counts come from the
-    /// atomic update itself, so a solve's reported counters are exact
-    /// even when other threads interleave lookups — reading
-    /// [`GroundCache::hits`] after the fact cannot promise that.
-    pub fn lookup_counted(&self, key: u64) -> (Option<SolvedGoal>, u64, u64) {
-        let found = self.shard(key).read().get(&key).map(|e| e.solved.clone());
-        match &found {
-            Some(_) => {
-                let hits = self.hits.fetch_add(1, Ordering::Relaxed) + 1;
-                (found, hits, self.misses.load(Ordering::Relaxed))
-            }
-            None => {
-                let misses = self.misses.fetch_add(1, Ordering::Relaxed) + 1;
-                (None, self.hits.load(Ordering::Relaxed), misses)
-            }
-        }
-    }
-
-    /// Does `segments` reference a retired fingerprint — i.e. was it
-    /// computed over pre-delta content for a segment a delta has since
-    /// moved? Must be called with the target shard's write lock held
-    /// (see module docs).
-    fn is_stale(&self, segments: &SegmentSet) -> bool {
-        {
-            let retired = self.retired_packages.read();
-            if segments
-                .packages
-                .iter()
-                .any(|(name, fp)| retired.get(name).is_some_and(|cur| *cur != Some(*fp)))
-            {
-                return true;
-            }
-        }
-        let retired = self.retired_sources.read();
-        segments
-            .sources
-            .iter()
-            .any(|(idx, fp)| retired.get(idx).is_some_and(|cur| *cur != Some(*fp)))
+        let found = self.entries.read().get(&key).map(|e| e.solved.clone());
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Store the answer for `key`, tagged with the [`SegmentSet`] it was
     /// solved over (last writer wins; entries for one key are
-    /// interchangeable because the solve pipeline is deterministic).
-    /// Inserts referencing a segment fingerprint a delta has retired are
-    /// dropped: a solve that raced a delta update cannot resurrect a
-    /// stale answer.
+    /// interchangeable because the solve pipeline is deterministic). An
+    /// answer solved over content a delta has since moved is stored too:
+    /// no current key reaches it (see the module docs).
     pub fn insert(&self, key: u64, segments: Arc<SegmentSet>, solved: SolvedGoal) {
-        let mut shard = self.shard(key).write();
-        // The stale check must happen under the shard lock: apply_delta
-        // publishes retirements before sweeping, so an insert that
-        // misses the retirement here commits before the sweep and is
-        // swept, and one that sees it is rejected. No interleaving lets
-        // a stale answer survive.
-        if self.is_stale(&segments) {
-            self.invalidated.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        shard.insert(key, Entry { segments, solved });
+        self.entries.write().insert(key, Entry { segments, solved });
     }
 
     /// Apply a segment delta: drop exactly the entries whose recorded
-    /// segments moved and retain the rest. Future inserts referencing a
-    /// pre-delta fingerprint of a moved segment are rejected
-    /// (stale-straggler protection). Returns what was dropped vs
-    /// retained.
-    ///
-    /// Precondition: deltas arrive in the order their worlds were
-    /// published. The retirement table keeps the last fingerprint it was
-    /// given per segment, so applying `w2 → w3` before `w1 → w2` leaves
-    /// it at `w2`'s and rejects every later insert for `w3` as stale. A
-    /// caller that publishes worlds concurrently must serialize publish
-    /// and apply, e.g. by applying under its repository write lock.
+    /// package segments moved and retain the rest. Returns what was
+    /// dropped vs retained.
     pub fn apply_delta(&self, delta: &SegmentDelta) -> DeltaReport {
-        // Publish retirements FIRST (see insert's ordering argument).
-        {
-            let mut retired = self.retired_packages.write();
-            for (name, fp) in &delta.packages {
-                retired.insert(*name, *fp);
-            }
-        }
-        {
-            let mut retired = self.retired_sources.write();
-            for (idx, fp) in &delta.sources {
-                retired.insert(*idx, *fp);
-            }
-        }
-        let mut report = DeltaReport::default();
-        for shard in &self.shards {
-            let mut map = shard.write();
-            let before = map.len();
-            map.retain(|_, e| !e.segments.hit_by(delta));
-            report.invalidated += before - map.len();
-            report.retained += map.len();
-        }
+        let mut entries = self.entries.write();
+        let before = entries.len();
+        entries.retain(|_, e| !e.segments.hit_by(delta));
+        let report = DeltaReport {
+            invalidated: before - entries.len(),
+            retained: entries.len(),
+        };
         self.delta_updates.fetch_add(1, Ordering::Relaxed);
         self.invalidated
             .fetch_add(report.invalidated as u64, Ordering::Relaxed);
@@ -333,25 +224,23 @@ impl GroundCache {
 
     /// Number of cached answers.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.entries.read().len()
     }
 
     /// True when nothing has been cached yet.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
+        self.entries.read().is_empty()
     }
 
     /// Drop every entry and return how many were dropped, counting them
-    /// as invalidated. The retirement tables are kept, so a straggler
-    /// solved before an earlier delta is still rejected afterwards.
-    /// In-flight solves keep their `Arc` handles and finish untouched.
+    /// as invalidated. In-flight solves keep their `Arc` handles and
+    /// finish untouched; one that finishes afterwards may re-insert its
+    /// answer, which is still valid because its key is composed from
+    /// the content it was solved over.
     pub fn clear(&self) -> usize {
-        let mut dropped = 0;
-        for shard in &self.shards {
-            let mut map = shard.write();
-            dropped += map.len();
-            map.clear();
-        }
+        let mut entries = self.entries.write();
+        let dropped = entries.len();
+        entries.clear();
         self.invalidated
             .fetch_add(dropped as u64, Ordering::Relaxed);
         dropped
@@ -371,14 +260,13 @@ const _: fn() = || {
 mod tests {
     use super::*;
 
-    // Answers come from solves; unit tests here cover the counter and
-    // retirement logic, and the integration tests cover the entries.
+    // Answers come from solves; unit tests here cover the counters, and
+    // the integration tests cover the entries.
     #[test]
     fn empty_cache_misses_coherently() {
         let gc = GroundCache::new();
-        let (found, hits, misses) = gc.lookup_counted(42);
-        assert!(found.is_none());
-        assert_eq!((hits, misses), (0, 1));
+        assert!(gc.lookup(42).is_none());
+        assert_eq!((gc.hits(), gc.misses()), (0, 1));
         assert_eq!(gc.stats().hit_rate(), 0.0);
     }
 
@@ -390,34 +278,5 @@ mod tests {
         let stats = gc.stats();
         assert_eq!(stats.delta_updates, 1);
         assert_eq!(stats.segments_invalidated, 0);
-    }
-
-    #[test]
-    fn retirement_table_marks_pre_delta_fingerprints_stale() {
-        let gc = GroundCache::new();
-        let zlib = Sym::intern("zlib-gc-test");
-        gc.apply_delta(&SegmentDelta {
-            packages: vec![(zlib, Some(2))],
-            sources: vec![(0, Some(9))],
-        });
-        // Pre-delta fingerprints are stale; post-delta ones are not.
-        let stale = SegmentSet {
-            packages: vec![(zlib, 1)],
-            sources: vec![],
-        };
-        let fresh = SegmentSet {
-            packages: vec![(zlib, 2)],
-            sources: vec![(0, 9)],
-        };
-        let stale_src = SegmentSet {
-            packages: vec![],
-            sources: vec![(0, 8)],
-        };
-        assert!(gc.is_stale(&stale));
-        assert!(!gc.is_stale(&fresh));
-        assert!(gc.is_stale(&stale_src));
-        // Clearing the entries keeps the retirements.
-        assert_eq!(gc.clear(), 0);
-        assert!(gc.is_stale(&stale));
     }
 }

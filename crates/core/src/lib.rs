@@ -29,9 +29,7 @@ pub mod segment;
 pub use concretizer::{ConcretizeStats, Concretizer, ConcretizerConfig, SkippedSource, Solution};
 pub use encode::{EncodeConfig, EncodeOrigin, Encoded, Encoding, Goal};
 pub use explain::{ExplainEntry, Explanation};
-pub use ground_cache::{
-    DeltaReport, GroundCache, GroundCacheStats, SolvedGoal, SHARD_COUNT,
-};
+pub use ground_cache::{DeltaReport, GroundCache, GroundCacheStats, SolvedGoal};
 pub use interpret::SpliceReport;
 pub use segment::{repo_delta, SegmentDelta, SegmentSet};
 

@@ -4,13 +4,16 @@
 //! **segments**: one per package in the goal's encode closure (see
 //! `encode::goal_scope`) plus one per reusable-spec source partition.
 //! A cached [`SolvedGoal`](crate::SolvedGoal) records the
-//! [`SegmentSet`] it was solved over; when the world changes — a new
-//! package version lands, a buildcache index refreshes — the change is
-//! expressed as a [`SegmentDelta`] and applied with
+//! [`SegmentSet`] it was solved over; when a package definition changes
+//! — a new version lands — the change is expressed as a
+//! [`SegmentDelta`] and applied with
 //! [`GroundCache::apply_delta`](crate::GroundCache::apply_delta), which
-//! drops exactly the entries whose segments moved and retains the rest.
-//! It is the cache's only partial invalidation;
+//! drops exactly the entries whose package segments moved and retains
+//! the rest. It is the cache's only partial invalidation;
 //! [`GroundCache::clear`](crate::GroundCache::clear) drops everything.
+//! A refreshed buildcache index needs no delta: its partition
+//! fingerprint is part of the key, so the refresh moves every affected
+//! key by itself.
 //!
 //! ## Why content addressing keeps delta solves bit-identical
 //!
@@ -23,9 +26,10 @@
 //!   the identical program;
 //! * a goal touching a changed segment computes a *different* key,
 //!   misses, and re-encodes/re-grounds against the new world. Its old
-//!   entry is dropped by `apply_delta` (or, for pure additions, becomes
-//!   unreachable — no current key can ever alias it, because keys are
-//!   recomputed from current content).
+//!   entry is dropped by `apply_delta`, or becomes unreachable — no
+//!   current key can ever alias it, because keys are recomputed from
+//!   current content. Pure additions, source refreshes and a straggler
+//!   that inserts after the sweep leave such unreachable entries.
 //!
 //! Either way, a delta-updated solve is equal to a cold solve on the
 //! post-delta world — the oracle differential suite
@@ -43,7 +47,7 @@ pub struct SegmentSet {
     /// includes the provider's rank in the virtual's provider list).
     pub packages: Vec<(Sym, u64)>,
     /// `(source index, fingerprint)` per reusable-spec source partition,
-    /// in cache order.
+    /// in cache order. These feed the key only; no delta names a source.
     pub sources: Vec<(usize, u64)>,
 }
 
@@ -58,26 +62,21 @@ impl SegmentSet {
         self.packages.is_empty() && self.sources.is_empty()
     }
 
-    /// Does `delta` move any segment this set depends on? A package
-    /// (source) hit is a delta entry for a referenced name (index) whose
-    /// new fingerprint differs — `None` (removal) always differs.
+    /// Does `delta` move any package segment this set depends on? A hit
+    /// is a delta entry for a referenced name whose new fingerprint
+    /// differs — `None` (removal) always differs.
     pub fn hit_by(&self, delta: &SegmentDelta) -> bool {
         self.packages.iter().any(|(name, fp)| {
             delta
                 .packages
                 .iter()
                 .any(|(dn, dfp)| dn == name && *dfp != Some(*fp))
-        }) || self.sources.iter().any(|(idx, fp)| {
-            delta
-                .sources
-                .iter()
-                .any(|(di, dfp)| di == idx && *dfp != Some(*fp))
         })
     }
 }
 
-/// A set of segment movements: which packages and source partitions now
-/// have which fingerprints (`None` = removed).
+/// A set of package-segment movements: which packages now have which
+/// fingerprints (`None` = removed).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SegmentDelta {
     /// Changed packages with their post-delta fingerprint (`None` when
@@ -86,27 +85,22 @@ pub struct SegmentDelta {
     /// but shift the composed keys of every goal whose closure now
     /// includes them.
     pub packages: Vec<(Sym, Option<u64>)>,
-    /// Changed source partitions (by source index) with their
-    /// post-delta fingerprint.
-    pub sources: Vec<(usize, Option<u64>)>,
 }
 
 impl SegmentDelta {
     /// True when nothing moved.
     pub fn is_empty(&self) -> bool {
-        self.packages.is_empty() && self.sources.is_empty()
+        self.packages.is_empty()
     }
 
     /// Total number of moved segments.
     pub fn len(&self) -> usize {
-        self.packages.len() + self.sources.len()
+        self.packages.len()
     }
 }
 
 /// Compute the package-segment delta from `old` to `new`: every name
 /// whose fingerprint changed, appeared, or disappeared, in name order.
-/// Source partitions are not the repository's concern; callers tracking
-/// buildcache indices extend [`SegmentDelta::sources`] themselves.
 pub fn repo_delta(old: &Repository, new: &Repository) -> SegmentDelta {
     let mut names: std::collections::BTreeSet<Sym> = std::collections::BTreeSet::new();
     names.extend(old.packages().map(|p| p.name));
@@ -119,10 +113,7 @@ pub fn repo_delta(old: &Repository, new: &Repository) -> SegmentDelta {
             (before != after).then_some((n, after))
         })
         .collect();
-    SegmentDelta {
-        packages,
-        sources: Vec::new(),
-    }
+    SegmentDelta { packages }
 }
 
 #[cfg(test)]
@@ -183,38 +174,22 @@ mod tests {
         // Unreferenced package: no hit.
         let d = SegmentDelta {
             packages: vec![(Sym::intern("other"), Some(9))],
-            sources: vec![],
         };
         assert!(!set.hit_by(&d));
         // Referenced package, same fingerprint: no hit.
         let d = SegmentDelta {
             packages: vec![(zlib, Some(2))],
-            sources: vec![],
         };
         assert!(!set.hit_by(&d));
         // Referenced package, moved fingerprint: hit.
         let d = SegmentDelta {
             packages: vec![(zlib, Some(3))],
-            sources: vec![],
         };
         assert!(set.hit_by(&d));
         // Removal: hit.
         let d = SegmentDelta {
             packages: vec![(zlib, None)],
-            sources: vec![],
         };
         assert!(set.hit_by(&d));
-        // Source partition moved: hit.
-        let d = SegmentDelta {
-            packages: vec![],
-            sources: vec![(0, Some(8))],
-        };
-        assert!(set.hit_by(&d));
-        // Other source index: no hit.
-        let d = SegmentDelta {
-            packages: vec![],
-            sources: vec![(1, Some(8))],
-        };
-        assert!(!set.hit_by(&d));
     }
 }

@@ -1,4 +1,4 @@
-//! Segment-key composition and stale-segment rejection.
+//! Segment-key composition and straggler unreachability.
 //!
 //! The ground cache's partial-invalidation contract rests on two
 //! properties checked here at the public-API level:
@@ -9,15 +9,17 @@
 //!   the encode-shaping config axes and the search knobs. Nothing else
 //!   may leak in, or retained entries would stop hitting after
 //!   unrelated deltas.
-//! * **stale rejection** — a solve that raced a delta (started on the
-//!   pre-delta snapshot, finished after `apply_delta`) must not be able
-//!   to re-insert its stale answer: the retirement tables reject the
-//!   insert under the shard lock, and the dropped entry leaves nothing
-//!   behind in the cache. Checked directly for a straggler and under a
-//!   concurrent solver/mutator stress loop.
+//! * **the key is the only staleness rule** — a solve that raced a
+//!   delta (started on the pre-delta snapshot, finished after
+//!   `apply_delta`) may insert its answer, but no solve of the current
+//!   world can reach it, because that solve composes its key from
+//!   current fingerprints; the next delta that moves its package sweeps
+//!   it. Nothing depends on delta order. Checked directly for a
+//!   straggler, for deltas applied in reverse, and under a concurrent
+//!   solver/mutator stress loop.
 
 use spackle_buildcache::BuildCache;
-use spackle_core::{repo_delta, Concretizer, ConcretizerConfig, Goal, GroundCache};
+use spackle_core::{repo_delta, Concretizer, ConcretizerConfig, Goal, GroundCache, Solution};
 use spackle_repo::{PackageBuilder, Repository};
 use spackle_spec::parse_spec;
 use std::sync::Arc;
@@ -42,6 +44,38 @@ fn base_repo() -> Repository {
 
 fn key_of(repo: &Repository, goal: &Goal) -> (u64, Arc<spackle_core::SegmentSet>) {
     Concretizer::new(repo).segment_key(goal).unwrap()
+}
+
+/// `n` successive worlds: world `i` declares zlib versions 2.i..2.0
+/// (most preferred first), so each step adds one zlib version and
+/// changes `app`'s answer.
+fn zlib_worlds(n: usize) -> Vec<Arc<Repository>> {
+    (0..n)
+        .map(|i| {
+            let mut zlib = PackageBuilder::new("zlib");
+            for v in (0..=i).rev() {
+                zlib = zlib.version(&format!("2.{v}"));
+            }
+            zlib = zlib.version("1.3").version("1.2");
+            Arc::new(
+                Repository::from_packages([
+                    zlib.build().unwrap(),
+                    PackageBuilder::new("app")
+                        .version("1.0")
+                        .depends_on("zlib")
+                        .build()
+                        .unwrap(),
+                    PackageBuilder::new("lua").version("5.4").build().unwrap(),
+                ])
+                .unwrap(),
+            )
+        })
+        .collect()
+}
+
+/// What a solve answered: its DAG hash and cost vector.
+fn signature(sol: &Solution) -> String {
+    format!("{:?}|{:?}", sol.spec().dag_hash(), sol.cost)
 }
 
 #[test]
@@ -128,29 +162,21 @@ fn key_covers_sources_goal_and_config_axes() {
 }
 
 #[test]
-fn stale_straggler_insert_is_rejected_after_delta() {
-    let repo_old = base_repo();
-    let mut repo_new = repo_old.clone();
-    repo_new.upsert(
-        PackageBuilder::new("zlib")
-            .version("1.4")
-            .version("1.3")
-            .version("1.2")
-            .build()
-            .unwrap(),
-    );
-
-    let gc = GroundCache::shared();
+fn straggler_entry_is_unreachable_and_swept_by_the_next_delta() {
+    let worlds = zlib_worlds(3);
     let goal = parse_spec("app").unwrap();
+    let cold: Vec<String> = worlds
+        .iter()
+        .map(|w| signature(&Concretizer::shared(w.clone()).concretize(&goal).unwrap()))
+        .collect();
+    let gc = GroundCache::shared();
+    let on = |w: usize| Concretizer::shared(worlds[w].clone()).with_ground_cache(gc.clone());
 
-    // Warm on the old world, then apply the delta: the entry is dropped
-    // and the old zlib fingerprint retired.
-    let old = Concretizer::new(&repo_old).with_ground_cache(gc.clone());
-    old.concretize(&goal).unwrap();
-    assert_eq!(gc.len(), 1);
-    let (key, _) = old.segment_key(&Goal::single(goal.clone())).unwrap();
-    let warm = gc.lookup(key).expect("warm entry");
-    let report = gc.apply_delta(&repo_delta(&repo_old, &repo_new));
+    // Warm on w1, then apply the delta to w2: the entry is dropped.
+    on(0).concretize(&goal).unwrap();
+    let (w1_key, _) = on(0).segment_key(&Goal::single(goal.clone())).unwrap();
+    let warm = gc.lookup(w1_key).expect("warm entry");
+    let report = gc.apply_delta(&repo_delta(&worlds[0], &worlds[1]));
     assert_eq!((report.invalidated, report.retained), (1, 0));
     assert_eq!(gc.len(), 0);
     // The cache keeps nothing of a dropped entry: this clone holds the
@@ -158,39 +184,61 @@ fn stale_straggler_insert_is_rejected_after_delta() {
     let model = warm.model.as_ref().expect("app is satisfiable");
     assert_eq!(Arc::strong_count(model), 1);
 
-    // A straggler still holding the pre-delta snapshot re-solves: it
-    // misses (entry gone) and its re-insert references the retired
-    // fingerprint, so the cache must refuse to store it.
-    let sol = Concretizer::new(&repo_old)
-        .with_ground_cache(gc.clone())
-        .concretize(&goal)
-        .unwrap();
-    assert!(!sol.stats.ground_cache_hit);
-    assert_eq!(gc.len(), 0, "stale insert must be rejected");
+    // A w2 solve misses, then hits its own entry.
+    let miss = on(1).concretize(&goal).unwrap();
+    let hit = on(1).concretize(&goal).unwrap();
+    assert!(!miss.stats.ground_cache_hit && hit.stats.ground_cache_hit);
+    for sol in [&miss, &hit] {
+        assert_eq!(signature(sol), cold[1]);
+    }
 
-    // ... and keeps being rejected: a second straggler misses again
-    // rather than hitting a resurrected stale program.
-    let sol = Concretizer::new(&repo_old)
-        .with_ground_cache(gc.clone())
-        .concretize(&goal)
-        .unwrap();
-    assert!(!sol.stats.ground_cache_hit, "no stale program to hit");
-    assert_eq!(gc.len(), 0);
+    // A straggler still holding w1 inserts its answer, and a second one
+    // hits it: both answer what a cold w1 solve answers.
+    let miss = on(0).concretize(&goal).unwrap();
+    let hit = on(0).concretize(&goal).unwrap();
+    assert!(!miss.stats.ground_cache_hit && hit.stats.ground_cache_hit);
+    for sol in [&miss, &hit] {
+        assert_eq!(signature(sol), cold[0]);
+    }
+    assert_eq!(gc.len(), 2);
 
-    // A post-delta solve carries the *current* fingerprint, which the
-    // retirement table recognizes as fresh: stored normally.
-    let sol = Concretizer::new(&repo_new)
-        .with_ground_cache(gc.clone())
-        .concretize(&goal)
-        .unwrap();
-    assert!(!sol.stats.ground_cache_hit);
-    assert_eq!(gc.len(), 1, "fresh insert must land");
-    let sol2 = Concretizer::new(&repo_new)
-        .with_ground_cache(gc.clone())
-        .concretize(&goal)
-        .unwrap();
-    assert!(sol2.stats.ground_cache_hit);
-    assert_eq!(sol.spec().dag_hash(), sol2.spec().dag_hash());
+    // No w2 key reaches the straggler's entry.
+    let hit = on(1).concretize(&goal).unwrap();
+    assert!(hit.stats.ground_cache_hit);
+    assert_eq!(signature(&hit), cold[1]);
+
+    // The next zlib delta sweeps it, together with the w2 entry.
+    let report = gc.apply_delta(&repo_delta(&worlds[1], &worlds[2]));
+    assert_eq!((report.invalidated, report.retained), (2, 0));
+    assert!(
+        gc.lookup(w1_key).is_none(),
+        "the straggler's entry is swept"
+    );
+}
+
+#[test]
+fn reversed_deltas_keep_the_current_world_cacheable() {
+    let worlds = zlib_worlds(3);
+    let goal = parse_spec("app").unwrap();
+    let gc = GroundCache::shared();
+    gc.apply_delta(&repo_delta(&worlds[1], &worlds[2]));
+    gc.apply_delta(&repo_delta(&worlds[0], &worlds[1]));
+
+    let cold = signature(
+        &Concretizer::shared(worlds[2].clone())
+            .concretize(&goal)
+            .unwrap(),
+    );
+    let warm = Concretizer::shared(worlds[2].clone()).with_ground_cache(gc.clone());
+    let first = warm.concretize(&goal).unwrap();
+    let second = warm.concretize(&goal).unwrap();
+    for sol in [&first, &second] {
+        assert_eq!(signature(sol), cold);
+    }
+    assert!(
+        second.stats.ground_cache_hit,
+        "the current world must stay cacheable"
+    );
 }
 
 /// Solver threads race a mutator applying successive version-add deltas.
@@ -199,39 +247,15 @@ fn stale_straggler_insert_is_rejected_after_delta() {
 /// snapshot returns. Afterwards no stale program may be reachable.
 #[test]
 fn concurrent_solves_against_deltas_stay_bit_identical() {
-    // Snapshot i declares zlib versions 2.0..2.i (most preferred
-    // first), so each delta changes the chosen zlib and the expected
-    // solution differs per snapshot.
-    let snapshots: Vec<Arc<Repository>> = (0..6)
-        .map(|i| {
-            let mut zlib = PackageBuilder::new("zlib");
-            for v in (0..=i).rev() {
-                zlib = zlib.version(&format!("2.{v}"));
-            }
-            zlib = zlib.version("1.3").version("1.2");
-            Arc::new(
-                Repository::from_packages([
-                    zlib.build().unwrap(),
-                    PackageBuilder::new("app")
-                        .version("1.0")
-                        .depends_on("zlib")
-                        .build()
-                        .unwrap(),
-                    PackageBuilder::new("lua").version("5.4").build().unwrap(),
-                ])
-                .unwrap(),
-            )
-        })
-        .collect();
+    // Each delta changes the chosen zlib, so the expected solution
+    // differs per snapshot.
+    let snapshots = zlib_worlds(6);
 
     // Cold reference solutions, computed without any cache.
     let goal = parse_spec("app").unwrap();
     let reference: Vec<String> = snapshots
         .iter()
-        .map(|r| {
-            let sol = Concretizer::new(r.as_ref()).concretize(&goal).unwrap();
-            format!("{:?}|{:?}", sol.spec().dag_hash(), sol.cost)
-        })
+        .map(|r| signature(&Concretizer::new(r.as_ref()).concretize(&goal).unwrap()))
         .collect();
     assert_eq!(
         reference.iter().collect::<std::collections::BTreeSet<_>>().len(),
@@ -253,9 +277,9 @@ fn concurrent_solves_against_deltas_stay_bit_identical() {
                         .with_ground_cache(gc.clone())
                         .concretize(&goal)
                         .unwrap();
-                    let got = format!("{:?}|{:?}", sol.spec().dag_hash(), sol.cost);
                     assert_eq!(
-                        got, reference[i],
+                        signature(&sol),
+                        reference[i],
                         "thread {t} round {round}: solve of snapshot {i} \
                          diverged from its cold reference"
                     );
@@ -280,20 +304,15 @@ fn concurrent_solves_against_deltas_stay_bit_identical() {
     }
     mutator.join().unwrap();
 
-    // Post-race: the final world's solve must be correct and, once
-    // warmed, hit; every pre-final snapshot's zlib fingerprint is
-    // retired, so stale stragglers still cannot repopulate the cache.
+    // Post-race: stragglers may have left entries for older snapshots,
+    // but the final world's solves reach only their own: correct, and
+    // a hit once warmed.
     let last = snapshots.len() - 1;
     let warm = Concretizer::new(snapshots[last].as_ref()).with_ground_cache(gc.clone());
-    let sol = warm.concretize(&goal).unwrap();
-    assert_eq!(
-        format!("{:?}|{:?}", sol.spec().dag_hash(), sol.cost),
-        reference[last]
-    );
-    let before = gc.len();
-    Concretizer::new(snapshots[0].as_ref())
-        .with_ground_cache(gc.clone())
-        .concretize(&goal)
-        .unwrap();
-    assert_eq!(gc.len(), before, "stale straggler insert still rejected");
+    let first = warm.concretize(&goal).unwrap();
+    let second = warm.concretize(&goal).unwrap();
+    for sol in [&first, &second] {
+        assert_eq!(signature(sol), reference[last]);
+    }
+    assert!(second.stats.ground_cache_hit, "the final world must hit once warmed");
 }

@@ -10,7 +10,7 @@
 //!
 //! Three pieces:
 //!
-//! 1. [`reference`] — a brute-force stable-model enumerator working
+//! 1. [`mod@reference`] — a brute-force stable-model enumerator working
 //!    straight from the Gelfond–Lifschitz definition, with exact
 //!    lexicographic `#minimize` optima. Exponential, deliberately
 //!    simple, used as ground truth for small programs.

@@ -202,10 +202,11 @@ fn check_schedule(
     }
     match conc.concretize_goal(goal) {
         Ok(sol) => {
-            totals.injected += sol.stats.cache_injected_faults;
-            totals.retries += sol.stats.cache_retries;
-            totals.corrupt_seen += sol.stats.cache_corrupt_entries;
-            totals.breaker_opens += sol.stats.cache_breaker_opens;
+            let faults = sol.stats.cache_faults;
+            totals.injected += faults.injected_faults;
+            totals.retries += faults.retries;
+            totals.corrupt_seen += faults.corrupt_entries;
+            totals.breaker_opens += faults.breaker_opens;
             if sol.stats.degraded == sol.stats.skipped_sources.is_empty() {
                 return Err(format!(
                     "{label}: degraded flag disagrees with skipped sources: {:?}",

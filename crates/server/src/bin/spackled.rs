@@ -456,9 +456,9 @@ fn chaos_smoke(seed: u64) -> Result<String, String> {
                 .with_reusable(src_public);
             match conc.concretize(&spec) {
                 Ok(sol) => {
-                    retries += sol.stats.cache_retries;
-                    breaker_opens += sol.stats.cache_breaker_opens;
-                    injected += sol.stats.cache_injected_faults;
+                    retries += sol.stats.cache_faults.retries;
+                    breaker_opens += sol.stats.cache_faults.breaker_opens;
+                    injected += sol.stats.cache_faults.injected_faults;
                     // Which sources survived? Compare against the oracle
                     // for exactly that subset.
                     let mut subset = 0b11u32;

@@ -485,10 +485,10 @@ mod tests {
 
     #[test]
     fn racing_updates_of_one_package_keep_its_dependents_cacheable() {
-        // Each round races concurrent updates of zlib. Were two of them
-        // to reach the ground cache out of order, its retirement table
-        // would end at an older zlib fingerprint and reject every insert
-        // for the current world, so app would never hit again.
+        // Each round races concurrent updates of zlib. The cache's only
+        // staleness rule is its content key, so whatever order their
+        // deltas reach it in, app's answer for the current world is
+        // stored and hits on its second solve.
         const THREADS: usize = 4;
         const ROUNDS: usize = 64;
         let state = tiny_state();

@@ -13,10 +13,10 @@
 //! it moved, and `invalidate` clears the ground cache. Solves already in
 //! flight keep their own `Arc` snapshot of the repository and solve it
 //! to the end, so they finish — bit-identical to what they would have
-//! produced. The cache's retirement table rejects stale stragglers from
-//! before an update; a straggler that finishes after `invalidate` may
-//! re-insert its answer, which is correct because cache keys are
-//! computed from content.
+//! produced. A straggler may then insert its answer. Cache keys are
+//! computed from content, so after an `update` no request on the new
+//! snapshot can reach that entry, and after an `invalidate` the entry
+//! is exactly what a fresh solve would insert.
 //!
 //! Overload and shutdown are handled here too, as [`OpsConfig`] knobs:
 //!
@@ -211,12 +211,13 @@ impl ServerState {
     /// (least preferred), so retained solutions stay optimal; entries
     /// whose encode closure avoids `package` keep their content-composed
     /// keys and keep hitting. In-flight solves hold their own snapshot
-    /// `Arc`s and finish untouched; the cache's retirement table rejects
-    /// any of their stale late inserts.
+    /// `Arc`s and finish untouched; a late insert of theirs is keyed by
+    /// the old content, so no request on the new snapshot reaches it.
     ///
     /// The delta is applied before the repository write lock is
-    /// released, so concurrent updates reach the ground cache in the
-    /// order they were published (see [`GroundCache::apply_delta`]).
+    /// released, so concurrent updates sweep the ground cache in the
+    /// order they were published: a sweep never drops an entry solved
+    /// over a newer snapshot.
     pub fn update(&self, package: &str, version: &str) -> Result<UpdateOutcome, String> {
         let name = Sym::intern(package);
         let ver = Version::parse(version).map_err(|e| format!("bad version {version:?}: {e}"))?;
