@@ -135,6 +135,10 @@ pub struct Sat {
     // unsatisfiable without any assumptions.
     final_core: Vec<Lit>,
 
+    // Scratch for `add_clause`'s normalization, reused from clause to
+    // clause.
+    add_buf: Vec<Lit>,
+
     ok: bool, // false once a top-level conflict proves UNSAT
     /// Cumulative statistics.
     pub stats: SatStats,
@@ -174,6 +178,7 @@ impl Sat {
             heap_index: Vec::new(),
             seen: Vec::new(),
             final_core: Vec::new(),
+            add_buf: Vec::new(),
             ok: true,
             stats: SatStats::default(),
             conflict_budget: u64::MAX,
@@ -246,17 +251,22 @@ impl Sat {
             return false;
         }
         self.backtrack(0);
-        // Normalize: sort, dedupe, drop false-at-0, detect tautology and
-        // satisfied-at-0.
-        let mut c: Vec<Lit> = lits.to_vec();
+        let mut c = std::mem::take(&mut self.add_buf);
+        c.clear();
+        c.extend_from_slice(lits);
+        let ok = self.add_normalized(&mut c);
+        self.add_buf = c;
+        ok
+    }
+
+    /// [`Sat::add_clause`] on a scratch copy of the clause: sort, dedupe,
+    /// drop false-at-0, detect tautology and satisfied-at-0, then attach
+    /// (boxing only the clause kept) or enqueue.
+    fn add_normalized(&mut self, c: &mut Vec<Lit>) -> bool {
         c.sort_unstable();
         c.dedup();
-        let mut i = 0;
-        while i + 1 < c.len() {
-            if c[i].var() == c[i + 1].var() {
-                return true; // x and !x: tautology
-            }
-            i += 1;
+        if c.windows(2).any(|w| w[0].var() == w[1].var()) {
+            return true; // x and !x: tautology
         }
         c.retain(|&l| {
             debug_assert!((l.var() as usize) < self.assign.len(), "unknown var");
@@ -280,7 +290,7 @@ impl Sat {
                 }
             }
             _ => {
-                self.attach_clause(c.into_boxed_slice(), false);
+                self.attach_clause(c.as_slice().into(), false);
                 true
             }
         }

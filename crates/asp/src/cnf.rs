@@ -5,7 +5,7 @@
 
 use crate::cdcl::{Lit, Sat, Var};
 use crate::ground::GroundProgram;
-use crate::term::AtomId;
+use crate::term::{group_by_key, hash_key, AtomId, IdTable};
 use rustc_hash::FxHashMap;
 
 /// Everything the solving layers need to map between atoms and SAT
@@ -111,32 +111,36 @@ impl CnfSink for CollectedCnf {
 }
 
 /// Build a literal equivalent to the conjunction of `pos` atoms and
-/// negated `neg` atoms. Adds both implication directions.
+/// negated `neg` atoms. Adds both implication directions; `clause` is
+/// scratch.
 fn body_lit<S: CnfSink>(
     sat: &mut S,
     tr_atom: &[Var],
     true_var: Var,
     pos: &[AtomId],
     neg: &[AtomId],
+    clause: &mut Vec<Lit>,
 ) -> Lit {
-    let lits: Vec<Lit> = pos
-        .iter()
-        .map(|a| Lit::pos(tr_atom[a.0 as usize]))
-        .chain(neg.iter().map(|a| Lit::neg(tr_atom[a.0 as usize])))
-        .collect();
-    match lits.len() {
-        0 => Lit::pos(true_var),
-        1 => lits[0],
+    let var = |a: &AtomId| tr_atom[a.0 as usize];
+    match (pos, neg) {
+        ([], []) => Lit::pos(true_var),
+        ([a], []) => Lit::pos(var(a)),
+        ([], [a]) => Lit::neg(var(a)),
         _ => {
             let aux = Lit::pos(sat.new_var());
             // aux -> each lit
-            for &l in &lits {
-                sat.add(&[aux.negate(), l], ClauseOrigin::Definition);
+            for a in pos {
+                sat.add(&[aux.negate(), Lit::pos(var(a))], ClauseOrigin::Definition);
+            }
+            for a in neg {
+                sat.add(&[aux.negate(), Lit::neg(var(a))], ClauseOrigin::Definition);
             }
             // conj -> aux
-            let mut cl: Vec<Lit> = lits.iter().map(|l| l.negate()).collect();
-            cl.push(aux);
-            sat.add(&cl, ClauseOrigin::Definition);
+            clause.clear();
+            clause.extend(pos.iter().map(|a| Lit::neg(var(a))));
+            clause.extend(neg.iter().map(|a| Lit::pos(var(a))));
+            clause.push(aux);
+            sat.add(clause, ClauseOrigin::Definition);
             aux
         }
     }
@@ -276,16 +280,20 @@ fn weight_gcd(items: &[(i64, Lit)]) -> i64 {
 fn counter_outputs<S: CnfSink>(sat: &mut S, items: &[(i64, Lit)], bound: i64) -> Vec<Option<Lit>> {
     let width = (bound + 1).max(0) as usize;
     let mut reg: Vec<Option<Lit>> = vec![None; width];
+    let mut prev: Vec<Option<Lit>> = Vec::with_capacity(width);
     for &(w, x) in items {
-        let prev = reg.clone();
+        prev.clear();
+        prev.extend_from_slice(&reg);
         for j in 1..=(bound + 1) {
             let ji = (j - 1) as usize;
             let from_prev = prev[ji];
             let lower = j - w;
-            let from_x: Option<Vec<Lit>> = if lower <= 0 {
-                Some(vec![x])
+            // What derives `out` through `x`: `x` alone, or `x` together
+            // with the register `w` below.
+            let from_x: Option<Option<Lit>> = if lower <= 0 {
+                Some(None)
             } else {
-                prev[(lower - 1) as usize].map(|p| vec![x, p])
+                prev[(lower - 1) as usize].map(Some)
             };
             if from_prev.is_none() && from_x.is_none() {
                 reg[ji] = None;
@@ -295,11 +303,11 @@ fn counter_outputs<S: CnfSink>(sat: &mut S, items: &[(i64, Lit)], bound: i64) ->
             if let Some(p) = from_prev {
                 sat.add(&[p.negate(), out], ClauseOrigin::Definition);
             }
-            if let Some(ant) = &from_x {
-                let mut cl: Vec<Lit> = ant.iter().map(|l| l.negate()).collect();
-                cl.push(out);
-                sat.add(&cl, ClauseOrigin::Definition);
-            }
+            match from_x {
+                Some(None) => sat.add(&[x.negate(), out], ClauseOrigin::Definition),
+                Some(Some(p)) => sat.add(&[x.negate(), p.negate(), out], ClauseOrigin::Definition),
+                None => true,
+            };
             reg[ji] = Some(out);
         }
     }
@@ -382,36 +390,41 @@ fn translate_into<S: CnfSink>(gp: &GroundProgram, sat: &mut S) -> Translation {
     let atom_var: Vec<Var> = (0..n).map(|_| sat.new_var()).collect();
     let true_var = sat.new_var();
     sat.add(&[Lit::pos(true_var)], ClauseOrigin::Definition);
+    // Scratch for every clause built below.
+    let mut clause: Vec<Lit> = Vec::new();
 
-    // Supports per atom: disjuncts allowing the atom to be true.
-    let mut supports: Vec<Vec<Lit>> = vec![Vec::new(); n];
+    // Supports: `(atom, body literal)` per disjunct allowing the atom to
+    // be true, in the order the rules and choices give them.
+    let mut supports: Vec<(u32, Lit)> = Vec::new();
 
     // Normal rules.
     let mut rule_body = Vec::with_capacity(gp.rules.len());
     for (ri, r) in gp.rules.iter().enumerate() {
-        let beta = body_lit(sat, &atom_var, true_var, &r.pos, &r.neg);
+        let beta = body_lit(sat, &atom_var, true_var, &r.pos, &r.neg, &mut clause);
         rule_body.push(beta);
         let head = Lit::pos(atom_var[r.head.0 as usize]);
         // body -> head
         sat.add(&[beta.negate(), head], ClauseOrigin::Rule(ri as u32));
-        supports[r.head.0 as usize].push(beta);
+        supports.push((r.head.0, beta));
     }
 
     // Choice instances.
     let mut choice_body = Vec::with_capacity(gp.choices.len());
+    let mut elem_lits: Vec<(i64, Lit)> = Vec::new();
     for (ci, c) in gp.choices.iter().enumerate() {
         let origin = ClauseOrigin::Choice(ci as u32);
-        let beta = body_lit(sat, &atom_var, true_var, &c.pos, &c.neg);
+        let beta = body_lit(sat, &atom_var, true_var, &c.pos, &c.neg, &mut clause);
         choice_body.push(beta);
         for &e in c.elements.iter() {
             // The body *permits* the element (no implication to true).
-            supports[e.0 as usize].push(beta);
+            supports.push((e.0, beta));
         }
-        let elem_lits: Vec<(i64, Lit)> = c
-            .elements
-            .iter()
-            .map(|&e| (1i64, Lit::pos(atom_var[e.0 as usize])))
-            .collect();
+        elem_lits.clear();
+        elem_lits.extend(
+            c.elements
+                .iter()
+                .map(|&e| (1i64, Lit::pos(atom_var[e.0 as usize]))),
+        );
         if let Some(upper) = c.upper {
             // beta -> at most `upper` of elements.
             add_upper_bound_guarded_with(sat, &elem_lits, upper as i64, beta, origin);
@@ -423,73 +436,80 @@ fn translate_into<S: CnfSink>(gp: &GroundProgram, sat: &mut S) -> Translation {
                     // Impossible to meet: forbid the body.
                     sat.add(&[beta.negate()], origin);
                 } else if lower == 1 {
-                    let mut cl: Vec<Lit> = vec![beta.negate()];
-                    cl.extend(elem_lits.iter().map(|&(_, l)| l));
-                    sat.add(&cl, origin);
+                    clause.clear();
+                    clause.push(beta.negate());
+                    clause.extend(elem_lits.iter().map(|&(_, l)| l));
+                    sat.add(&clause, origin);
                 } else {
                     // sum >= lower  <=>  sum of negations <= n - lower.
-                    let negs: Vec<(i64, Lit)> =
-                        elem_lits.iter().map(|&(w, l)| (w, l.negate())).collect();
+                    for item in elem_lits.iter_mut() {
+                        item.1 = item.1.negate();
+                    }
                     let bound = c.elements.len() as i64 - lower;
-                    add_upper_bound_guarded_with(sat, &negs, bound, beta, origin);
+                    add_upper_bound_guarded_with(sat, &elem_lits, bound, beta, origin);
                 }
             }
         }
     }
 
     // Completion: every atom needs a support.
-    for (i, sup) in supports.iter().enumerate() {
-        let origin = ClauseOrigin::Completion(AtomId(i as u32));
-        let a = Lit::pos(atom_var[i]);
-        if sup.is_empty() {
-            sat.add(&[a.negate()], origin);
-        } else {
-            let mut cl: Vec<Lit> = vec![a.negate()];
-            cl.extend(sup.iter().copied());
-            sat.add(&cl, origin);
-        }
+    let (first, sup) = group_by_key(n, &supports);
+    for (i, &var) in atom_var.iter().enumerate() {
+        clause.clear();
+        clause.push(Lit::neg(var));
+        clause.extend_from_slice(&sup[first[i]..first[i + 1]]);
+        sat.add(&clause, ClauseOrigin::Completion(AtomId(i as u32)));
     }
 
     // Integrity constraints.
     for (ci, c) in gp.constraints.iter().enumerate() {
-        let mut cl: Vec<Lit> = c
-            .pos
-            .iter()
-            .map(|a| Lit::neg(atom_var[a.0 as usize]))
-            .collect();
-        cl.extend(c.neg.iter().map(|a| Lit::pos(atom_var[a.0 as usize])));
-        sat.add(&cl, ClauseOrigin::Constraint(ci as u32));
+        clause.clear();
+        clause.extend(c.pos.iter().map(|a| Lit::neg(atom_var[a.0 as usize])));
+        clause.extend(c.neg.iter().map(|a| Lit::pos(atom_var[a.0 as usize])));
+        sat.add(&clause, ClauseOrigin::Constraint(ci as u32));
     }
 
     // Minimize: one literal per distinct (priority, weight, tuple) that is
-    // true iff any of its conditions holds.
-    type MinKey = (i64, i64, Box<[crate::term::TermId]>);
-    let mut groups: FxHashMap<MinKey, Vec<Lit>> = FxHashMap::default();
-    let mut order: Vec<MinKey> = Vec::new();
-    for m in &gp.minimize {
-        let key = (m.priority, m.weight, m.tuple.clone());
-        let beta = body_lit(sat, &atom_var, true_var, &m.pos, &m.neg);
-        let entry = groups.entry(key.clone()).or_default();
-        if entry.is_empty() {
-            order.push(key);
-        }
-        entry.push(beta);
+    // true iff any of its conditions holds. Groups are numbered in order
+    // of first appearance; `reps` holds each group's first term.
+    let mut groups = IdTable::default();
+    let mut reps: Vec<usize> = Vec::new();
+    let mut conds: Vec<(u32, Lit)> = Vec::with_capacity(gp.minimize.len());
+    for (mi, m) in gp.minimize.iter().enumerate() {
+        let beta = body_lit(sat, &atom_var, true_var, &m.pos, &m.neg, &mut clause);
+        let hash = hash_key((m.priority, m.weight, &m.tuple));
+        let same = |g: u32| {
+            let r = &gp.minimize[reps[g as usize]];
+            (r.priority, r.weight, &r.tuple) == (m.priority, m.weight, &m.tuple)
+        };
+        let group = match groups.find(hash, same) {
+            Some(g) => g,
+            None => {
+                let g = reps.len() as u32;
+                groups.insert(hash, g);
+                reps.push(mi);
+                g
+            }
+        };
+        conds.push((group, beta));
     }
+    let (first, cond_lits) = group_by_key(reps.len(), &conds);
     let mut per_priority: FxHashMap<i64, Vec<(i64, Lit)>> = FxHashMap::default();
     let mut priorities: Vec<i64> = Vec::new();
-    for key in order {
-        let conds = groups.remove(&key).expect("inserted above");
-        let (priority, weight, _) = key;
+    for (g, &rep) in reps.iter().enumerate() {
+        let conds = &cond_lits[first[g]..first[g + 1]];
+        let (priority, weight) = (gp.minimize[rep].priority, gp.minimize[rep].weight);
         let tlit = if conds.len() == 1 {
             conds[0]
         } else {
             let t = Lit::pos(sat.new_var());
-            for &c in &conds {
+            for &c in conds {
                 sat.add(&[c.negate(), t], ClauseOrigin::Definition);
             }
-            let mut cl: Vec<Lit> = vec![t.negate()];
-            cl.extend(conds.iter().copied());
-            sat.add(&cl, ClauseOrigin::Definition);
+            clause.clear();
+            clause.push(t.negate());
+            clause.extend_from_slice(conds);
+            sat.add(&clause, ClauseOrigin::Definition);
             t
         };
         if !per_priority.contains_key(&priority) {

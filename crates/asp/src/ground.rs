@@ -12,7 +12,10 @@
 //! 2. **Emission pass**: with the closure fixed, instantiate every normal
 //!    rule once more and emit ground rules, deduplicated.
 //! 3. **Certainty closure**: atoms derivable through negation-free rules
-//!    from facts are *certain*.
+//!    from facts are *certain*. Each rule keeps a count of the distinct
+//!    atoms of its positive body not yet certain, and each atom a list of
+//!    the rules waiting on it; a rule whose count reaches zero makes its
+//!    head certain.
 //! 4. **Choice/constraint/minimize emission**: choice-element conditions
 //!    must be certain — this engine (like the concretizer program it
 //!    serves) treats them as domain predicates; a condition over a
@@ -24,6 +27,12 @@
 //! analysis, incrementally maintained), so fact bases with many
 //! thousands of `hash_attr` entries ground quickly.
 //!
+//! Grounding allocates only for what it keeps. Terms and atoms are
+//! looked up by their parts and never built to be found; a join appends
+//! its matches to one flat buffer reused from join to join; argument
+//! lists resolve on the stack; and an emitted instance is looked up by
+//! its parts and boxed only when new.
+//!
 //! ## Determinism
 //!
 //! The grounded program — every rule, choice, constraint, minimize term,
@@ -32,10 +41,15 @@
 //! and interns the derived heads afterwards, in rule → element →
 //! position order. Emission runs once the closure is fixed: its joins
 //! draw candidates only from the possible relations, so the atoms it
-//! interns cannot change what a later join finds. See DESIGN.md §3.45.
+//! interns cannot change what a later join finds. No output depends on
+//! a hash table's layout or iteration order: the tables are only looked
+//! up, and ids are handed out in interning order. See DESIGN.md §3.45.
 
 use crate::program::{BodyElem, CmpOp, Head, Program, Rule};
-use crate::term::{Atom, AtomId, GroundStore, GroundTerm, Term, TermId};
+use crate::term::{
+    group_by_key, hash_key, ArgBuf, Atom, AtomId, GroundStore, GroundTerm, IdTable, Term, TermId,
+    TermKey,
+};
 use crate::{AspError, Result};
 use rustc_hash::{FxHashMap, FxHashSet};
 use spackle_spec::Sym;
@@ -298,7 +312,8 @@ fn check_safety(rule: &Rule) -> Result<()> {
 // Substitutions
 // ---------------------------------------------------------------------
 
-type Subst = Vec<(Sym, TermId)>;
+/// A substitution: variable bindings, latest last.
+type Subst = [(Sym, TermId)];
 
 fn lookup(s: &Subst, v: Sym) -> Option<TermId> {
     s.iter().rev().find(|(k, _)| *k == v).map(|(_, t)| *t)
@@ -308,16 +323,16 @@ fn lookup(s: &Subst, v: Sym) -> Option<TermId> {
 /// Returns `None` when an unbound variable remains.
 fn resolve(store: &mut GroundStore, s: &Subst, t: &Term) -> Option<TermId> {
     match t {
-        Term::Int(i) => Some(store.term(GroundTerm::Int(*i))),
-        Term::Sym(x) => Some(store.term(GroundTerm::Sym(*x))),
-        Term::Str(x) => Some(store.term(GroundTerm::Str(*x))),
+        Term::Int(i) => Some(store.term(TermKey::Int(*i))),
+        Term::Sym(x) => Some(store.term(TermKey::Sym(*x))),
+        Term::Str(x) => Some(store.term(TermKey::Str(*x))),
         Term::Var(v) => lookup(s, *v),
         Term::Func(name, args) => {
-            let mut kids = Vec::with_capacity(args.len());
+            let mut kids = ArgBuf::new();
             for a in args {
                 kids.push(resolve(store, s, a)?);
             }
-            Some(store.term(GroundTerm::Func(*name, kids.into())))
+            Some(store.term(TermKey::Func(*name, kids.as_slice())))
         }
     }
 }
@@ -329,23 +344,23 @@ fn resolve(store: &mut GroundStore, s: &Subst, t: &Term) -> Option<TermId> {
 /// so a candidate lookup on it is correctly empty.
 fn lookup_resolved(store: &GroundStore, s: &Subst, t: &Term) -> Option<TermId> {
     match t {
-        Term::Int(i) => store.find_term(&GroundTerm::Int(*i)),
-        Term::Sym(x) => store.find_term(&GroundTerm::Sym(*x)),
-        Term::Str(x) => store.find_term(&GroundTerm::Str(*x)),
+        Term::Int(i) => store.find_term(TermKey::Int(*i)),
+        Term::Sym(x) => store.find_term(TermKey::Sym(*x)),
+        Term::Str(x) => store.find_term(TermKey::Str(*x)),
         Term::Var(v) => lookup(s, *v),
         Term::Func(name, args) => {
-            let mut kids = Vec::with_capacity(args.len());
+            let mut kids = ArgBuf::new();
             for a in args {
                 kids.push(lookup_resolved(store, s, a)?);
             }
-            store.find_term(&GroundTerm::Func(*name, kids.into()))
+            store.find_term(TermKey::Func(*name, kids.as_slice()))
         }
     }
 }
 
 /// Unify pattern `t` with ground term `tid` under `s`, appending new
 /// bindings. On mismatch returns false; caller truncates `s`.
-fn unify(store: &GroundStore, s: &mut Subst, t: &Term, tid: TermId) -> bool {
+fn unify(store: &GroundStore, s: &mut Vec<(Sym, TermId)>, t: &Term, tid: TermId) -> bool {
     match t {
         Term::Int(i) => matches!(store.term_data(tid), GroundTerm::Int(j) if i == j),
         Term::Sym(x) => matches!(store.term_data(tid), GroundTerm::Sym(y) if x == y),
@@ -705,11 +720,46 @@ struct Grounder {
     wanted: FxHashMap<(Sym, usize), Vec<usize>>,
 }
 
-/// One complete instantiation of a body: the substitution and the chosen
-/// positive atoms (in literal order).
-struct Match {
-    subst: Subst,
+/// Complete instantiations found by joins, back to back in flat buffers
+/// reused from join to join: match `k` owns the bindings and the chosen
+/// positive atoms (in literal order) between match `k - 1`'s ends and
+/// its own.
+#[derive(Default)]
+struct Matches {
+    binds: Vec<(Sym, TermId)>,
     chosen: Vec<AtomId>,
+    /// `(binds end, chosen end)` per match.
+    ends: Vec<(usize, usize)>,
+    /// The substitution of the join in progress.
+    subst: Vec<(Sym, TermId)>,
+    /// The atoms the join in progress has chosen so far.
+    path: Vec<AtomId>,
+}
+
+impl Matches {
+    fn clear(&mut self) {
+        self.binds.clear();
+        self.chosen.clear();
+        self.ends.clear();
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Match `k`: its substitution and its chosen atoms.
+    fn get(&self, k: usize) -> (&Subst, &[AtomId]) {
+        let (b0, c0) = if k == 0 { (0, 0) } else { self.ends[k - 1] };
+        let (b1, c1) = self.ends[k];
+        (&self.binds[b0..b1], &self.chosen[c0..c1])
+    }
+
+    /// Record the join in progress as a complete match.
+    fn push_current(&mut self) {
+        self.binds.extend_from_slice(&self.subst);
+        self.chosen.extend_from_slice(&self.path);
+        self.ends.push((self.binds.len(), self.chosen.len()));
+    }
 }
 
 /// A semi-naive delta restriction `(literal, lo_rank, hi_rank)`: that
@@ -806,37 +856,24 @@ impl Grounder {
             .is_some_and(|&a| self.rank(a) >= since)
     }
 
-    /// Enumerate instantiations of `spec` starting from the bindings
-    /// `init`. Read-only over the grounder; the caller interns.
-    fn join(&self, spec: &JoinSpec, init: &Subst, delta: Delta) -> Result<Vec<Match>> {
-        let mut out = Vec::new();
-        let mut s = init.clone();
-        let mut chosen = Vec::with_capacity(spec.pats.len());
-        self.join_rec(spec, 0, delta, &mut s, &mut chosen, &mut out)?;
-        Ok(out)
+    /// Append to `out` every instantiation of `spec` that extends the
+    /// bindings `init`. Read-only over the grounder; the caller interns.
+    fn join(&self, spec: &JoinSpec, init: &Subst, delta: Delta, out: &mut Matches) -> Result<()> {
+        out.subst.clear();
+        out.subst.extend_from_slice(init);
+        out.path.clear();
+        self.join_rec(spec, 0, delta, out)
     }
 
-    fn join_rec(
-        &self,
-        spec: &JoinSpec,
-        i: usize,
-        delta: Delta,
-        s: &mut Subst,
-        chosen: &mut Vec<AtomId>,
-        out: &mut Vec<Match>,
-    ) -> Result<()> {
+    fn join_rec(&self, spec: &JoinSpec, i: usize, delta: Delta, out: &mut Matches) -> Result<()> {
         if i == spec.pats.len() {
             // All positive literals matched; evaluate comparisons.
-            if !eval_cmps(&self.store, s, &spec.cmps)? {
-                return Ok(());
+            if eval_cmps(&self.store, &out.subst, &spec.cmps)? {
+                out.push_current();
             }
-            out.push(Match {
-                subst: s.clone(),
-                chosen: chosen.clone(),
-            });
             return Ok(());
         }
-        let mut cands = self.candidates(s, &spec.pats[i], spec.probes[i]);
+        let mut cands = self.candidates(&out.subst, &spec.pats[i], spec.probes[i]);
         if let Some((dpos, lo, hi)) = delta {
             if dpos == i {
                 // Candidates are in rank order: the delta window is a slice.
@@ -846,31 +883,31 @@ impl Grounder {
             }
         }
         for &cand in cands {
-            let mark = s.len();
+            let mark = out.subst.len();
             let (_, args) = self.store.atom_data(cand);
             let ok = spec.pats[i]
                 .args
                 .iter()
                 .zip(args.iter())
-                .all(|(p, &t)| unify(&self.store, s, p, t));
+                .all(|(p, &t)| unify(&self.store, &mut out.subst, p, t));
             if ok {
-                chosen.push(cand);
-                self.join_rec(spec, i + 1, delta, s, chosen, out)?;
-                chosen.pop();
+                out.path.push(cand);
+                self.join_rec(spec, i + 1, delta, out)?;
+                out.path.pop();
             }
-            s.truncate(mark);
+            out.subst.truncate(mark);
         }
         Ok(())
     }
 
     fn intern_under(&mut self, s: &Subst, a: &Atom) -> Result<AtomId> {
-        let mut args = Vec::with_capacity(a.args.len());
+        let mut args = ArgBuf::new();
         for t in &a.args {
             args.push(resolve(&mut self.store, s, t).ok_or_else(|| {
                 AspError::Internal(format!("non-ground term {t} at instantiation"))
             })?);
         }
-        Ok(self.store.atom(a.pred, args.into()))
+        Ok(self.store.atom(a.pred, args.as_slice()))
     }
 
     /// Abort once more than `max_rules` ground instances (rules,
@@ -910,7 +947,9 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
         .collect();
     let wanted = collect_wanted(&plans, &min_plans);
     let mut g = Grounder::new(limits, wanted);
-    let no_subst: Subst = Vec::new();
+    // One match buffer for every join below, and a second for the
+    // condition joins nested in a choice's body matches.
+    let mut m = Matches::default();
 
     // ---- Phase 1: possible-atom closure (semi-naive). ----
     // Round 0: derivations with no positive literals at all (plain facts,
@@ -922,8 +961,10 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
         }
         match &rp.head {
             HeadPlan::Atom(a) => {
-                for m in g.join(&rp.body, &no_subst, None)? {
-                    let id = g.intern_under(&m.subst, a)?;
+                m.clear();
+                g.join(&rp.body, &[], None, &mut m)?;
+                for k in 0..m.len() {
+                    let id = g.intern_under(m.get(k).0, a)?;
                     g.add_possible(id);
                 }
             }
@@ -932,8 +973,10 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
                     if !el.closure.pats.is_empty() {
                         continue; // handled in the semi-naive loop
                     }
-                    for m in g.join(&el.closure, &no_subst, None)? {
-                        let id = g.intern_under(&m.subst, el.atom)?;
+                    m.clear();
+                    g.join(&el.closure, &[], None, &mut m)?;
+                    for k in 0..m.len() {
+                        let id = g.intern_under(m.get(k).0, el.atom)?;
                         g.add_possible(id);
                     }
                 }
@@ -941,6 +984,8 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
             HeadPlan::Constraint => {}
         }
     }
+    // The head each join of a round derives, with the end of its matches.
+    let mut targets: Vec<(&Atom, usize)> = Vec::new();
     let mut prev_start = 0usize;
     loop {
         let prev_end = g.possible.len();
@@ -955,14 +1000,16 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
         // interned in join order only afterwards, which fixes the
         // possible-atom ranks. A delta literal whose relation gained no
         // atom this round matches nothing, so its join is skipped.
-        let mut found: Vec<(&Atom, Vec<Match>)> = Vec::new();
+        m.clear();
+        targets.clear();
         for rp in &plans {
             match &rp.head {
                 HeadPlan::Atom(a) => {
                     for (dpos, pat) in rp.body.pats.iter().enumerate() {
                         if g.gained_since(pat, prev_start) {
                             let delta = Some((dpos, prev_start, prev_end));
-                            found.push((a, g.join(&rp.body, &no_subst, delta)?));
+                            g.join(&rp.body, &[], delta, &mut m)?;
+                            targets.push((a, m.len()));
                         }
                     }
                 }
@@ -971,7 +1018,8 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
                         for (dpos, pat) in el.closure.pats.iter().enumerate() {
                             if g.gained_since(pat, prev_start) {
                                 let delta = Some((dpos, prev_start, prev_end));
-                                found.push((el.atom, g.join(&el.closure, &no_subst, delta)?));
+                                g.join(&el.closure, &[], delta, &mut m)?;
+                                targets.push((el.atom, m.len()));
                             }
                         }
                     }
@@ -979,10 +1027,12 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
                 HeadPlan::Constraint => {}
             }
         }
-        for (target, matches) in found {
-            for m in matches {
-                let id = g.intern_under(&m.subst, target)?;
+        let mut k = 0;
+        for &(target, end) in &targets {
+            while k < end {
+                let id = g.intern_under(m.get(k).0, target)?;
                 g.add_possible(id);
+                k += 1;
             }
         }
         if g.possible.len() > g.limits.max_atoms {
@@ -998,77 +1048,77 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
     // The closure is fixed now: each rule's join draws candidates only
     // from the possible relations, so interning its head and negative
     // atoms cannot affect a later rule's join.
-    let mut rules: Vec<GroundRule> = Vec::new();
+    let mut rules: Emitted<GroundRule> = Emitted::default();
     let mut rule_src: Vec<u32> = Vec::new();
-    let mut rule_set: FxHashSet<GroundRule> = FxHashSet::default();
+    let mut neg: Vec<AtomId> = Vec::new();
     for (ri, rp) in plans.iter().enumerate() {
         let HeadPlan::Atom(head) = &rp.head else {
             continue;
         };
-        for Match { subst, chosen } in g.join(&rp.body, &no_subst, None)? {
-            let h = g.intern_under(&subst, head)?;
-            let mut neg = Vec::with_capacity(rp.neg.len());
+        m.clear();
+        g.join(&rp.body, &[], None, &mut m)?;
+        for k in 0..m.len() {
+            let (subst, pos) = m.get(k);
+            let h = g.intern_under(subst, head)?;
+            neg.clear();
             for n in &rp.neg {
-                neg.push(g.intern_under(&subst, n)?);
+                neg.push(g.intern_under(subst, n)?);
             }
-            let gr = GroundRule {
-                head: h,
-                pos: chosen.into(),
-                neg: neg.into(),
-            };
-            if rule_set.insert(gr.clone()) {
-                rules.push(gr);
+            let new = rules.insert(
+                hash_key((h, pos, &neg)),
+                |r| r.head == h && *r.pos == *pos && *r.neg == *neg,
+                || GroundRule {
+                    head: h,
+                    pos: pos.into(),
+                    neg: neg.as_slice().into(),
+                },
+            );
+            if new {
                 rule_src.push(ri as u32);
             }
             g.check_emitted(rules.len())?;
         }
     }
+    let rules = rules.items;
 
     // ---- Phase 3: certainty closure over negation-free rules. ----
+    // A rule fires once every distinct atom of its positive body is
+    // certain: `remaining` counts the distinct atoms not yet certain, and
+    // `waiting` lists, per atom, the rules whose body holds it (compressed
+    // rows, rules in index order).
     let mut certain: FxHashSet<AtomId> = FxHashSet::default();
     {
-        // Index rules by their positive-body atoms.
-        let mut waiting: FxHashMap<AtomId, Vec<usize>> = FxHashMap::default();
-        let mut missing: Vec<usize> = Vec::with_capacity(rules.len());
         let mut queue: Vec<AtomId> = Vec::new();
+        let mut remaining: Vec<u32> = vec![0; rules.len()];
+        // `(atom, rule)` per distinct atom of a positive body.
+        let mut waits: Vec<(u32, u32)> = Vec::new();
+        let mut body: Vec<AtomId> = Vec::new();
         for (ri, r) in rules.iter().enumerate() {
             if !r.neg.is_empty() {
-                missing.push(usize::MAX); // never participates
-                continue;
+                continue; // never participates
             }
-            missing.push(r.pos.len());
             if r.pos.is_empty() {
                 if certain.insert(r.head) {
                     queue.push(r.head);
                 }
-            } else {
-                for &p in r.pos.iter() {
-                    waiting.entry(p).or_default().push(ri);
-                }
+                continue;
             }
+            body.clear();
+            body.extend_from_slice(&r.pos);
+            body.sort_unstable();
+            body.dedup();
+            remaining[ri] = body.len() as u32;
+            waits.extend(body.iter().map(|a| (a.0, ri as u32)));
         }
-        // Note: duplicate atoms in a body would double-count `missing`;
-        // bodies come from joins so duplicates are possible when the same
-        // atom matches two literals. Count unique occurrences instead.
-        for (ri, r) in rules.iter().enumerate() {
-            if r.neg.is_empty() && !r.pos.is_empty() {
-                let unique: FxHashSet<AtomId> = r.pos.iter().copied().collect();
-                missing[ri] = unique.len();
-            }
-        }
-        let mut satisfied: FxHashMap<usize, FxHashSet<AtomId>> = FxHashMap::default();
+        let (first, waiting) = group_by_key(g.store.atom_count(), &waits);
         while let Some(a) = queue.pop() {
-            if let Some(rids) = waiting.get(&a) {
-                for &ri in rids {
-                    if missing[ri] == usize::MAX {
-                        continue;
-                    }
-                    let seen = satisfied.entry(ri).or_default();
-                    if seen.insert(a) && seen.len() == missing[ri] {
-                        let h = rules[ri].head;
-                        if certain.insert(h) {
-                            queue.push(h);
-                        }
+            for &ri in &waiting[first[a.0 as usize]..first[a.0 as usize + 1]] {
+                let left = &mut remaining[ri as usize];
+                *left -= 1;
+                if *left == 0 {
+                    let h = rules[ri as usize].head;
+                    if certain.insert(h) {
+                        queue.push(h);
                     }
                 }
             }
@@ -1078,20 +1128,25 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
     // ---- Phase 4: choices, constraints, minimize. ----
     // In rule order, then minimize order; a choice's element conditions
     // are joined per body match, seeded with its bindings.
-    let mut choices: Vec<GroundChoice> = Vec::new();
+    let mut choices: Emitted<GroundChoice> = Emitted::default();
     let mut choice_src: Vec<u32> = Vec::new();
-    let mut choice_set: FxHashSet<GroundChoice> = FxHashSet::default();
-    let mut constraints: Vec<GroundConstraint> = Vec::new();
+    let mut constraints: Emitted<GroundConstraint> = Emitted::default();
     let mut constraint_src: Vec<u32> = Vec::new();
-    let mut constraint_set: FxHashSet<GroundConstraint> = FxHashSet::default();
+    let mut cm = Matches::default();
+    let mut elems: Vec<AtomId> = Vec::new();
+    // Per atom: already an element of the instance being built.
+    let mut in_elems: Vec<bool> = Vec::new();
     for (ri, rp) in plans.iter().enumerate() {
         if matches!(rp.head, HeadPlan::Atom(_)) {
             continue;
         }
-        for Match { subst, chosen } in g.join(&rp.body, &no_subst, None)? {
-            let mut neg = Vec::with_capacity(rp.neg.len());
+        m.clear();
+        g.join(&rp.body, &[], None, &mut m)?;
+        for k in 0..m.len() {
+            let (subst, pos) = m.get(k);
+            neg.clear();
             for n in &rp.neg {
-                neg.push(g.intern_under(&subst, n)?);
+                neg.push(g.intern_under(subst, n)?);
             }
             if let HeadPlan::Choice {
                 lower,
@@ -1099,12 +1154,14 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
                 elements,
             } = &rp.head
             {
-                let mut elems: Vec<AtomId> = Vec::new();
-                let mut elem_seen: FxHashSet<AtomId> = FxHashSet::default();
+                elems.clear();
                 for el in elements {
-                    for cm in g.join(&el.cond, &subst, None)? {
+                    cm.clear();
+                    g.join(&el.cond, subst, None, &mut cm)?;
+                    for c in 0..cm.len() {
+                        let (csubst, cpos) = cm.get(c);
                         // Conditions must be certain (domain predicates).
-                        for &c in &cm.chosen {
+                        for &c in cpos {
                             if !certain.contains(&c) {
                                 return Err(AspError::NonDomainCondition {
                                     atom: g.store.format_atom(c),
@@ -1113,7 +1170,7 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
                             }
                         }
                         for n in &el.cond_neg {
-                            let nid = g.intern_under(&cm.subst, n)?;
+                            let nid = g.intern_under(csubst, n)?;
                             if g.is_possible(nid) {
                                 return Err(AspError::DerivableNegatedCondition {
                                     atom: g.store.format_atom(nid),
@@ -1121,68 +1178,99 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
                                 });
                             }
                         }
-                        let e = g.intern_under(&cm.subst, el.atom)?;
-                        if elem_seen.insert(e) {
+                        let e = g.intern_under(csubst, el.atom)?;
+                        let i = e.0 as usize;
+                        if in_elems.len() <= i {
+                            in_elems.resize(i + 1, false);
+                        }
+                        if !in_elems[i] {
+                            in_elems[i] = true;
                             elems.push(e);
                         }
                     }
                 }
-                let gc = GroundChoice {
-                    lower: *lower,
-                    upper: *upper,
-                    pos: chosen.into(),
-                    neg: neg.into(),
-                    elements: elems.into(),
-                };
-                if choice_set.insert(gc.clone()) {
-                    choices.push(gc);
+                for e in &elems {
+                    in_elems[e.0 as usize] = false;
+                }
+                let new = choices.insert(
+                    hash_key((lower, upper, pos, &neg, &elems)),
+                    |c| {
+                        c.lower == *lower
+                            && c.upper == *upper
+                            && *c.pos == *pos
+                            && *c.neg == *neg
+                            && *c.elements == *elems
+                    },
+                    || GroundChoice {
+                        lower: *lower,
+                        upper: *upper,
+                        pos: pos.into(),
+                        neg: neg.as_slice().into(),
+                        elements: elems.as_slice().into(),
+                    },
+                );
+                if new {
                     choice_src.push(ri as u32);
                 }
             } else {
-                let gc = GroundConstraint {
-                    pos: chosen.into(),
-                    neg: neg.into(),
-                };
-                if constraint_set.insert(gc.clone()) {
-                    constraints.push(gc);
+                let new = constraints.insert(
+                    hash_key((pos, &neg)),
+                    |c| *c.pos == *pos && *c.neg == *neg,
+                    || GroundConstraint {
+                        pos: pos.into(),
+                        neg: neg.as_slice().into(),
+                    },
+                );
+                if new {
                     constraint_src.push(ri as u32);
                 }
             }
             g.check_emitted(rules.len() + choices.len() + constraints.len())?;
         }
     }
+    let (choices, constraints) = (choices.items, constraints.items);
 
-    let mut minimize: Vec<GroundMin> = Vec::new();
-    let mut min_set: FxHashSet<GroundMin> = FxHashSet::default();
+    let mut minimize: Emitted<GroundMin> = Emitted::default();
+    let mut tuple: Vec<TermId> = Vec::new();
     for (me, (spec, cond_neg)) in program.minimize.iter().zip(&min_plans) {
-        for Match { subst, chosen } in g.join(spec, &no_subst, None)? {
-            let w = resolve_int(&mut g, &subst, &me.weight)?;
+        m.clear();
+        g.join(spec, &[], None, &mut m)?;
+        for k in 0..m.len() {
+            let (subst, pos) = m.get(k);
+            let w = resolve_int(&mut g, subst, &me.weight)?;
             if w < 0 {
                 return Err(AspError::BadWeight(format!(
                     "negative #minimize weight {w} is not supported by this engine"
                 )));
             }
-            let p = resolve_int(&mut g, &subst, &me.priority)?;
-            let mut tuple = Vec::with_capacity(me.terms.len());
+            let p = resolve_int(&mut g, subst, &me.priority)?;
+            tuple.clear();
             for t in &me.terms {
-                tuple.push(resolve(&mut g.store, &subst, t).ok_or_else(|| {
+                tuple.push(resolve(&mut g.store, subst, t).ok_or_else(|| {
                     AspError::Internal(format!("non-ground minimize tuple term {t}"))
                 })?);
             }
-            let mut neg = Vec::with_capacity(cond_neg.len());
+            neg.clear();
             for n in cond_neg {
-                neg.push(g.intern_under(&subst, n)?);
+                neg.push(g.intern_under(subst, n)?);
             }
-            let gm = GroundMin {
-                weight: w,
-                priority: p,
-                tuple: tuple.into(),
-                pos: chosen.into(),
-                neg: neg.into(),
-            };
-            if min_set.insert(gm.clone()) {
-                minimize.push(gm);
-            }
+            minimize.insert(
+                hash_key((w, p, &tuple, pos, &neg)),
+                |x| {
+                    x.weight == w
+                        && x.priority == p
+                        && *x.tuple == *tuple
+                        && *x.pos == *pos
+                        && *x.neg == *neg
+                },
+                || GroundMin {
+                    weight: w,
+                    priority: p,
+                    tuple: tuple.as_slice().into(),
+                    pos: pos.into(),
+                    neg: neg.as_slice().into(),
+                },
+            );
             g.check_emitted(rules.len() + choices.len() + constraints.len() + minimize.len())?;
         }
     }
@@ -1193,13 +1281,50 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
         rules,
         choices,
         constraints,
-        minimize,
+        minimize: minimize.items,
         rule_src,
         choice_src,
         constraint_src,
         certain,
         possible,
     })
+}
+
+/// Ground instances of one kind in emission order, deduplicated by their
+/// parts: a lookup takes the parts by borrow, only a new instance is
+/// built, and the first emitter wins.
+struct Emitted<T> {
+    items: Vec<T>,
+    /// Position in `items`, filed under the instance's hash.
+    index: IdTable,
+}
+
+impl<T> Default for Emitted<T> {
+    fn default() -> Self {
+        Emitted {
+            items: Vec::new(),
+            index: IdTable::default(),
+        }
+    }
+}
+
+impl<T> Emitted<T> {
+    fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Append `make()` unless an item filed under `hash` is `same`; true
+    /// when appended.
+    fn insert(&mut self, hash: u32, same: impl Fn(&T) -> bool, make: impl FnOnce() -> T) -> bool {
+        let items = &self.items;
+        let known = self.index.find(hash, |i| same(&items[i as usize]));
+        if known.is_some() {
+            return false;
+        }
+        self.index.insert(hash, self.items.len() as u32);
+        self.items.push(make());
+        true
+    }
 }
 
 fn resolve_int(g: &mut Grounder, s: &Subst, t: &Term) -> Result<i64> {

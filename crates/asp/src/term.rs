@@ -1,10 +1,11 @@
 //! Terms and atoms, both symbolic (possibly containing variables) and
 //! ground (hash-consed into integer ids for the solver pipeline).
 
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHasher};
 use spackle_spec::Sym;
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A (possibly non-ground) term.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -153,17 +154,47 @@ pub enum GroundTerm {
     Func(Sym, Box<[TermId]>),
 }
 
+/// A ground term named by its parts: [`GroundTerm`] with the children
+/// borrowed, so a lookup or an intern builds nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TermKey<'a> {
+    /// Integer constant.
+    Int(i64),
+    /// Symbolic constant.
+    Sym(Sym),
+    /// Quoted-string constant.
+    Str(Sym),
+    /// Compound term over interned children.
+    Func(Sym, &'a [TermId]),
+}
+
 /// Hash-consing store for ground terms and atoms.
 ///
 /// Every distinct ground term/atom gets a dense integer id; the grounder,
 /// CNF translator, and solver all speak in these ids, so equality is `==`
 /// on a `u32` and maps are keyed by integers.
+///
+/// Lookups take their keys by borrowed parts ([`TermKey`], an argument
+/// slice) and never allocate. Scalar terms are found through maps keyed
+/// by the scalar; compound terms and atoms through `IdTable`s that
+/// hold only ids. Atom arguments live back to back in one arena, so a
+/// new atom costs only the arena's amortized growth. Ids are handed out
+/// in interning order: no id depends on a table's layout.
 #[derive(Clone, Default)]
 pub struct GroundStore {
     terms: Vec<GroundTerm>,
-    term_map: FxHashMap<GroundTerm, TermId>,
-    atoms: Vec<(Sym, Box<[TermId]>)>,
-    atom_map: FxHashMap<(Sym, Box<[TermId]>), AtomId>,
+    ints: FxHashMap<i64, TermId>,
+    syms: FxHashMap<Sym, TermId>,
+    strs: FxHashMap<Sym, TermId>,
+    /// Compound terms, filed under their `(name, children)` hash.
+    funcs: IdTable,
+    atom_pred: Vec<Sym>,
+    /// Atom `i`'s arguments end at `atom_end[i]` in `atom_args` and start
+    /// where atom `i - 1`'s end.
+    atom_end: Vec<usize>,
+    atom_args: Vec<TermId>,
+    /// Atoms, filed under their `(predicate, arguments)` hash.
+    atoms: IdTable,
 }
 
 impl GroundStore {
@@ -172,47 +203,91 @@ impl GroundStore {
         Self::default()
     }
 
-    /// Intern a ground term payload.
-    pub fn term(&mut self, t: GroundTerm) -> TermId {
-        if let Some(&id) = self.term_map.get(&t) {
+    /// Intern a ground term.
+    pub fn term(&mut self, key: TermKey<'_>) -> TermId {
+        if let Some(id) = self.find_term(key) {
             return id;
         }
         let id = TermId(self.terms.len() as u32);
-        self.terms.push(t.clone());
-        self.term_map.insert(t, id);
+        let t = match key {
+            TermKey::Int(i) => {
+                self.ints.insert(i, id);
+                GroundTerm::Int(i)
+            }
+            TermKey::Sym(x) => {
+                self.syms.insert(x, id);
+                GroundTerm::Sym(x)
+            }
+            TermKey::Str(x) => {
+                self.strs.insert(x, id);
+                GroundTerm::Str(x)
+            }
+            TermKey::Func(name, kids) => {
+                self.funcs.insert(hash_key((name, kids)), id.0);
+                GroundTerm::Func(name, kids.into())
+            }
+        };
+        self.terms.push(t);
         id
+    }
+
+    /// Look up a term id without interning. `None` means the term has
+    /// never been interned — so in particular no interned atom can
+    /// contain it.
+    pub fn find_term(&self, key: TermKey<'_>) -> Option<TermId> {
+        match key {
+            TermKey::Int(i) => self.ints.get(&i).copied(),
+            TermKey::Sym(x) => self.syms.get(&x).copied(),
+            TermKey::Str(x) => self.strs.get(&x).copied(),
+            TermKey::Func(name, kids) => self.lookup_func(hash_key((name, kids)), name, kids),
+        }
+    }
+
+    fn lookup_func(&self, hash: u32, name: Sym, kids: &[TermId]) -> Option<TermId> {
+        let found = self.funcs.find(hash, |id| {
+            matches!(&self.terms[id as usize], GroundTerm::Func(n, k) if *n == name && **k == *kids)
+        });
+        found.map(TermId)
     }
 
     /// Intern a fully ground [`Term`] tree. Panics if it has variables.
     pub fn intern_term(&mut self, t: &Term) -> TermId {
         match t {
-            Term::Int(i) => self.term(GroundTerm::Int(*i)),
-            Term::Sym(s) => self.term(GroundTerm::Sym(*s)),
-            Term::Str(s) => self.term(GroundTerm::Str(*s)),
+            Term::Int(i) => self.term(TermKey::Int(*i)),
+            Term::Sym(s) => self.term(TermKey::Sym(*s)),
+            Term::Str(s) => self.term(TermKey::Str(*s)),
             Term::Var(v) => panic!("intern_term on non-ground term: variable {v}"),
             Term::Func(name, args) => {
-                let kids: Box<[TermId]> = args.iter().map(|a| self.intern_term(a)).collect();
-                self.term(GroundTerm::Func(*name, kids))
+                let mut kids = ArgBuf::new();
+                for a in args {
+                    kids.push(self.intern_term(a));
+                }
+                self.term(TermKey::Func(*name, kids.as_slice()))
             }
         }
     }
 
     /// Intern a ground atom.
-    pub fn atom(&mut self, pred: Sym, args: Box<[TermId]>) -> AtomId {
-        let key = (pred, args);
-        if let Some(&id) = self.atom_map.get(&key) {
+    pub fn atom(&mut self, pred: Sym, args: &[TermId]) -> AtomId {
+        let hash = hash_key((pred, args));
+        if let Some(id) = self.lookup_atom(hash, pred, args) {
             return id;
         }
-        let id = AtomId(self.atoms.len() as u32);
-        self.atoms.push(key.clone());
-        self.atom_map.insert(key, id);
+        let id = AtomId(self.atom_pred.len() as u32);
+        self.atom_pred.push(pred);
+        self.atom_args.extend_from_slice(args);
+        self.atom_end.push(self.atom_args.len());
+        self.atoms.insert(hash, id.0);
         id
     }
 
     /// Intern a fully ground [`Atom`].
     pub fn intern_atom(&mut self, a: &Atom) -> AtomId {
-        let args: Box<[TermId]> = a.args.iter().map(|t| self.intern_term(t)).collect();
-        self.atom(a.pred, args)
+        let mut args = ArgBuf::new();
+        for t in &a.args {
+            args.push(self.intern_term(t));
+        }
+        self.atom(a.pred, args.as_slice())
     }
 
     /// Look up a ground term payload.
@@ -222,25 +297,27 @@ impl GroundStore {
 
     /// Look up a ground atom (predicate, args).
     pub fn atom_data(&self, id: AtomId) -> (Sym, &[TermId]) {
-        let (p, args) = &self.atoms[id.0 as usize];
-        (*p, args)
+        let i = id.0 as usize;
+        let start = if i == 0 { 0 } else { self.atom_end[i - 1] };
+        (self.atom_pred[i], &self.atom_args[start..self.atom_end[i]])
     }
 
     /// Number of interned atoms.
     pub fn atom_count(&self) -> usize {
-        self.atoms.len()
+        self.atom_pred.len()
     }
 
     /// Look up an atom id without interning.
     pub fn find_atom(&self, pred: Sym, args: &[TermId]) -> Option<AtomId> {
-        self.atom_map.get(&(pred, args.into())).copied()
+        self.lookup_atom(hash_key((pred, args)), pred, args)
     }
 
-    /// Look up a term id without interning. `None` means the term has
-    /// never been interned — so in particular no interned atom can
-    /// contain it.
-    pub fn find_term(&self, t: &GroundTerm) -> Option<TermId> {
-        self.term_map.get(t).copied()
+    fn lookup_atom(&self, hash: u32, pred: Sym, args: &[TermId]) -> Option<AtomId> {
+        let found = self.atoms.find(hash, |id| {
+            let (p, a) = self.atom_data(AtomId(id));
+            p == pred && a == args
+        });
+        found.map(AtomId)
     }
 
     /// Total order on ground terms: ints < syms < strings < funcs, each
@@ -299,6 +376,138 @@ impl GroundStore {
         } else {
             let inner: Vec<String> = args.iter().map(|&a| self.format_term(a)).collect();
             format!("{pred}({})", inner.join(","))
+        }
+    }
+}
+
+/// An open-addressing table of dense `u32` ids. The caller hashes a key
+/// and judges equality against its own storage, so a lookup takes the
+/// key by borrowed parts and never allocates. Each slot keeps its id's
+/// hash, so growth never asks the caller again. Linear probing, at most
+/// half full. Only lookups read it: nothing iterates its slots, so no
+/// output depends on its layout.
+#[derive(Clone, Default)]
+pub(crate) struct IdTable {
+    /// `(hash, id)` per slot, `id == EMPTY` when free; a power-of-two
+    /// length.
+    slots: Vec<(u32, u32)>,
+    len: usize,
+}
+
+const EMPTY: u32 = u32::MAX;
+
+impl IdTable {
+    /// The id filed under `hash` that `is` accepts.
+    pub(crate) fn find(&self, hash: u32, mut is: impl FnMut(u32) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let (h, id) = self.slots[i];
+            if id == EMPTY {
+                return None;
+            }
+            if h == hash && is(id) {
+                return Some(id);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// File `id` under `hash`; the caller has found no equal key.
+    pub(crate) fn insert(&mut self, hash: u32, id: u32) {
+        debug_assert_ne!(id, EMPTY);
+        if 2 * (self.len + 1) > self.slots.len() {
+            let cap = (2 * self.slots.len()).max(16);
+            let old = std::mem::replace(&mut self.slots, vec![(0, EMPTY); cap]);
+            for (h, id) in old {
+                if id != EMPTY {
+                    Self::place(&mut self.slots, h, id);
+                }
+            }
+        }
+        Self::place(&mut self.slots, hash, id);
+        self.len += 1;
+    }
+
+    fn place(slots: &mut [(u32, u32)], hash: u32, id: u32) {
+        let mask = slots.len() - 1;
+        let mut i = hash as usize & mask;
+        while slots[i].1 != EMPTY {
+            i = (i + 1) & mask;
+        }
+        slots[i] = (hash, id);
+    }
+}
+
+/// The 32-bit hash an [`IdTable`] files `key` under.
+pub(crate) fn hash_key(key: impl Hash) -> u32 {
+    let mut h = FxHasher::default();
+    key.hash(&mut h);
+    let v = h.finish();
+    (v ^ (v >> 32)) as u32
+}
+
+/// Group `pairs` by their key, a dense id in `0..keys`, with a stable
+/// counting sort: key `k`'s values are `values[first[k]..first[k + 1]]`,
+/// in the order `pairs` lists them.
+pub(crate) fn group_by_key<V: Copy>(keys: usize, pairs: &[(u32, V)]) -> (Vec<usize>, Vec<V>) {
+    let mut first = vec![0usize; keys + 1];
+    for &(k, _) in pairs {
+        first[k as usize + 1] += 1;
+    }
+    for k in 1..first.len() {
+        first[k] += first[k - 1];
+    }
+    // Every slot is overwritten below; the copy only sizes the vector.
+    let mut values: Vec<V> = pairs.iter().map(|&(_, v)| v).collect();
+    let mut next = first.clone();
+    for &(k, v) in pairs {
+        values[next[k as usize]] = v;
+        next[k as usize] += 1;
+    }
+    (first, values)
+}
+
+/// Argument ids gathered for one atom or compound term: on the stack up
+/// to [`ArgBuf::INLINE`] of them, on the heap beyond.
+pub(crate) struct ArgBuf {
+    inline: [TermId; ArgBuf::INLINE],
+    len: usize,
+    heap: Vec<TermId>,
+}
+
+impl ArgBuf {
+    /// Arguments held without allocating.
+    pub(crate) const INLINE: usize = 8;
+
+    pub(crate) fn new() -> Self {
+        ArgBuf {
+            inline: [TermId(0); ArgBuf::INLINE],
+            len: 0,
+            heap: Vec::new(),
+        }
+    }
+
+    pub(crate) fn push(&mut self, t: TermId) {
+        if self.len < Self::INLINE {
+            self.inline[self.len] = t;
+        } else {
+            if self.len == Self::INLINE {
+                self.heap.extend_from_slice(&self.inline);
+            }
+            self.heap.push(t);
+        }
+        self.len += 1;
+    }
+
+    pub(crate) fn as_slice(&self) -> &[TermId] {
+        if self.len <= Self::INLINE {
+            &self.inline[..self.len]
+        } else {
+            &self.heap
         }
     }
 }

@@ -9,7 +9,11 @@
 //! choices — so any future regression fails here with a readable,
 //! hand-checkable program instead of a fuzzer seed.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use spackle_asp::certify::certify_model;
+use spackle_asp::ground::{ground, GroundProgram};
+use spackle_asp::term::AtomId;
 use spackle_asp::{parse_program, Model, SolveOutcome, Solver};
 
 fn models(text: &str, limit: usize) -> Vec<Vec<String>> {
@@ -204,4 +208,132 @@ fn every_enumerated_model_certifies() {
         spackle_asp::certify::certify_atoms(m.ground(), m.atom_set())
             .expect("every enumerated model must pass the certificate check");
     }
+}
+
+/// The rules of the relational programs below: compound arguments
+/// (`node(X)`, `f(g(X),Y)`) at scanned and at probed positions, an atom
+/// and a compound term of ten arguments (wider than the grounder keeps
+/// on the stack), a rule written twice, negation, a choice, a
+/// constraint and two minimize statements.
+const RELATIONAL_RULES: &str = r#"
+    p(node(X)) :- e(X,Y).
+    p(node(X)) :- e(X,Y).
+    q(f(g(X),Y)) :- e(X,Y), not e(Y,X).
+    s(X) :- e(X,Y), q(f(g(X),Y)).
+    r(X) :- p(node(X)), lab(node(X),"a").
+    wide(h(A,B,C,D,E,F,G,H,I,J)) :- w(A,B,C,D,E,F,G,H,I,J).
+    w2(A,B,C,D,E,F,G,H,I,J) :- w(J,I,H,G,F,E,D,C,B,A).
+    u(A) :- w(A,B,C,D,E,F,G,H,I,J), wide(h(A,B,C,D,E,F,G,H,I,J)).
+    v(A) :- w2(A,B,C,D,E,F,G,H,I,J), not wide(h(J,I,H,G,F,E,D,C,B,A)).
+    { pick(X) : p(node(X)), not banned(node(X)) } 2 :- e(Y,Y).
+    :- pick(X), pick(Y), X < Y, e(X,Y).
+    #minimize { 1@1,X : pick(X) }.
+    #minimize { 2@2,f(X),node(Y) : r(X), q(f(g(X),Y)) }.
+"#;
+
+/// Random facts over a small domain, some of them repeated.
+fn relational_facts(rng: &mut StdRng) -> Vec<String> {
+    let mut facts = Vec::new();
+    for _ in 0..rng.gen_range(2..9) {
+        let (x, y): (u32, u32) = (rng.gen_range(0..4), rng.gen_range(0..4));
+        facts.push(format!("e({x},{y})."));
+    }
+    for _ in 0..rng.gen_range(0..5) {
+        let label = if rng.gen_bool(0.5) { "a" } else { "b" };
+        facts.push(format!("lab(node({}),\"{label}\").", rng.gen_range(0..4)));
+    }
+    for _ in 0..rng.gen_range(0..4) {
+        let args: Vec<String> = (0..10)
+            .map(|_| rng.gen_range(0..3u32).to_string())
+            .collect();
+        facts.push(format!("w({}).", args.join(",")));
+    }
+    for _ in 0..rng.gen_range(0..4) {
+        let again = facts[rng.gen_range(0..facts.len())].clone();
+        facts.push(again);
+    }
+    facts
+}
+
+/// A ground program as sets of rendered instances, independent of atom
+/// numbering and emission order. Panics if an instance was emitted twice
+/// or an interned atom is not found again by its parts.
+fn render_ground(gp: &GroundProgram) -> Vec<Vec<String>> {
+    let atom = |a: &AtomId| gp.store.format_atom(*a);
+    let body = |pos: &[AtomId], neg: &[AtomId]| {
+        let mut lits: Vec<String> = pos.iter().map(atom).collect();
+        lits.extend(neg.iter().map(|a| format!("not {}", atom(a))));
+        lits.join(", ")
+    };
+    let sorted = |mut v: Vec<String>| {
+        v.sort();
+        let len = v.len();
+        v.dedup();
+        assert_eq!(v.len(), len, "an instance was emitted twice: {v:?}");
+        v
+    };
+    for i in 0..gp.atom_count() as u32 {
+        let (pred, args) = gp.store.atom_data(AtomId(i));
+        assert_eq!(gp.store.find_atom(pred, args), Some(AtomId(i)));
+    }
+    let rules = gp
+        .rules
+        .iter()
+        .map(|r| format!("{} :- {}", atom(&r.head), body(&r.pos, &r.neg)));
+    let choices = gp.choices.iter().map(|c| {
+        let mut elems: Vec<String> = c.elements.iter().map(atom).collect();
+        elems.sort();
+        let (lower, upper) = (c.lower, c.upper);
+        format!("{lower:?} {elems:?} {upper:?} :- {}", body(&c.pos, &c.neg))
+    });
+    let constraints = gp
+        .constraints
+        .iter()
+        .map(|c| format!(":- {}", body(&c.pos, &c.neg)));
+    let minimize = gp.minimize.iter().map(|m| {
+        let tuple: Vec<String> = m.tuple.iter().map(|&t| gp.store.format_term(t)).collect();
+        format!("{}@{},{tuple:?} : {}", m.weight, m.priority, body(&m.pos, &m.neg))
+    });
+    vec![
+        sorted(rules.collect()),
+        sorted(choices.collect()),
+        sorted(constraints.collect()),
+        sorted(minimize.collect()),
+        sorted(gp.possible.iter().map(atom).collect()),
+        sorted(gp.certain.iter().map(atom).collect()),
+    ]
+}
+
+#[test]
+fn relational_grounding_ignores_fact_order() {
+    let mut rng = StdRng::seed_from_u64(20240042);
+    // Cases that reached: a compound probe (`s/1`), a wide compound
+    // probe (`u/1`), a derived wide atom (`w2/10`), a choice, a
+    // constraint, a minimize term.
+    let mut reached = [0usize; 6];
+    for case in 0..200 {
+        let mut facts = relational_facts(&mut rng);
+        let forward = format!("{}\n{RELATIONAL_RULES}", facts.join("\n"));
+        facts.reverse();
+        let reversed = format!("{}\n{RELATIONAL_RULES}", facts.join("\n"));
+        let a = render_ground(&ground(&parse_program(&forward).unwrap()).unwrap());
+        let b = render_ground(&ground(&parse_program(&reversed).unwrap()).unwrap());
+        assert_eq!(a, b, "case {case}:\n{forward}");
+        let possible = |pred: &str| a[4].iter().any(|atom| atom.starts_with(pred));
+        let hits = [
+            possible("s("),
+            possible("u("),
+            possible("w2("),
+            !a[1].is_empty(),
+            !a[2].is_empty(),
+            !a[3].is_empty(),
+        ];
+        for (count, hit) in reached.iter_mut().zip(hits) {
+            *count += usize::from(hit);
+        }
+    }
+    assert!(
+        reached.iter().all(|&n| n >= 10),
+        "coverage per shape: {reached:?}"
+    );
 }

@@ -696,9 +696,9 @@ impl Concretizer {
 }
 
 /// Lift an ASP engine error into the typed [`CoreError`] taxonomy:
-/// budget exhaustion and cancellation stay structured (they must be
-/// distinguishable over the wire), everything else renders as a solver
-/// failure.
+/// budget exhaustion, cancellation and resource limits stay structured
+/// (they must be distinguishable over the wire), everything else renders
+/// as a solver failure.
 fn solve_error(e: AspError) -> CoreError {
     match e {
         AspError::BudgetExhausted {
@@ -711,6 +711,7 @@ fn solve_error(e: AspError) -> CoreError {
             propagations,
         },
         AspError::Cancelled { deadline } => CoreError::Cancelled { deadline },
+        AspError::ResourceLimit(m) => CoreError::ResourceLimit(m),
         other => CoreError::Solve(other.to_string()),
     }
 }

@@ -51,6 +51,10 @@ pub enum CoreError {
     Unsupported(String),
     /// The underlying ASP engine failed.
     Solve(String),
+    /// The solve overran a resource limit of the ASP engine: a grounding
+    /// limit (`SolverConfig::limits`) or the stability loop's iteration
+    /// cap. An input too large for its limits, not an engine failure.
+    ResourceLimit(String),
     /// A reusable-spec source failed past its retry budget. `source` is
     /// the index of the failing top-level source on the concretizer,
     /// `backend` its human-readable label — the provenance a degraded
@@ -96,6 +100,7 @@ impl CoreError {
             CoreError::Config(_) => "config",
             CoreError::Unsupported(_) => "unsupported",
             CoreError::Solve(_) => "solve",
+            CoreError::ResourceLimit(_) => "resource_limit",
             CoreError::Cache { .. } => "cache",
             CoreError::Cancelled { deadline: true } => "timeout",
             CoreError::Cancelled { deadline: false } => "cancelled",
@@ -113,6 +118,7 @@ impl fmt::Display for CoreError {
             CoreError::Config(m) => write!(f, "configuration: {m}"),
             CoreError::Unsupported(m) => write!(f, "unsupported: {m}"),
             CoreError::Solve(m) => write!(f, "solver: {m}"),
+            CoreError::ResourceLimit(m) => write!(f, "resource limit: {m}"),
             CoreError::Cache {
                 source,
                 backend,

@@ -149,8 +149,9 @@ pub struct Response {
     #[serde(default)]
     pub error: String,
     /// Machine-readable error tag when `ok` is `false`: `"timeout"`,
-    /// `"budget"`, `"overloaded"`, `"cache"`, `"config"`, `"unsat"`,
-    /// ... (see `CoreError::kind`). Empty for legacy/parse errors.
+    /// `"budget"`, `"resource_limit"` (a grounding limit overrun),
+    /// `"overloaded"`, `"cache"`, `"config"`, `"unsat"`, ... (see
+    /// `CoreError::kind`). Empty for legacy/parse errors.
     #[serde(default)]
     pub error_kind: String,
     /// On an `"overloaded"` error: suggested client backoff before

@@ -150,3 +150,23 @@ fn verify_reports_missing_installs() {
     let problems = inst.verify(sol.spec());
     assert_eq!(problems.len(), sol.spec().len());
 }
+
+/// A grounding limit overrun is its own error kind, not a solver failure:
+/// services put the kind on the wire, and a client must be able to tell
+/// an input too large for its limits from an engine bug.
+#[test]
+fn grounding_limit_is_a_resource_limit() {
+    let repo = spackle::radiuss::radiuss_repo();
+    let mut config = ConcretizerConfig::splice_spack_disabled();
+    config.solver.limits.max_atoms = 100;
+    let err = Concretizer::new(&repo)
+        .with_config(config)
+        .concretize(&parse_spec("hypre").unwrap())
+        .unwrap_err();
+    assert!(matches!(err, CoreError::ResourceLimit(_)), "{err}");
+    assert_eq!(err.kind(), "resource_limit");
+    assert!(
+        err.to_string().contains("possible atoms exceeded 100"),
+        "{err}"
+    );
+}

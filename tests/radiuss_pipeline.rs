@@ -250,3 +250,71 @@ fn joint_concretization_of_mpi_subset() {
         .hash;
     assert_eq!(h1, h2);
 }
+
+/// The ground program and the search over it, pinned on real programs:
+/// the sizes the grounder emits, the CNF variable count and the CDCL
+/// counters follow from the atom numbering, the rule order and the
+/// clause order, so any change to those moves a number here. The DAG
+/// hash pins the answer.
+#[test]
+fn pinned_ground_and_search_counts() {
+    let fx = fixture();
+    let replicas = with_replicas(&fx.repo, 10);
+    // ground atoms, rules, choices, constraints; SAT variables,
+    // conflicts, decisions, propagations, optimization probes.
+    let cases = [
+        (
+            &fx.repo,
+            ConcretizerConfig::splice_spack_disabled(),
+            "hypre",
+            false,
+            [362, 355, 66, 16, 662, 0, 10, 1075, 0],
+            "fp2o27kriqmeenxxo6ukix3dg6rzbbgsinbbzy2bnauawgew7yeq",
+        ),
+        (
+            &fx.repo_mpiabi,
+            ConcretizerConfig::splice_spack(),
+            "mfem ^mpiabi",
+            false,
+            [474, 486, 82, 23, 882, 3, 56, 1846, 2],
+            "evnpyxtitxh3rsenqqp4yo5llgisjjyb35vkmf3ezj6f2t7ogkoq",
+        ),
+        (
+            &replicas,
+            ConcretizerConfig::splice_spack(),
+            "hypre",
+            true,
+            [525, 517, 107, 47, 1014, 33, 481, 10770, 6],
+            "diqjjtplenegpramokbjdjxjhggdpcumtqafqc2lzdpqjdjrw2pq",
+        ),
+    ];
+    for (repo, config, spec, forbid_mpich, counts, hash) in cases {
+        let mut goal = Goal::single(parse_spec(spec).unwrap());
+        if forbid_mpich {
+            goal.forbidden.push(Sym::intern("mpich"));
+        }
+        let sol = Concretizer::new(repo)
+            .with_config(config)
+            .with_reusable(&fx.cache)
+            .concretize_goal(&goal)
+            .unwrap();
+        let s = &sol.stats.solver;
+        let got = [
+            s.ground_atoms as u64,
+            s.ground_rules as u64,
+            s.ground_choices as u64,
+            s.ground_constraints as u64,
+            s.sat_vars as u64,
+            s.conflicts,
+            s.decisions,
+            s.propagations,
+            s.optimize_probes,
+        ];
+        assert_eq!(got, counts, "{spec:?} (mpich forbidden: {forbid_mpich})");
+        assert_eq!(
+            sol.specs[0].dag_hash().to_string(),
+            hash,
+            "{spec:?} (mpich forbidden: {forbid_mpich})"
+        );
+    }
+}
