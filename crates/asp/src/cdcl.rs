@@ -653,31 +653,6 @@ impl Sat {
         }
     }
 
-    /// Drop every learnt clause and clear activities: the next `solve`
-    /// searches from scratch. Used by the optimizer's non-incremental
-    /// branch-and-bound mode (and its differential tests) to reproduce
-    /// the seed engine's re-search behavior.
-    pub fn forget_learnts(&mut self) {
-        self.backtrack(0);
-        for i in 0..self.clauses.len() {
-            if self.learnt[i] && !self.deleted[i] {
-                self.deleted[i] = true;
-            }
-        }
-        self.n_learnt_live = 0;
-        // Level-0 trail entries may cite learnt reasons; clear them (a
-        // level-0 assignment needs no justification).
-        for i in 0..self.trail.len() {
-            let v = self.trail[i].var() as usize;
-            self.reason[v] = NO_REASON;
-        }
-        for a in &mut self.activity {
-            *a = 0.0;
-        }
-        self.var_inc = 1.0;
-        self.cla_inc = 1.0;
-    }
-
     // --- main search ---
 
     fn pick_branch(&mut self) -> Option<Lit> {
@@ -1155,38 +1130,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn forget_learnts_resets_search_state() {
-        // Solve something conflict-heavy, forget, and re-solve: same
-        // answer, and the learnt database is empty in between.
-        let np = 6;
-        let nh = 5;
-        let mut s = Sat::new();
-        let x: Vec<Vec<Var>> = (0..np)
-            .map(|_| (0..nh).map(|_| s.new_var()).collect())
-            .collect();
-        // Placement clauses for all pigeons but the last: satisfiable
-        // (the last pigeon simply goes nowhere).
-        for row in x.iter().take(np - 1) {
-            let c: Vec<Lit> = row.iter().map(|&v| p(v)).collect();
-            s.add_clause(&c);
-        }
-        for i1 in 0..np {
-            for i2 in (i1 + 1)..np {
-                for (&a, &b) in x[i1].iter().zip(&x[i2]) {
-                    s.add_clause(&[n(a), n(b)]);
-                }
-            }
-        }
-        assert_eq!(s.solve(), SatResult::Sat);
-        s.forget_learnts();
-        assert_eq!(s.n_learnt_live, 0);
-        // Now place the last pigeon too: the full PHP(6,5) is UNSAT.
-        let c: Vec<Lit> = x[np - 1].iter().map(|&v| p(v)).collect();
-        s.add_clause(&c);
-        assert_eq!(s.solve(), SatResult::Unsat);
     }
 
     #[test]

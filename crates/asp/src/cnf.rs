@@ -186,10 +186,10 @@ fn build_counter<S: CnfSink>(
 
 /// A reusable upper-bound circuit over one weighted literal set.
 ///
-/// [`add_upper_bound_guarded`] rebuilds an `O(n * bound)` sequential
-/// counter for every bound it asserts; branch-and-bound descent asserts
-/// a *monotonically shrinking* series of bounds over the *same* items,
-/// so all but the first circuit are redundant. A `BoundCounter` is built
+/// [`add_upper_bound`] builds an `O(n * bound)` sequential counter for
+/// the one bound it asserts; branch-and-bound descent asserts a
+/// *monotonically shrinking* series of bounds over the *same* items, so
+/// one circuit can serve them all. A `BoundCounter` is built
 /// once at the loosest bound the caller will ever need and then answers
 /// every tighter bound with a single one-literal (or guarded two-literal)
 /// clause over the already-built counter outputs.
@@ -335,14 +335,8 @@ pub fn add_upper_bound(sat: &mut Sat, items: &[(i64, Lit)], bound: i64) -> bool 
 }
 
 /// Add clauses enforcing `act -> (sum(weight_i * x_i) <= bound)`: the
-/// constraint applies only in models where `act` is true. Used for
-/// optimization probes that may be retracted by dropping the assumption.
-pub fn add_upper_bound_guarded(sat: &mut Sat, items: &[(i64, Lit)], bound: i64, act: Lit) -> bool {
-    add_upper_bound_guarded_with(sat, items, bound, act, ClauseOrigin::Definition)
-}
-
-/// [`add_upper_bound_guarded`] with an explicit origin for the
-/// *assertion* clauses (the counter internals stay definitional).
+/// constraint applies only in models where `act` is true. `origin` tags
+/// the *assertion* clauses (the counter internals stay definitional).
 fn add_upper_bound_guarded_with<S: CnfSink>(
     sat: &mut S,
     items: &[(i64, Lit)],
@@ -700,7 +694,13 @@ mod tests {
         let x = Lit::pos(sat.new_var());
         let y = Lit::pos(sat.new_var());
         let act = Lit::pos(sat.new_var());
-        assert!(add_upper_bound_guarded(&mut sat, &[(1, x), (1, y)], 1, act));
+        assert!(add_upper_bound_guarded_with(
+            &mut sat,
+            &[(1, x), (1, y)],
+            1,
+            act,
+            ClauseOrigin::Definition
+        ));
         sat.add_clause(&[x]);
         sat.add_clause(&[y]);
         // Without act there is a model (act false).

@@ -3,7 +3,7 @@
 
 use crate::cancel::CancelToken;
 use crate::cdcl::{Lit, Sat, SatResult};
-use crate::cnf::{add_upper_bound, add_upper_bound_guarded, translate, BoundCounter, Translation};
+use crate::cnf::{add_upper_bound, translate, BoundCounter, Translation};
 use crate::ground::{ground_with_limits, GroundLimits, GroundProgram};
 use crate::model::Model;
 use crate::program::Program;
@@ -29,14 +29,6 @@ pub struct SolverConfig {
     /// alongside the conflict budget. The default
     /// [`CancelToken::none`] never fires.
     pub cancel: CancelToken,
-    /// Incremental `#minimize` branch-and-bound: keep learned clauses
-    /// and variable activities across bound tightenings, build one shared
-    /// [`BoundCounter`] circuit per priority level (each probe/pin
-    /// asserts a tighter bound with a single clause), and skip the
-    /// post-pin re-solve when the incumbent assignment still encodes
-    /// the best model. When `false` every bound probe rebuilds the
-    /// counter and searches from scratch (the seed engine's behavior).
-    pub incremental_bnb: bool,
 }
 
 impl Default for SolverConfig {
@@ -45,18 +37,6 @@ impl Default for SolverConfig {
             limits: GroundLimits::default(),
             conflict_budget: u64::MAX,
             cancel: CancelToken::none(),
-            incremental_bnb: true,
-        }
-    }
-}
-
-impl SolverConfig {
-    /// The seed engine: from-scratch branch-and-bound — the baseline
-    /// the modern engine is benchmarked and differential-tested against.
-    pub fn seed_engine() -> Self {
-        SolverConfig {
-            incremental_bnb: false,
-            ..Default::default()
         }
     }
 }
@@ -378,13 +358,11 @@ impl Solver {
 
         for level in 0..tr.cost.len() {
             let (_, items) = &tr.cost[level];
-            // Incremental mode builds ONE counter circuit per priority
-            // level, sized for the incumbent cost; every descent probe
-            // and the final pin then assert a tighter bound with a
-            // single clause over the shared counter outputs. The seed
-            // path below rebuilds a fresh O(n * bound) circuit per
-            // probe, which dominates warm-solve time on optimization
-            // workloads.
+            // ONE counter circuit per priority level, sized for the
+            // incumbent cost; every descent probe and the final pin then
+            // assert a tighter bound with a single clause over the shared
+            // counter outputs. Learnt clauses and activities carry over
+            // from one probe to the next.
             let mut counter: Option<BoundCounter> = None;
             // Set when the last SAT call at this level ended UNSAT (a
             // failed probe), i.e. the solver's assignment no longer
@@ -396,25 +374,11 @@ impl Solver {
                 if current == 0 {
                     break; // weights are non-negative: 0 is optimal
                 }
-                // Non-incremental mode: discard everything learned so
-                // far and re-search each bound from scratch, like the
-                // seed engine did.
-                if !self.config.incremental_bnb {
-                    sat.forget_learnts();
-                }
                 // Probe: can we do strictly better?
                 let act = Lit::pos(sat.new_var());
-                if self.config.incremental_bnb {
-                    if counter.is_none() {
-                        counter = Some(BoundCounter::build(sat, items, current));
-                    }
-                    counter
-                        .as_ref()
-                        .expect("built above")
-                        .assert_upper(sat, current - 1, Some(act));
-                } else {
-                    add_upper_bound_guarded(sat, items, current - 1, act);
-                }
+                counter
+                    .get_or_insert_with(|| BoundCounter::build(sat, items, current))
+                    .assert_upper(sat, current - 1, Some(act));
                 stats.optimize_probes += 1;
                 match self.stable_solve(&gp, tr, tight, sat, &[act], stats)? {
                     Some(m) => {
@@ -454,17 +418,13 @@ impl Solver {
                     add_upper_bound(sat, items, best_costs[level].1);
                 }
             }
-            if !self.config.incremental_bnb {
-                sat.forget_learnts();
-            }
             // Re-establish a model satisfying all pins when the last
             // solve at this level ended UNSAT-under-assumptions (which
-            // clobbers assignments). The incremental engine skips the
-            // re-solve whenever the solver's assignment still encodes
-            // `model` — on descent-free workloads that removes one full
-            // SAT solve per priority level; the seed engine re-solves
-            // unconditionally, as the baseline always did.
-            if clobbered || !self.config.incremental_bnb {
+            // clobbers assignments). The re-solve is skipped whenever
+            // the solver's assignment still encodes `model` — on
+            // descent-free workloads that removes one full SAT solve per
+            // priority level.
+            if clobbered {
                 match self.stable_solve(&gp, tr, tight, sat, &[], stats)? {
                     Some(m) => model = m,
                     None => {
@@ -719,43 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn seed_engine_matches_modern_engine() {
-        // The seed engine must reach the same optima and the same
-        // satisfiability as the default.
-        let programs = [
-            r#"
-            cand("v1"). cand("v2"). cand("v3").
-            1 { pick(V) : cand(V) } 1.
-            cost("v1", 3). cost("v2", 1). cost("v3", 2).
-            #minimize { C@1,V : pick(V), cost(V, C) }.
-            "#,
-            r#"
-            node(1). node(2). node(3).
-            edge(1,2). edge(2,3). edge(1,3).
-            color("r"). color("g").
-            1 { assign(N,C) : color(C) } 1 :- node(N).
-            :- edge(A,B), assign(A,C), assign(B,C).
-            "#,
-            "a :- not b. b :- not a. :- b.",
-        ];
-        for text in programs {
-            let program = parse_program(text).unwrap();
-            let modern = Solver::new().solve(&program).unwrap().0;
-            let seed = Solver::with_config(SolverConfig::seed_engine())
-                .solve(&program)
-                .unwrap()
-                .0;
-            match (&modern, &seed) {
-                (SolveOutcome::Optimal(a), SolveOutcome::Optimal(b)) => {
-                    assert_eq!(a.cost, b.cost, "optima diverge on {text}");
-                }
-                (SolveOutcome::Unsat, SolveOutcome::Unsat) => {}
-                _ => panic!("satisfiability diverges on {text}"),
-            }
-        }
-    }
-
-    #[test]
     fn search_effort_surfaces_in_solve_stats() {
         let (_, stats) = solve_text(
             r#"
@@ -769,21 +692,32 @@ mod tests {
     }
 
     #[test]
-    fn incremental_and_scratch_bnb_agree() {
-        let program = parse_program(KNAPSACK).unwrap();
-        let scratch_cfg = SolverConfig {
-            incremental_bnb: false,
-            ..Default::default()
-        };
-        let (inc, _) = Solver::new().solve(&program).unwrap();
-        let (scr, _) = Solver::with_config(scratch_cfg).solve(&program).unwrap();
-        match (inc, scr) {
-            (SolveOutcome::Optimal(a), SolveOutcome::Optimal(b)) => {
-                assert_eq!(a.cost, b.cost);
-                assert_eq!(a.cost, vec![(1, 2)], "take(3) alone is optimal");
-            }
-            _ => panic!("expected optima from both modes"),
-        }
+    fn knapsack_optimum() {
+        assert_eq!(
+            model_of(KNAPSACK).cost,
+            vec![(1, 2)],
+            "take(3) alone is optimal"
+        );
+    }
+
+    #[test]
+    fn minimize_finds_the_cheapest_of_three() {
+        let m = model_of(
+            r#"
+            cand("v1"). cand("v2"). cand("v3").
+            1 { pick(V) : cand(V) } 1.
+            cost("v1", 3). cost("v2", 1). cost("v3", 2).
+            #minimize { C@1,V : pick(V), cost(V, C) }.
+        "#,
+        );
+        assert!(m.holds_str("pick", &["v2"]));
+        assert_eq!(m.cost, vec![(1, 1)]);
+    }
+
+    #[test]
+    fn constraint_selects_one_side_of_an_even_loop() {
+        let m = model_of("a :- not b. b :- not a. :- b.");
+        assert_eq!(m.render(), vec!["a".to_string()]);
     }
 
     #[test]

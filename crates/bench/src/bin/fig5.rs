@@ -10,8 +10,10 @@
 //! Usage:
 //!   fig5 [--trials N] [--warmup N] [--public-dags N] [--seed S] [--threads N]
 //!
-//! Defaults keep total runtime modest; pass `--trials 30 --public-dags
-//! 8000` for paper-scale runs (the public cache then holds ~20k specs).
+//! Defaults keep total runtime modest: the default 1000 DAGs give a
+//! 1,753-spec public cache. Pass `--trials 30 --public-dags 48000` for
+//! paper-scale runs (the public cache then holds 19,993 specs; setup
+//! prints the count).
 
 use spackle_bench::{default_threads, mean_std_ms, parallel_map, percent_increase, run_trials_warm, Args};
 use spackle_core::{Concretizer, ConcretizerConfig};

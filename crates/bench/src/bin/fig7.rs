@@ -107,14 +107,18 @@ fn main() {
     }
 
     println!();
+    // Growth in absolute terms beside the ratio, so that a faster
+    // 10-replica base cannot read as worse growth.
+    let per_replica = |lo: f64, hi: f64| (hi - lo) / 90.0;
     let m10 = mpi_at.get(&10).map(|(s, n)| s / *n as f64).unwrap_or(0.0);
     let m100 = mpi_at.get(&100).map(|(s, n)| s / *n as f64).unwrap_or(0.0);
     println!(
         "aggregate MPI-dependent specs: mean {:.2} ms at 10 replicas, {:.2} ms at 100 \
-         replicas; increase {:+.1}%   (paper: +74.2%)",
+         replicas; increase {:+.1}% ({:+.3} ms per added replica)   (paper: +74.2%)",
         m10,
         m100,
-        percent_increase(m10, m100)
+        percent_increase(m10, m100),
+        per_replica(m10, m100)
     );
     if let Some(ctrl) = rows.iter().find(|r| r.root == "py-shroud") {
         // Over the same span as the MPI aggregate.
@@ -122,10 +126,11 @@ fn main() {
         let (c10, c100) = (at(10), at(100));
         println!(
             "control py-shroud (no MPI dependency): {:.2} ms at 10 replicas -> {:.2} ms at \
-             100 ({:+.1}%) — expected flat",
+             100 ({:+.1}%, {:+.3} ms per added replica) — expected flat",
             c10,
             c100,
-            percent_increase(c10, c100)
+            percent_increase(c10, c100),
+            per_replica(c10, c100)
         );
     }
 }

@@ -17,13 +17,6 @@
 //!
 //! On top of the per-workload modes the report carries:
 //!
-//! * an `engine` section per workload comparing the seed engine
-//!   ([`SolverConfig::seed_engine`]) with the modern one. Each goal's
-//!   [`spackle_asp::TranslatedProgram`] is prepared outside the timed
-//!   region, so the times cover `Solver::solve_translated` alone —
-//!   search, stability checks and optimization — never a memoized model.
-//!   The modern engine's answers must match the sequential mode's DAG
-//!   hashes, and both engines must reach the same cost vectors;
 //! * a top-level `regressions` array naming every workload whose
 //!   `cached` mode's min-of-trials speedup vs sequential rounds below
 //!   1.0× — CI gates on this being empty, so a memoization regression is
@@ -44,18 +37,14 @@
 //! cache).
 
 use serde::Serialize;
-use spackle_asp::{
-    parse_program, SolveOutcome, SolveStats, Solver, SolverConfig, TranslatedProgram,
-};
 use spackle_bench::{mean_std_ms, run_trials_warm, Args};
 use spackle_buildcache::CacheSource;
-use spackle_core::interpret::interpret;
 use spackle_core::{repo_delta, Concretizer, ConcretizerConfig, Goal, GroundCache};
 use spackle_radiuss::ExperimentEnv;
 use spackle_repo::Repository;
 use spackle_spec::{parse_spec, AbstractSpec, ConcreteSpec, Sym, Version};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A goal with its display name.
 struct NamedGoal {
@@ -155,140 +144,6 @@ fn run_mode(
     }
 }
 
-/// Search effort summed over one sweep of a workload.
-#[derive(Serialize, Default, Clone, Copy)]
-struct SearchJson {
-    conflicts: u64,
-    decisions: u64,
-    propagations: u64,
-}
-
-impl SearchJson {
-    fn absorb(&mut self, s: &SolveStats) {
-        self.conflicts += s.conflicts;
-        self.decisions += s.decisions;
-        self.propagations += s.propagations;
-    }
-}
-
-/// One engine's entry in the seed-vs-modern comparison.
-#[derive(Serialize)]
-struct EngineModeJson {
-    mean_ms: f64,
-    std_ms: f64,
-    speedup_vs_seed: f64,
-    search: SearchJson,
-}
-
-/// The SAT-engine comparison: the same workload solved by the
-/// pre-modernization engine (from-scratch branch-and-bound) and by the
-/// modern engine (incremental branch-and-bound). Each
-/// sweep times `Solver::solve_translated` on programs prepared before
-/// the timed region.
-#[derive(Serialize)]
-struct EngineJson {
-    seed: EngineModeJson,
-    modern: EngineModeJson,
-}
-
-/// Translate every goal's program under `config`, untimed, through the
-/// stages `concretize_goal` runs before its search: `program_text`,
-/// `parse_program`, `Solver::ground` and `Solver::translate_ground`.
-/// Each program comes with its root names, which interpretation reads.
-fn prepare_goals(
-    repo: &Repository,
-    cache: &Arc<dyn CacheSource>,
-    config: &ConcretizerConfig,
-    goals: &[NamedGoal],
-) -> Vec<(TranslatedProgram, Vec<Sym>)> {
-    let conc = Concretizer::new(repo)
-        .with_config(config.clone())
-        .with_reusable(cache);
-    let solver = Solver::with_config(config.solver.clone());
-    goals
-        .iter()
-        .map(|g| {
-            let stages = || -> Result<_, Box<dyn std::error::Error>> {
-                let encoded = conc.program_text(&Goal::single(g.spec.clone()))?;
-                let program = parse_program(&encoded.program)?;
-                let ground = solver.ground(&program)?;
-                Ok((solver.translate_ground(ground), encoded.root_names))
-            };
-            stages().unwrap_or_else(|e| panic!("perf-report engine {}: {e}", g.name))
-        })
-        .collect()
-}
-
-/// One timed pass over the prepared goals: the summed time of
-/// `solve_translated` alone, plus each goal's signature and
-/// lexicographic optimum (see the engine gate) and the summed effort.
-fn engine_sweep(
-    solver: &Solver,
-    cache: &Arc<dyn CacheSource>,
-    goals: &[NamedGoal],
-    prepared: &[(TranslatedProgram, Vec<Sym>)],
-) -> (Duration, Vec<String>, Vec<String>, SearchJson) {
-    let mut elapsed = Duration::ZERO;
-    let mut sigs = Vec::with_capacity(goals.len());
-    let mut costs = Vec::with_capacity(goals.len());
-    let mut effort = SearchJson::default();
-    for (g, (program, root_names)) in goals.iter().zip(prepared) {
-        let t = Instant::now();
-        let solved = solver.solve_translated(program);
-        elapsed += t.elapsed();
-        let (outcome, stats) =
-            solved.unwrap_or_else(|e| panic!("perf-report engine {}: {e}", g.name));
-        let SolveOutcome::Optimal(model) = outcome else {
-            panic!("perf-report engine {}: unsatisfiable", g.name);
-        };
-        effort.absorb(&stats);
-        let answer = interpret(&model, std::slice::from_ref(cache), root_names)
-            .unwrap_or_else(|e| panic!("perf-report engine {}: {e}", g.name));
-        let counts = [answer.reused.len(), answer.built.len(), answer.spliced.len()];
-        costs.push(format!("{} cost={:?}", g.name, model.cost));
-        sigs.push(signature(g, &answer.specs, counts));
-    }
-    (elapsed, sigs, costs, effort)
-}
-
-struct EngineModeResult {
-    mean_ms: f64,
-    std_ms: f64,
-    sigs: Vec<Vec<String>>,
-    costs: Vec<Vec<String>>,
-    effort: SearchJson,
-}
-
-fn run_engine_mode(
-    trials: usize,
-    warmup: usize,
-    repo: &Repository,
-    cache: &Arc<dyn CacheSource>,
-    config: &ConcretizerConfig,
-    goals: &[NamedGoal],
-) -> EngineModeResult {
-    let prepared = prepare_goals(repo, cache, config, goals);
-    let solver = Solver::with_config(config.solver.clone());
-    let mut sigs: Vec<Vec<String>> = Vec::new();
-    let mut costs: Vec<Vec<String>> = Vec::new();
-    let mut effort = SearchJson::default();
-    let times = run_trials_warm(trials, warmup, || {
-        let (dt, s, c, e) = engine_sweep(&solver, cache, goals, &prepared);
-        sigs.push(s);
-        costs.push(c);
-        effort = e;
-        dt
-    });
-    let (mean_ms, std_ms) = mean_std_ms(&times);
-    EngineModeResult {
-        mean_ms,
-        std_ms,
-        sigs,
-        costs,
-        effort,
-    }
-}
-
 struct Workload<'a> {
     name: &'static str,
     repo: &'a Repository,
@@ -324,7 +179,6 @@ struct WorkloadJson {
     name: String,
     goals: Vec<String>,
     modes: ModesJson,
-    engine: EngineJson,
     equivalent: bool,
 }
 
@@ -495,14 +349,6 @@ fn main() {
             ),
         ];
 
-        // --- SAT-engine comparison: seed vs modern, search timed alone ---
-        let seed_cfg = ConcretizerConfig {
-            solver: SolverConfig::seed_engine(),
-            ..cfg.clone()
-        };
-        let seed_engine = run_engine_mode(trials, warmup, w.repo, &w.cache, &seed_cfg, &w.goals);
-        let modern_engine = run_engine_mode(trials, warmup, w.repo, &w.cache, cfg, &w.goals);
-
         // Equivalence gate: every sweep of every mode must match the
         // first sequential sweep goal-for-goal.
         let reference = &modes[0].sigs[0];
@@ -517,37 +363,6 @@ fn main() {
                 }
             }
         }
-        // Engine gate, part 1: the modern engine runs the *same* solver
-        // configuration as the sequential reference, so determinism
-        // demands bit-identical solutions, DAG hashes included.
-        for (i, s) in modern_engine.sigs.iter().enumerate() {
-            if s != reference {
-                diverged = true;
-                eprintln!(
-                    "perf-report: DIVERGENCE in {} engine modern-engine sweep {i}:\n  expected {:?}\n  got      {:?}",
-                    w.name, reference, s
-                );
-            }
-        }
-        // Engine gate, part 2: the seed engine differs in search
-        // machinery, which the solver only guarantees preserves
-        // satisfiability and the lexicographic optimum — co-optimal
-        // models (ties) may legitimately differ, so the comparison is on
-        // cost vectors, not DAG hashes. (The RADIUSS workloads do
-        // exhibit such ties; see DESIGN.md.)
-        let cost_reference = &modern_engine.costs[0];
-        for (ename, e) in [("seed-engine", &seed_engine), ("modern-engine", &modern_engine)] {
-            for (i, c) in e.costs.iter().enumerate() {
-                if c != cost_reference {
-                    diverged = true;
-                    eprintln!(
-                        "perf-report: DIVERGENCE in {} engine {ename} optima sweep {i}:\n  expected {:?}\n  got      {:?}",
-                        w.name, cost_reference, c
-                    );
-                }
-            }
-        }
-
         // Named regression: a `cached` mode slower than the sequential
         // baseline is recorded by name, not buried in the numbers. It is
         // judged on best trials (min-of-trials on both sides), which is
@@ -581,40 +396,12 @@ fn main() {
             );
         }
 
-        let engine_speedup = seed_engine.mean_ms / modern_engine.mean_ms.max(1e-9);
-        eprintln!(
-            "perf-report:   seed-engine   {:>9.2} ms ± {:.2}",
-            seed_engine.mean_ms, seed_engine.std_ms
-        );
-        eprintln!(
-            "perf-report:   modern-engine {:>9.2} ms ± {:.2}  ({engine_speedup:.2}x vs seed; \
-             {} conflicts vs {})",
-            modern_engine.mean_ms,
-            modern_engine.std_ms,
-            modern_engine.effort.conflicts,
-            seed_engine.effort.conflicts,
-        );
-
         workload_reports.push(WorkloadJson {
             name: w.name.to_string(),
             goals: w.goals.iter().map(|g| g.name.clone()).collect(),
             modes: ModesJson {
                 sequential: ModeJson::from_result(&modes[0], 1.0),
                 cached: ModeJson::from_result(&modes[1], cached_speedup),
-            },
-            engine: EngineJson {
-                seed: EngineModeJson {
-                    mean_ms: round3(seed_engine.mean_ms),
-                    std_ms: round3(seed_engine.std_ms),
-                    speedup_vs_seed: 1.0,
-                    search: seed_engine.effort,
-                },
-                modern: EngineModeJson {
-                    mean_ms: round3(modern_engine.mean_ms),
-                    std_ms: round3(modern_engine.std_ms),
-                    speedup_vs_seed: round3(engine_speedup),
-                    search: modern_engine.effort,
-                },
             },
             equivalent: !diverged,
         });

@@ -190,10 +190,10 @@ pub struct Solution {
     /// Executed splices.
     pub spliced: Vec<SpliceReport>,
     /// Lexicographic cost vector of the optimal model, `(priority,
-    /// cost)` pairs highest priority first. Co-optimal models can
-    /// differ across solver configurations (the solver breaks ties by
-    /// search order), but this vector is identical for all of them —
-    /// it is the equivalence the engine guarantees.
+    /// cost)` pairs highest priority first. Where several models tie at
+    /// this cost, the solver returns the first its search order reaches;
+    /// the search is deterministic, so the same inputs always return the
+    /// same model.
     pub cost: Vec<(i64, i64)>,
     /// Measurements.
     pub stats: ConcretizeStats,
@@ -361,9 +361,10 @@ impl Concretizer {
     /// the segment boundary can never drift from the fact base) and one
     /// per reusable-spec source partition. The key also hashes the goal,
     /// the encode-relevant configuration, the grounding limits and the
-    /// search knobs (`conflict_budget`, `incremental_bnb`), which can
-    /// steer which co-optimal model the search finds; the cancellation
-    /// token is left out, as it never changes an answer. The key is
+    /// conflict budget: a budget can fail a cold solve, so an answer
+    /// cached under one budget must not reach a request whose own budget
+    /// would not have found it. The cancellation token is left out, as
+    /// it never changes an answer. The key is
     /// **content-addressed**, so a delta that leaves every referenced
     /// segment untouched leaves the key — and the cached entry's
     /// validity — untouched too. Process-local; never persist it.
@@ -423,7 +424,6 @@ impl Concretizer {
         self.config.solver.limits.max_atoms.hash(&mut h);
         self.config.solver.limits.max_rules.hash(&mut h);
         self.config.solver.conflict_budget.hash(&mut h);
-        self.config.solver.incremental_bnb.hash(&mut h);
         Ok((h.finish(), Arc::new(segments)))
     }
 
@@ -558,11 +558,10 @@ impl Concretizer {
     ///   explanation is an off-path diagnostic — it must never pollute or
     ///   depend on the hot solve pipeline.
     /// * **No branch-and-bound.** Core extraction never optimizes, and
-    ///   the CDCL core has one configuration, so the reported core does
-    ///   not depend on [`SolverConfig::incremental_bnb`]. Grounding
-    ///   limits and the cancellation token carry over; the configured
-    ///   `conflict_budget` bounds each deletion probe so a configured
-    ///   budget still limits total explain effort.
+    ///   the CDCL core has one configuration. Grounding limits and the
+    ///   cancellation token carry over; the configured `conflict_budget`
+    ///   bounds each deletion probe so a configured budget still limits
+    ///   total explain effort.
     ///
     /// Cancellation (an explicit kill or a request deadline installed
     /// via [`Concretizer::with_cancel`]) is honored between probes: the

@@ -7,12 +7,12 @@
 //! there is none — by a fingerprint of everything that determines it:
 //! the goal's package-segment fingerprints, the reusable-spec sets (in
 //! cache order), the goal, the encode configuration, the grounding
-//! limits and the search knobs. A repeated solve replays the answer and
-//! goes straight to interpretation. The search knobs are in the key
-//! because co-optimal models may differ *across* search configurations
-//! (only the cost vector is guaranteed equal); within one configuration
-//! the engine is deterministic, so a replay is bit-identical to a fresh
-//! solve (same specs, same DAG hashes).
+//! limits and the conflict budget. A repeated solve replays the answer
+//! and goes straight to interpretation. The engine is deterministic, so
+//! a replay is bit-identical to a fresh solve (same specs, same DAG
+//! hashes). The conflict budget is in the key because it can fail a
+//! cold solve: an answer found under a generous budget must not reach a
+//! request whose own budget would have run out.
 //!
 //! Only finished searches are stored: a solve that is cancelled or runs
 //! out of its conflict budget inserts nothing.

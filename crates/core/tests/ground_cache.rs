@@ -155,27 +155,33 @@ fn search_config_change_misses() {
     let repo = tiny_repo();
     let cache = GroundCache::shared();
     let goal = parse_spec("app").unwrap();
-    let modern = Concretizer::new(&repo)
+    let unlimited = Concretizer::new(&repo)
         .with_ground_cache(cache.clone())
         .concretize(&goal)
         .unwrap();
 
-    // Co-optimal models can differ across search configurations, so a
-    // search knob is part of the key: the seed engine solves for itself.
-    let seed = Concretizer::new(&repo)
+    // A conflict budget can fail a cold solve, so an answer found under
+    // one budget must not reach a request with another: the budget is
+    // part of the key.
+    let budgeted = Concretizer::new(&repo)
         .with_config(ConcretizerConfig {
-            solver: SolverConfig::seed_engine(),
+            solver: SolverConfig {
+                conflict_budget: 1_000_000,
+                ..Default::default()
+            },
             ..Default::default()
         })
         .with_ground_cache(cache.clone());
-    let first = seed.concretize(&goal).unwrap();
+    let first = budgeted.concretize(&goal).unwrap();
     assert!(
         !first.stats.ground_cache_hit,
         "search config change must miss"
     );
-    assert_eq!(first.cost, modern.cost, "both engines reach one optimum");
+    // One engine: a budget that suffices returns the very same answer.
+    assert_eq!(first.cost, unlimited.cost);
+    assert_eq!(first.spec().dag_hash(), unlimited.spec().dag_hash());
 
-    let second = seed.concretize(&goal).unwrap();
+    let second = budgeted.concretize(&goal).unwrap();
     assert!(second.stats.ground_cache_hit, "same search config must hit");
     assert_eq!(second.spec().dag_hash(), first.spec().dag_hash());
     assert_eq!((cache.misses(), cache.hits(), cache.len()), (2, 1, 2));

@@ -11,13 +11,16 @@
 //!
 //! A *repo case* generates a random repository and goal spec, and
 //! cross-checks the concretizer: the exact solver input (via
-//! [`Concretizer::program_text`]) is re-solved and certificate-checked,
-//! the old-Spack and splice-Spack configurations must agree on
-//! satisfiability and (with no buildcaches in play) on the chosen
-//! versions, and returned specs must satisfy DAG-hash invariants.
+//! [`Concretizer::program_text`]) is re-solved, its optimal model is
+//! certificate-checked and every cheaper cost refuted
+//! ([`refute_improvement`]), the old-Spack and splice-Spack
+//! configurations must agree on satisfiability and (with no
+//! buildcaches in play) on the chosen versions, and returned specs must
+//! satisfy DAG-hash invariants.
 
 use crate::genprog::random_program;
 use crate::genrepo::random_repo_and_spec;
+use crate::optimum::refute_improvement;
 use crate::reference;
 use proptest::TestRng;
 use rustc_hash::FxHashSet;
@@ -25,7 +28,7 @@ use spackle_asp::certify;
 use spackle_asp::ground::ground;
 use spackle_asp::stability::is_tight;
 use spackle_asp::term::AtomId;
-use spackle_asp::{parse_program, AspError, SolveOutcome, Solver, SolverConfig};
+use spackle_asp::{parse_program, AspError, SolveOutcome, Solver};
 use spackle_core::{Concretizer, ConcretizerConfig, CoreError, Goal};
 
 /// Cap on free atoms for program-case oracle enumeration.
@@ -44,24 +47,16 @@ pub struct CaseStats {
     /// The program case's ground program is tight, so the production
     /// solver skipped its stability check.
     pub tight: bool,
+    /// Nonzero optimum levels refuted below (repo cases).
+    pub refuted_levels: usize,
 }
 
-/// Run one program differential case with the default solver
-/// configuration. `Err` carries a human-readable mismatch description
-/// including enough detail to reproduce.
+/// Run one program differential case. `Err` carries a human-readable
+/// mismatch description including enough detail to reproduce.
 pub fn check_program_case(seed: u64) -> Result<CaseStats, String> {
-    check_program_case_with(seed, &SolverConfig::default())
-}
-
-/// Run one program differential case under an explicit
-/// [`SolverConfig`] — the entry point for the solver-config
-/// differential matrix, which replays the same cases under the modern
-/// and the seed engine.
-pub fn check_program_case_with(seed: u64, config: &SolverConfig) -> Result<CaseStats, String> {
     let mut rng = TestRng::seed_from_u64(seed);
     let prog = random_program(&mut rng);
-    let fail =
-        |msg: String| Err(format!("[program seed {seed}, config {config:?}] {msg}\nprogram:\n{prog}"));
+    let fail = |msg: String| Err(format!("[program seed {seed}] {msg}\nprogram:\n{prog}"));
 
     let gp = match ground(&prog) {
         Ok(gp) => gp,
@@ -91,7 +86,7 @@ pub fn check_program_case_with(seed: u64, config: &SolverConfig) -> Result<CaseS
         .map(|m| reference::render(&gp, m))
         .collect();
 
-    let solver = Solver::with_config(config.clone());
+    let solver = Solver::new();
 
     // ---- model-set comparison (enumeration ignores #minimize) ----
     let limit = (oracle.models.len() + 1).min(MAX_ENUMERATED + 1);
@@ -176,8 +171,8 @@ pub fn check_program_case_with(seed: u64, config: &SolverConfig) -> Result<CaseS
 
     Ok(CaseStats {
         models: oracle.models.len(),
-        skipped: false,
         tight,
+        ..Default::default()
     })
 }
 
@@ -188,9 +183,9 @@ pub fn check_repo_case(seed: u64) -> Result<CaseStats, String> {
     let fail = |msg: String| Err(format!("[repo seed {seed}] {msg}\ngoal: {spec}"));
     let goal = Goal::single(spec.clone());
 
-    // Solve the exact program the (splice-spack) concretizer would, and
+    // Solve the exact program the (splice-spack) concretizer would,
     // certificate-check the optimal model independently of the
-    // concretizer's own debug assertions.
+    // concretizer's own debug assertions, and prove its cost optimal.
     let conc = Concretizer::new(&repo);
     let text = match conc.program_text(&goal) {
         Ok(enc) => enc.program,
@@ -200,15 +195,19 @@ pub fn check_repo_case(seed: u64) -> Result<CaseStats, String> {
         Ok(p) => p,
         Err(e) => return fail(format!("generated program does not parse: {e}")),
     };
-    match Solver::new().solve(&prog) {
+    let refuted_levels = match Solver::new().solve(&prog) {
         Err(e) => return fail(format!("solver failed on encoded program: {e}")),
-        Ok((SolveOutcome::Unsat, _)) => {}
+        Ok((SolveOutcome::Unsat, _)) => 0,
         Ok((SolveOutcome::Optimal(m), _)) => {
             if let Err(e) = certify::certify_model(&m) {
                 return fail(format!("encoded-program model failed certification: {e}"));
             }
+            match refute_improvement(m.ground(), &m.cost) {
+                Ok(levels) => levels,
+                Err(e) => return fail(format!("encoded-program optimum is not optimal: {e}")),
+            }
         }
-    }
+    };
 
     // Metamorphic cross-configuration check: with no buildcaches, the
     // direct (old spack) and indirect+splicing (splice spack)
@@ -260,5 +259,8 @@ pub fn check_repo_case(seed: u64) -> Result<CaseStats, String> {
         }
     }
 
-    Ok(CaseStats::default())
+    Ok(CaseStats {
+        refuted_levels,
+        ..Default::default()
+    })
 }

@@ -8,18 +8,22 @@
 //! on any production path; the crate exists to catch the production
 //! stack being subtly wrong.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! 1. [`mod@reference`] — a brute-force stable-model enumerator working
 //!    straight from the Gelfond–Lifschitz definition, with exact
 //!    lexicographic `#minimize` optima. Exponential, deliberately
 //!    simple, used as ground truth for small programs.
-//! 2. [`genprog`] / [`genrepo`] — deterministic random generators for
+//! 2. [`optimum`] — optimality for programs too large to enumerate: a
+//!    from-scratch SAT refutation, level by level, of any stable model
+//!    cheaper than a claimed optimum.
+//! 3. [`genprog`] / [`genrepo`] — deterministic random generators for
 //!    logic programs, package repositories, and abstract specs, driven
 //!    by a seeded [`proptest::TestRng`].
-//! 3. [`diff`] — differential checks tying them together: production
+//! 4. [`diff`] — differential checks tying them together: production
 //!    solver vs oracle on stable-model sets and optima, plus
-//!    concretizer-level cross-configuration and certificate checks.
+//!    concretizer-level cross-configuration, certificate and optimality
+//!    checks.
 //!    The `fuzz-solve` binary (`cargo run -p spackle-oracle --bin
 //!    fuzz-solve`) runs these open-endedly with seed-corpus replay;
 //!    the property tests in `tests/` run a bounded number per build.
@@ -31,7 +35,9 @@
 pub mod diff;
 pub mod genprog;
 pub mod genrepo;
+pub mod optimum;
 pub mod reference;
 
-pub use diff::{check_program_case, check_program_case_with, check_repo_case, CaseStats};
+pub use diff::{check_program_case, check_repo_case, CaseStats};
+pub use optimum::refute_improvement;
 pub use reference::{OracleError, OracleSolution};

@@ -8,7 +8,7 @@
 //!
 //! Two mutation families drive the check, each over the random
 //! repository generator (`genrepo`) and the concretizer-config matrix
-//! (direct vs splice encoding, seed vs modern SAT engine):
+//! (direct vs splice encoding):
 //!
 //! * **package mutations** — a randomly chosen package gains a new
 //!   version; the repo-level [`SegmentDelta`] is applied to the warm
@@ -40,19 +40,12 @@ fn env_cases(var: &str, default: u64) -> u64 {
 }
 
 /// The concretizer-config matrix: every axis that changes the encoded
-/// program or the engine searching it, so a delta bug hiding behind one
-/// configuration cannot pass unnoticed.
+/// program, so a delta bug hiding behind one configuration cannot pass
+/// unnoticed.
 fn matrix() -> Vec<(&'static str, ConcretizerConfig)> {
     vec![
         ("direct", ConcretizerConfig::old_spack()),
         ("splice", ConcretizerConfig::splice_spack()),
-        (
-            "seed-solver",
-            ConcretizerConfig {
-                solver: spackle_asp::SolverConfig::seed_engine(),
-                ..Default::default()
-            },
-        ),
     ]
 }
 

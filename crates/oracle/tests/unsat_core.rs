@@ -1,8 +1,8 @@
 //! Property suite for unsat-core extraction, checked against the
-//! brute-force reference oracle on the same random corpus the solver
-//! matrix uses.
+//! brute-force reference oracle on the same random corpus the
+//! fixed-seed suite (`solver_matrix.rs`) uses.
 //!
-//! Three properties:
+//! Two properties:
 //!
 //! 1. **Agreement** — `explain_ground` says `Satisfiable` exactly when
 //!    the oracle enumerates at least one stable model, and `Unsat`
@@ -21,10 +21,6 @@
 //!    program and re-solve": removing a rule also strengthens its
 //!    head's completion, so textual deletion over-approximates the
 //!    clause-level drop and the textual property is genuinely false.
-//! 3. **Config stability** — the CDCL core has one configuration and
-//!    extraction never runs branch-and-bound, so the rendered core must
-//!    be bit-identical under both [`SolverConfig`]s of the solver
-//!    matrix, the modern and the seed engine.
 //!
 //! Set `UNSAT_CORE_CASES` to shrink or grow the random scan.
 
@@ -32,17 +28,9 @@ use proptest::TestRng;
 use rustc_hash::FxHashSet;
 use spackle_asp::ground::{ground, GroundProgram};
 use spackle_asp::term::AtomId;
-use spackle_asp::{ClauseOrigin, ExplainConfig, ExplainOutcome, Solver, SolverConfig, UnsatCore};
+use spackle_asp::{ClauseOrigin, ExplainConfig, ExplainOutcome, Solver, UnsatCore};
 use spackle_oracle::genprog::random_program;
 use spackle_oracle::reference;
-
-/// The solver-matrix configuration grid (mirrors `solver_matrix.rs`).
-fn matrix() -> Vec<(&'static str, SolverConfig)> {
-    vec![
-        ("modern", SolverConfig::default()),
-        ("seed", SolverConfig::seed_engine()),
-    ]
-}
 
 fn env_cases(var: &str, default: u64) -> u64 {
     std::env::var(var)
@@ -266,51 +254,10 @@ fn explain_agrees_with_oracle_and_cores_are_sound_and_minimal() {
 }
 
 #[test]
-fn cores_are_identical_under_every_engine_config() {
-    let cases = env_cases("UNSAT_CORE_CASES", 256);
-    let configs = matrix();
-    let cfg = ExplainConfig::default();
-    let mut unsat_cases = 0u64;
-
-    for seed in 0..cases {
-        let Some((gp, oracle_sat)) = oracle_case(seed) else {
-            continue;
-        };
-        if oracle_sat {
-            continue;
-        }
-        unsat_cases += 1;
-        let mut reference_core: Option<(Vec<String>, bool)> = None;
-        for (name, config) in &configs {
-            let (outcome, _) = Solver::with_config(config.clone())
-                .explain_ground(&gp, &cfg)
-                .unwrap_or_else(|e| panic!("seed {seed}, config {name}: {e}"));
-            let ExplainOutcome::Unsat(core) = outcome else {
-                panic!("seed {seed}, config {name}: lost unsatisfiability")
-            };
-            let rendered: Vec<String> = core.members.iter().map(|m| m.text.clone()).collect();
-            match &reference_core {
-                None => reference_core = Some((rendered, core.minimal)),
-                Some((want, want_minimal)) => {
-                    assert_eq!(
-                        want, &rendered,
-                        "seed {seed}: core under {name} differs from {}",
-                        configs[0].0
-                    );
-                    assert_eq!(want_minimal, &core.minimal, "seed {seed}, config {name}");
-                }
-            }
-        }
-    }
-    assert!(unsat_cases >= 20, "only {unsat_cases} UNSAT cases scanned");
-}
-
-#[test]
 fn corpus_seeds_explain_deterministically() {
-    // The committed fuzz corpus, same parsing idiom as the solver
-    // matrix: every program seed must explain identically twice in a
-    // row (exact member texts), and source-rule provenance must stay in
-    // bounds.
+    // The committed fuzz corpus, program seeds only: every one must
+    // explain identically twice in a row (exact member texts), and
+    // source-rule provenance must stay in bounds.
     let corpus = include_str!("../corpus/seeds.txt");
     let solver = Solver::new();
     let cfg = ExplainConfig::default();
