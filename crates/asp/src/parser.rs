@@ -40,14 +40,16 @@ enum Tok {
 }
 
 struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
+    fn new(text: &'a str) -> Self {
         Lexer {
-            src: src.as_bytes(),
+            text,
+            src: text.as_bytes(),
             pos: 0,
         }
     }
@@ -208,16 +210,24 @@ impl<'a> Lexer<'a> {
             .ok_or_else(|| self.err("invalid integer"))
     }
 
+    /// The string whose opening quote was just consumed. Bytes between
+    /// escapes are copied whole: the delimiters are ASCII, so each run
+    /// is valid UTF-8 cut from the source text.
     fn read_string(&mut self) -> Result<String> {
         let mut s = String::new();
         loop {
+            let start = self.pos;
+            while !matches!(self.src.get(self.pos), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            s.push_str(&self.text[start..self.pos]);
             match self.src.get(self.pos) {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(s);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
                     match self.src.get(self.pos) {
                         Some(b'"') => s.push('"'),
@@ -225,10 +235,6 @@ impl<'a> Lexer<'a> {
                         Some(b'n') => s.push('\n'),
                         _ => return Err(self.err("bad escape in string")),
                     }
-                    self.pos += 1;
-                }
-                Some(&c) => {
-                    s.push(c as char);
                     self.pos += 1;
                 }
             }
@@ -646,6 +652,67 @@ mod tests {
             },
             other => panic!("unexpected head {other:?}"),
         }
+    }
+
+    #[test]
+    fn parse_string_utf8() {
+        let p = parse_program("a(\"café\", \"日本\\\"語\\n\", \"\u{1F980}\\\\\").").unwrap();
+        match &p.rules[0].head {
+            Head::Atom(a) => assert_eq!(
+                a.args,
+                vec![
+                    Term::str("café"),
+                    Term::str("日本\"語\n"),
+                    Term::str("\u{1F980}\\")
+                ]
+            ),
+            other => panic!("unexpected head {other:?}"),
+        }
+    }
+
+    proptest::proptest! {
+        /// Every string, control characters and non-ASCII included,
+        /// survives display and re-parse, inside compound terms too.
+        #[test]
+        fn displayed_atoms_parse_back(
+            a in proptest::prop::collection::vec(any_char(), 0..12),
+            b in proptest::prop::collection::vec(any_char(), 0..12),
+            n in -5i64..5,
+        ) {
+            let (a, b): (String, String) = (a.into_iter().collect(), b.into_iter().collect());
+            let atom = Atom::new(
+                "p",
+                vec![Term::Str(Sym::intern(&a)), Term::func("f", vec![Term::Str(Sym::intern(&b)), Term::Int(n)])],
+            );
+            let text = format!("{atom}.");
+            let p = parse_program(&text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+            proptest::prop_assert_eq!(&p.rules[0].head, &Head::Atom(atom));
+        }
+    }
+
+    /// Characters weighted toward the ones quoting must handle: the
+    /// escapes, control characters and multi-byte UTF-8.
+    fn any_char() -> impl proptest::Strategy<Value = char> {
+        use proptest::Strategy;
+        proptest::prop_oneof![
+            proptest::prop::sample::select(vec![
+                '"',
+                '\\',
+                '\n',
+                '\t',
+                '\r',
+                '\0',
+                '\u{7f}',
+                'n',
+                'é',
+                '日',
+                '\u{1F980}',
+                '\u{200B}',
+                '\u{301}',
+            ]),
+            (0u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap_or('\u{FFFD}')),
+            (0x20u32..0x7f).prop_map(|c| char::from_u32(c).expect("ASCII")),
+        ]
     }
 
     #[test]

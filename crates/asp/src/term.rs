@@ -69,7 +69,7 @@ impl fmt::Display for Term {
         match self {
             Term::Int(i) => write!(f, "{i}"),
             Term::Sym(s) => write!(f, "{s}"),
-            Term::Str(s) => write!(f, "{:?}", s.as_str()),
+            Term::Str(s) => write_quoted(f, s.as_str()),
             Term::Var(v) => write!(f, "{v}"),
             Term::Func(name, args) => {
                 write!(f, "{name}(")?;
@@ -83,6 +83,26 @@ impl fmt::Display for Term {
             }
         }
     }
+}
+
+/// Write `s` as a quoted string the parser reads back: `\\`, `\"` and
+/// `\n` are escaped, every other character is written raw.
+fn write_quoted(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, c) in s.char_indices() {
+        let escaped = match c {
+            '\\' => "\\\\",
+            '"' => "\\\"",
+            '\n' => "\\n",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        out.write_str(escaped)?;
+        run = i + 1;
+    }
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 /// A (possibly non-ground) atom: predicate applied to terms.
@@ -360,7 +380,12 @@ impl GroundStore {
         match self.term_data(id) {
             GroundTerm::Int(i) => i.to_string(),
             GroundTerm::Sym(s) => s.as_str().to_string(),
-            GroundTerm::Str(s) => format!("{:?}", s.as_str()),
+            GroundTerm::Str(s) => {
+                let s = s.as_str();
+                let mut out = String::with_capacity(s.len() + 2);
+                write_quoted(&mut out, s).expect("writing to a String cannot fail");
+                out
+            }
             GroundTerm::Func(name, args) => {
                 let inner: Vec<String> = args.iter().map(|&a| self.format_term(a)).collect();
                 format!("{name}({})", inner.join(","))

@@ -15,6 +15,12 @@
 //! divergence, which is what the CI `bench-smoke` job gates on. Timing
 //! and cache statistics are written to `BENCH_concretize.json`.
 //!
+//! Each mode also records its phase split (`phases_ms`): per-sweep means
+//! of the encode, parse, ground, translate-plus-search and interpret
+//! times that every solve reports in its `ConcretizeStats`, so a speedup
+//! of the shipped solve path names the phase that shrank. A replayed
+//! answer runs none of the first four phases.
+//!
 //! On top of the per-workload modes the report carries:
 //!
 //! * a top-level `regressions` array naming every workload whose
@@ -44,7 +50,7 @@ use spackle_radiuss::ExperimentEnv;
 use spackle_repo::Repository;
 use spackle_spec::{parse_spec, AbstractSpec, ConcreteSpec, Sym, Version};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A goal with its display name.
 struct NamedGoal {
@@ -67,15 +73,19 @@ fn signature(
     )
 }
 
+/// A sweep's phase times, summed over its solves: encode, parse,
+/// ground, translate plus search, interpret.
+type Phases = [Duration; 5];
+
 /// One timed sweep over every goal in the workload; returns the wall
-/// time and the per-goal solution signatures.
+/// time, the per-goal solution signatures and the summed phase times.
 fn sweep(
     repo: &Repository,
     cache: &Arc<dyn CacheSource>,
     config: &ConcretizerConfig,
     ground_cache: Option<&Arc<GroundCache>>,
     goals: &[NamedGoal],
-) -> (std::time::Duration, Vec<String>) {
+) -> (Duration, Vec<String>, Phases) {
     let mut conc = Concretizer::new(repo)
         .with_config(config.clone())
         .with_reusable(cache);
@@ -84,14 +94,26 @@ fn sweep(
     }
     let t = Instant::now();
     let mut sigs = Vec::with_capacity(goals.len());
+    let mut phases = Phases::default();
     for g in goals {
         let sol = conc
             .concretize(&g.spec)
             .unwrap_or_else(|e| panic!("perf-report {}: {e}", g.name));
         let counts = [sol.reused.len(), sol.built.len(), sol.spliced.len()];
         sigs.push(signature(g, &sol.specs, counts));
+        let s = &sol.stats;
+        let solve = [
+            s.encode_time,
+            s.parse_time,
+            s.solver.ground_time,
+            s.solve_time.saturating_sub(s.solver.ground_time),
+            s.interpret_time,
+        ];
+        for (sum, t) in phases.iter_mut().zip(solve) {
+            *sum += t;
+        }
     }
-    (t.elapsed(), sigs)
+    (t.elapsed(), sigs, phases)
 }
 
 struct ModeResult {
@@ -104,6 +126,8 @@ struct ModeResult {
     /// every trial).
     min_ms: f64,
     sigs: Vec<Vec<String>>,
+    /// Per-sweep mean of each phase over the timed trials, in ms.
+    phases_ms: [f64; 5],
     cache_hits: u64,
     cache_misses: u64,
 }
@@ -123,10 +147,17 @@ fn run_mode(
     goals: &[NamedGoal],
 ) -> ModeResult {
     let mut sigs: Vec<Vec<String>> = Vec::new();
+    let mut phases: Vec<Phases> = Vec::new();
     let times = run_trials_warm(trials, warmup, || {
-        let (dt, s) = sweep(repo, cache, config, ground_cache, goals);
+        let (dt, s, p) = sweep(repo, cache, config, ground_cache, goals);
         sigs.push(s);
+        phases.push(p);
         dt
+    });
+    // The warm-up sweeps come first; average the timed ones only.
+    let timed = &phases[phases.len() - trials..];
+    let phases_ms: [f64; 5] = std::array::from_fn(|i| {
+        timed.iter().map(|p| p[i].as_secs_f64() * 1e3).sum::<f64>() / trials as f64
     });
     let (mean_ms, std_ms) = mean_std_ms(&times);
     let min_ms = times
@@ -139,6 +170,7 @@ fn run_mode(
         std_ms,
         min_ms,
         sigs,
+        phases_ms,
         cache_hits: ground_cache.map_or(0, |gc| gc.hits()),
         cache_misses: ground_cache.map_or(0, |gc| gc.misses()),
     }
@@ -166,6 +198,19 @@ struct ModeJson {
     cache_hits: u64,
     cache_misses: u64,
     cache_hit_rate: f64,
+    phases_ms: PhasesJson,
+}
+
+/// Per-sweep means of the phase times each solve reports: encode,
+/// parse (rule text, plus assembly with the encoded facts), ground,
+/// translate plus search (`solve_time − ground_time`) and interpret.
+#[derive(Serialize)]
+struct PhasesJson {
+    encode: f64,
+    parse: f64,
+    ground: f64,
+    translate_search: f64,
+    interpret: f64,
 }
 
 #[derive(Serialize)]
@@ -246,6 +291,13 @@ impl ModeJson {
                 round3(m.cache_hits as f64 / total as f64)
             } else {
                 0.0
+            },
+            phases_ms: PhasesJson {
+                encode: round3(m.phases_ms[0]),
+                parse: round3(m.phases_ms[1]),
+                ground: round3(m.phases_ms[2]),
+                translate_search: round3(m.phases_ms[3]),
+                interpret: round3(m.phases_ms[4]),
             },
         }
     }
@@ -494,7 +546,7 @@ fn main() {
 
     // The timed delta pass: one sweep over every goal on the post-delta
     // world, riding the partially retained cache.
-    let (delta_time, delta_sigs) = sweep(
+    let (delta_time, delta_sigs, _) = sweep(
         &repo_post,
         &local,
         &delta_cfg,
@@ -507,7 +559,7 @@ fn main() {
     // The delta pass must be bit-identical to these.
     let mut delta_equivalent = true;
     let cold_times = run_trials_warm(trials, warmup.min(1), || {
-        let (dt, sigs) = sweep(&repo_post, &local, &delta_cfg, None, &delta_goals);
+        let (dt, sigs, _) = sweep(&repo_post, &local, &delta_cfg, None, &delta_goals);
         if sigs != delta_sigs {
             delta_equivalent = false;
             eprintln!(

@@ -9,7 +9,7 @@
 //! what little state there is.
 
 use crate::encode::{
-    cache_error, encode, goal_scope, EncodeConfig, EncodeOrigin, Encoded, Encoding, Goal,
+    cache_error, encode, goal_scope, EncodeConfig, Encoded, EncodedGoal, Encoding, Goal,
 };
 use crate::explain::{ExplainEntry, Explanation};
 use crate::ground_cache::{GroundCache, SolvedGoal};
@@ -17,8 +17,8 @@ use crate::interpret::{interpret, Interpretation, SpliceReport};
 use crate::segment::SegmentSet;
 use crate::CoreError;
 use spackle_asp::{
-    parse_program, parse_program_spanned, AspError, CancelToken, ExplainConfig, ExplainOutcome,
-    SolveOutcome, SolveStats, Solver, SolverConfig,
+    parse_program, parse_program_spanned, AspError, Atom, CancelToken, ExplainConfig,
+    ExplainOutcome, Program, SolveOutcome, SolveStats, Solver, SolverConfig,
 };
 use spackle_buildcache::{CacheSource, IntoCacheSource, SourceFaultStats};
 use spackle_repo::Repository;
@@ -142,7 +142,8 @@ pub struct SkippedSource {
 pub struct ConcretizeStats {
     /// Wall time for fact/rule compilation.
     pub encode_time: Duration,
-    /// Wall time for parsing the generated program.
+    /// Wall time for parsing the rule text and assembling it with the
+    /// encoded facts into the solver's program.
     pub parse_time: Duration,
     /// Wall time for ground + translate + search + optimize (from the
     /// ASP engine).
@@ -153,7 +154,9 @@ pub struct ConcretizeStats {
     pub total_time: Duration,
     /// Number of reusable specs the solver considered.
     pub reusable_specs: usize,
-    /// Generated program size in bytes.
+    /// Size in bytes of the rule text the solve parsed: directive rules
+    /// and logic fragments. The facts reach the solver as data and are
+    /// not counted; [`Concretizer::program_text`] renders them.
     pub program_bytes: usize,
     /// Whether this solve replayed a memoized answer (always `false`
     /// without [`Concretizer::with_ground_cache`]). A hit runs no
@@ -316,41 +319,45 @@ impl Concretizer {
         })
     }
 
-    /// Compile a goal into the complete ASP program text this
-    /// concretizer would solve (facts, directive rules, and logic
-    /// fragments), plus the root package names and the number of
-    /// reusable specs encoded. This is the exact input handed to the
-    /// solver by [`Concretizer::concretize_goal`], exposed so external
-    /// verification layers (the `spackle-oracle` differential harness)
-    /// can re-solve and certificate-check the same program.
-    pub fn program_text(&self, goal: &Goal) -> Result<Encoded, CoreError> {
-        self.program_text_for(goal, &self.caches)
+    /// The program the solver grounds for `goal`: the encoder's facts as
+    /// body-less rules, in emission order, followed by the parsed
+    /// directive rules and logic fragments. This is the exact input
+    /// [`Concretizer::concretize_goal`] hands the solver on a cold solve,
+    /// exposed so audits and external verification layers (the
+    /// `spackle-oracle` differential harness) read the same program.
+    pub fn program(&self, goal: &Goal) -> Result<Program, CoreError> {
+        let enc = self.encode_for(goal, &self.caches)?;
+        solver_program(enc.facts, &enc.rules)
     }
 
-    /// [`Concretizer::program_text`] over an explicit source set — the
-    /// degraded-mode entry point, where the active sources are a subset
-    /// of the configured ones.
-    fn program_text_for(
+    /// Render the program [`Concretizer::program`] assembles as ASP text
+    /// (facts, directive rules, and logic fragments), with its
+    /// provenance ledger, the root package names and the number of
+    /// reusable specs encoded. The text parses to that program rule for
+    /// rule; explanations map unsat cores back through its offsets.
+    pub fn program_text(&self, goal: &Goal) -> Result<Encoded, CoreError> {
+        Ok(self.encode_for(goal, &self.caches)?.render())
+    }
+
+    /// Encode `goal` over an explicit source set — the degraded-mode
+    /// entry point, where the active sources are a subset of the
+    /// configured ones — and append the logic fragments.
+    fn encode_for(
         &self,
         goal: &Goal,
         sources: &[Arc<dyn CacheSource>],
-    ) -> Result<Encoded, CoreError> {
+    ) -> Result<EncodedGoal, CoreError> {
         let enc_cfg = self.encode_config()?;
         let mut enc = encode(&self.repo, sources, goal, &enc_cfg)?;
-        let frag = |enc: &mut Encoded, label: &'static str, text: &str| {
-            enc.ledger
-                .push((enc.program.len(), EncodeOrigin::Logic { fragment: label }));
-            enc.program.push_str(text);
-        };
-        frag(&mut enc, "base", crate::logic::BASE_PROGRAM);
+        enc.push_logic("base", crate::logic::BASE_PROGRAM);
         match enc_cfg.encoding {
-            Encoding::Direct => frag(&mut enc, "reuse-direct", crate::logic::REUSE_DIRECT),
-            Encoding::Indirect => frag(&mut enc, "reuse-indirect", crate::logic::REUSE_INDIRECT),
+            Encoding::Direct => enc.push_logic("reuse-direct", crate::logic::REUSE_DIRECT),
+            Encoding::Indirect => enc.push_logic("reuse-indirect", crate::logic::REUSE_INDIRECT),
         }
         if enc_cfg.splicing {
-            frag(&mut enc, "splice", crate::logic::SPLICE_FRAGMENT);
+            enc.push_logic("splice", crate::logic::SPLICE_FRAGMENT);
         } else {
-            frag(&mut enc, "no-splice", crate::logic::NO_SPLICE_STUB);
+            enc.push_logic("no-splice", crate::logic::NO_SPLICE_STUB);
         }
         Ok(enc)
     }
@@ -435,9 +442,9 @@ impl Concretizer {
         }
     }
 
-    /// The miss path: encode, parse, ground and solve `goal`, filling
-    /// `stats` with the encode, parse, ground and solve times and the
-    /// engine's statistics.
+    /// The miss path: encode, parse the rule text, ground and solve
+    /// `goal`, filling `stats` with the encode, parse, ground and solve
+    /// times and the engine's statistics.
     fn solve_cold(
         &self,
         goal: &Goal,
@@ -445,17 +452,17 @@ impl Concretizer {
         stats: &mut ConcretizeStats,
     ) -> Result<SolvedGoal, CoreError> {
         let t0 = Instant::now();
-        let Encoded {
-            program: text,
+        let EncodedGoal {
+            facts,
+            rules,
             root_names,
             reusable_count,
-            ledger: _,
-        } = self.program_text_for(goal, sources)?;
+            ..
+        } = self.encode_for(goal, sources)?;
         stats.encode_time = t0.elapsed();
 
         let t1 = Instant::now();
-        let program = parse_program(&text)
-            .map_err(|e| CoreError::Solve(format!("generated program invalid: {e}")))?;
+        let program = solver_program(facts, &rules)?;
         stats.parse_time = t1.elapsed();
 
         let solver = Solver::with_config(self.config.solver.clone());
@@ -495,7 +502,7 @@ impl Concretizer {
             model,
             root_names,
             reusable_count,
-            program_bytes: text.len(),
+            program_bytes: rules.len(),
         })
     }
 
@@ -692,6 +699,23 @@ impl Concretizer {
             stats,
         })
     }
+}
+
+/// The solver's program: each fact as a body-less rule, in order, then
+/// the parsed rule text. It equals `parse_program` of the rendered text
+/// ([`EncodedGoal::render`]), with no fact parsed back from text.
+fn solver_program(facts: Vec<Atom>, rules: &str) -> Result<Program, CoreError> {
+    let parsed = parse_program(rules)
+        .map_err(|e| CoreError::Solve(format!("generated program invalid: {e}")))?;
+    let mut program = Program {
+        rules: Vec::with_capacity(facts.len() + parsed.rules.len()),
+        minimize: parsed.minimize,
+    };
+    for atom in facts {
+        program.fact(atom);
+    }
+    program.rules.extend(parsed.rules);
+    Ok(program)
 }
 
 /// Lift an ASP engine error into the typed [`CoreError`] taxonomy:

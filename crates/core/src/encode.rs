@@ -8,15 +8,27 @@
 //! **direct** `imposed_constraint` fact encoding (old Spack) or the
 //! **indirect** `hash_attr` encoding (splice Spack), selected by
 //! [`EncodeConfig::encoding`] — the paper's RQ1 ablation.
+//!
+//! **Facts are data.** The fact base — environment facts, reusable
+//! specs, version and variant universes, the part that grows with the
+//! buildcache — comes out of [`encode`] as ground [`Atom`]s, which the
+//! concretizer hands the grounder as body-less rules. Only the directive
+//! rules (and the few facts interleaved with them) are text, parsed
+//! before grounding. [`EncodedGoal::render`] prints the facts in front
+//! of that text: the rendering parses back to the same program, and is
+//! what explanations, audits of the text and external checkers read.
 
 use crate::CoreError;
+use rustc_hash::{FxHashMap, FxHashSet};
+use spackle_asp::{Atom, Term};
 use spackle_buildcache::{CacheError, CacheSource};
 use spackle_repo::Repository;
 use spackle_spec::{
-    AbstractSpec, ConcreteSpec, Os, Sym, Target, VariantValue, Version, VersionReq,
+    AbstractSpec, ConcreteSpec, Os, SpecHash, Sym, Target, VariantValue, Version, VersionReq,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
+use std::sync::{Arc, OnceLock};
 
 /// Which reusable-spec encoding to emit (the RQ1 axis).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,12 +79,72 @@ impl Goal {
     }
 }
 
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// Append `s` quoted the encoder's way: `\` and `"` escaped, everything
+/// else raw.
+fn push_quoted(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        if c == '\\' || c == '"' {
+            out.push('\\');
+        }
+        out.push(c);
+    }
+    out.push('"');
 }
 
 fn q(s: &str) -> String {
-    format!("\"{}\"", esc(s))
+    let mut out = String::with_capacity(s.len() + 2);
+    push_quoted(&mut out, s);
+    out
+}
+
+/// Declares [`Vocab`]: each field is the symbol of its own name.
+macro_rules! vocab {
+    ($($name:ident),* $(,)?) => {
+        /// The predicate names and string constants of the fact section,
+        /// interned once per process.
+        struct Vocab {
+            $($name: Sym,)*
+        }
+
+        fn vocab() -> &'static Vocab {
+            static VOCAB: OnceLock<Vocab> = OnceLock::new();
+            VOCAB.get_or_init(|| Vocab {
+                $($name: Sym::intern(stringify!($name)),)*
+            })
+        }
+    };
+}
+
+vocab!(
+    requested_os,
+    requested_target,
+    os_declared,
+    target_declared,
+    target_runs,
+    target_penalty,
+    installed_hash,
+    hash_attr,
+    imposed_constraint,
+    version,
+    node_os,
+    node_target,
+    variant,
+    depends_on,
+    hash,
+    pkg_fact,
+    version_declared,
+    version_satisfies,
+    variant_default,
+    variant_value,
+);
+
+/// `pkg_fact(pkg, pred(args...))`.
+fn pkg_fact(pkg: Sym, pred: Sym, args: Vec<Term>) -> Atom {
+    Atom {
+        pred: vocab().pkg_fact,
+        args: vec![Term::Str(pkg), Term::Func(pred, args)],
+    }
 }
 
 /// Canonical key for a version requirement, used to link constraint
@@ -103,7 +175,7 @@ impl ConstraintTable {
 
 /// Where a region of the encoded program text came from — the
 /// source-level construct (package directive, goal constraint, cache
-/// entry, logic fragment) that emitted it. The encoder's
+/// entry, logic fragment) that emitted it. A rendering's
 /// [`Encoded::ledger`] records one entry per region; mapping any byte
 /// offset of the program back to its origin is a binary search.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -167,7 +239,111 @@ pub enum EncodeOrigin {
     },
 }
 
-/// Everything the interpreter needs to map the model back to specs.
+/// The origin of a run of facts: an [`EncodeOrigin`] that renders a
+/// cache entry's hash only when a ledger is built.
+enum FactOrigin {
+    Environment,
+    Reusable { package: Sym, hash: SpecHash },
+}
+
+impl FactOrigin {
+    fn origin(&self) -> EncodeOrigin {
+        match *self {
+            FactOrigin::Environment => EncodeOrigin::Environment,
+            FactOrigin::Reusable { package, hash } => EncodeOrigin::Reusable {
+                package,
+                hash: hash.to_base32(),
+            },
+        }
+    }
+}
+
+/// A goal compiled for the solver: the fact section as ground atoms, the
+/// directive rules as text, and what the interpreter needs to map the
+/// model back to specs.
+///
+/// The solver's program is every fact as a body-less rule, in order,
+/// followed by the parsed rule text. [`EncodedGoal::render`] prints the
+/// same program as text.
+pub struct EncodedGoal {
+    /// Environment facts, reusable specs, then the version and variant
+    /// universes, in emission order.
+    pub(crate) facts: Vec<Atom>,
+    /// Directive rules, the facts that interleave with them
+    /// (`provider_decl`, `provider_weight`, `reach_from`, `splicer_decl`,
+    /// `splice_relevant`, `attr("root", …)`), and the logic fragments
+    /// the concretizer appends, as ASP text.
+    pub(crate) rules: String,
+    /// Root package names in goal order.
+    pub(crate) root_names: Vec<Sym>,
+    /// Number of reusable-spec entries encoded.
+    pub(crate) reusable_count: usize,
+    /// `(index into facts, origin)` in ascending index order; each covers
+    /// the facts up to the next one's index.
+    fact_marks: Vec<(usize, FactOrigin)>,
+    /// `(byte offset into rules, origin)` in ascending offset order.
+    rule_marks: Vec<(usize, EncodeOrigin)>,
+}
+
+impl EncodedGoal {
+    /// Append a static logic fragment to the rule text.
+    pub(crate) fn push_logic(&mut self, fragment: &'static str, text: &str) {
+        self.rule_marks
+            .push((self.rules.len(), EncodeOrigin::Logic { fragment }));
+        self.rules.push_str(text);
+    }
+
+    /// Print the program as text: each fact on its own line, in the
+    /// encoder's quoting and with `", "` separators, then the rule text.
+    /// Parsing the text yields the solver's program rule for rule. The
+    /// provenance ledger is built here, for the rendered offsets.
+    pub fn render(self) -> Encoded {
+        let mut program = String::with_capacity(48 * self.facts.len() + self.rules.len());
+        let mut ledger = Vec::with_capacity(self.fact_marks.len() + self.rule_marks.len());
+        let mut marks = self.fact_marks.iter().peekable();
+        for (i, fact) in self.facts.iter().enumerate() {
+            while let Some((_, origin)) = marks.next_if(|&&(at, _)| at == i) {
+                ledger.push((program.len(), origin.origin()));
+            }
+            push_call(&mut program, fact.pred, &fact.args);
+            program.push_str(".\n");
+        }
+        ledger.extend(marks.map(|(_, origin)| (program.len(), origin.origin())));
+        let shift = program.len();
+        program.push_str(&self.rules);
+        ledger.extend(
+            self.rule_marks
+                .into_iter()
+                .map(|(o, origin)| (o + shift, origin)),
+        );
+        Encoded {
+            program,
+            root_names: self.root_names,
+            reusable_count: self.reusable_count,
+            ledger,
+        }
+    }
+}
+
+/// Append `name(args...)` with `", "` separators.
+fn push_call(out: &mut String, name: Sym, args: &[Term]) {
+    out.push_str(name.as_str());
+    out.push('(');
+    for (i, arg) in args.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        match arg {
+            Term::Str(s) => push_quoted(out, s.as_str()),
+            Term::Int(n) => write!(out, "{n}").expect("writing to a String cannot fail"),
+            Term::Func(f, inner) => push_call(out, *f, inner),
+            Term::Sym(s) | Term::Var(s) => out.push_str(s.as_str()),
+        }
+    }
+    out.push(')');
+}
+
+/// The program as text, as [`EncodedGoal::render`] prints it.
 pub struct Encoded {
     /// The complete program text (facts + rules + logic fragments).
     pub program: String,
@@ -296,24 +472,23 @@ pub(crate) fn goal_scope(
     })
 }
 
-/// Compile everything into one ASP program. Caches are shared handles
-/// so the same slice the owned [`Concretizer`] holds can be passed down
-/// without reborrowing gymnastics.
+/// Compile a goal into its fact base (as atoms) and its directive rules
+/// (as text). Caches are shared handles so the same slice the owned
+/// [`Concretizer`] holds can be passed down without reborrowing
+/// gymnastics. Each source is scanned once.
 ///
 /// [`Concretizer`]: crate::Concretizer
 pub fn encode(
     repo: &Repository,
-    caches: &[std::sync::Arc<dyn CacheSource>],
+    caches: &[Arc<dyn CacheSource>],
     goal: &Goal,
     cfg: &EncodeConfig,
-) -> Result<Encoded, CoreError> {
-    let mut out = String::with_capacity(1 << 16);
-    let mut ct = ConstraintTable::default();
-    // Provenance ledger halves: facts land in `out`, directive rules in
-    // `rules`; the two marker lists are merged (with the rules offsets
-    // shifted) at the final concatenation.
-    let mut out_marks: Vec<(usize, EncodeOrigin)> = Vec::new();
+) -> Result<EncodedGoal, CoreError> {
+    let v = vocab();
+    let mut facts: Vec<Atom> = Vec::new();
+    let mut fact_marks: Vec<(usize, FactOrigin)> = Vec::new();
     let mut rule_marks: Vec<(usize, EncodeOrigin)> = Vec::new();
+    let mut ct = ConstraintTable::default();
 
     // ---- determine the relevant package closure ----
     let GoalScope {
@@ -321,36 +496,42 @@ pub fn encode(
         resolved_roots,
         closure,
     } = goal_scope(repo, goal, cfg)?;
+    // Membership tests go through a hash set: comparing `Sym`s in the
+    // ordered set compares their strings. The ordered set orders facts.
+    let in_closure: FxHashSet<Sym> = closure.iter().copied().collect();
+
+    // ---- the reusable specs inside the closure ----
+    let mut reusable: Vec<&ConcreteSpec> = Vec::new();
+    for (ci, cache) in caches.iter().enumerate() {
+        let entries = cache
+            .iter()
+            .map_err(|e| cache_error(ci, cache.as_ref(), e))?;
+        reusable.extend(
+            entries
+                .map(|entry| &entry.spec)
+                .filter(|spec| spec.nodes().iter().all(|n| in_closure.contains(&n.name))),
+        );
+    }
 
     // ---- version universes (declared + cached) ----
-    let mut cache_versions: BTreeMap<Sym, BTreeSet<Version>> = BTreeMap::new();
+    let mut cache_versions: FxHashMap<Sym, BTreeSet<Version>> = FxHashMap::default();
     let mut cache_targets: BTreeSet<Target> = BTreeSet::new();
     let mut cache_oses: BTreeSet<Os> = BTreeSet::new();
-    let mut cache_variant_values: BTreeMap<(Sym, Sym), BTreeSet<VariantValue>> = BTreeMap::new();
-    let relevant_entry = |spec: &ConcreteSpec| -> bool {
-        spec.nodes().iter().all(|n| closure.contains(&n.name))
-    };
-    let mut reusable_count = 0usize;
-    for (ci, cache) in caches.iter().enumerate() {
-        let entries = cache.iter().map_err(|e| cache_error(ci, cache.as_ref(), e))?;
-        for entry in entries {
-            if !relevant_entry(&entry.spec) {
-                continue;
-            }
-            reusable_count += 1;
-            let root = entry.spec.root();
-            cache_versions
-                .entry(root.name)
+    let mut cache_variant_values: FxHashMap<(Sym, Sym), BTreeSet<VariantValue>> =
+        FxHashMap::default();
+    for spec in &reusable {
+        let root = spec.root();
+        cache_versions
+            .entry(root.name)
+            .or_default()
+            .insert(root.version.clone());
+        cache_targets.insert(root.target);
+        cache_oses.insert(root.os);
+        for (vn, vv) in &root.variants {
+            cache_variant_values
+                .entry((root.name, *vn))
                 .or_default()
-                .insert(root.version.clone());
-            cache_targets.insert(root.target);
-            cache_oses.insert(root.os);
-            for (vn, vv) in &root.variants {
-                cache_variant_values
-                    .entry((root.name, *vn))
-                    .or_default()
-                    .insert(vv.clone());
-            }
+                .insert(vv.clone());
         }
     }
 
@@ -370,9 +551,10 @@ pub fn encode(
     };
 
     // ---- environment facts ----
-    out_marks.push((out.len(), EncodeOrigin::Environment));
-    writeln!(out, "requested_os({}).", q(cfg.os.name().as_str())).ok();
-    writeln!(out, "requested_target({}).", q(cfg.target.name().as_str())).ok();
+    fact_marks.push((facts.len(), FactOrigin::Environment));
+    let fact = |pred: Sym, args: Vec<Term>| Atom { pred, args };
+    facts.push(fact(v.requested_os, vec![Term::Str(cfg.os.name())]));
+    facts.push(fact(v.requested_target, vec![Term::Str(cfg.target.name())]));
     let mut targets: BTreeSet<Target> = cache_targets;
     targets.insert(cfg.target);
     for a in cfg.target.ancestors() {
@@ -381,21 +563,18 @@ pub fn encode(
     let mut oses: BTreeSet<Os> = cache_oses;
     oses.insert(cfg.os);
     for o in &oses {
-        writeln!(out, "os_declared({}).", q(o.name().as_str())).ok();
+        facts.push(fact(v.os_declared, vec![Term::Str(o.name())]));
     }
     for t in &targets {
-        writeln!(out, "target_declared({}).", q(t.name().as_str())).ok();
+        facts.push(fact(v.target_declared, vec![Term::Str(t.name())]));
     }
     for machine in &targets {
         for built in &targets {
             if machine.runs_binary_built_for(*built) {
-                writeln!(
-                    out,
-                    "target_runs({}, {}).",
-                    q(machine.name().as_str()),
-                    q(built.name().as_str())
-                )
-                .ok();
+                facts.push(fact(
+                    v.target_runs,
+                    vec![Term::Str(machine.name()), Term::Str(built.name())],
+                ));
             }
         }
     }
@@ -405,7 +584,10 @@ pub fn encode(
         } else {
             100
         };
-        writeln!(out, "target_penalty({}, {}).", q(t.name().as_str()), pen).ok();
+        facts.push(fact(
+            v.target_penalty,
+            vec![Term::Str(t.name()), Term::Int(pen)],
+        ));
     }
 
     // ---- package facts and directive rules ----
@@ -433,7 +615,7 @@ pub fn encode(
         }
         for v in virtuals {
             for (i, prov) in repo.providers_of(v).iter().enumerate() {
-                if closure.contains(prov) {
+                if in_closure.contains(prov) {
                     writeln!(
                         rules,
                         "provider_weight({vq}, {pq}, {i}).",
@@ -462,53 +644,46 @@ pub fn encode(
     }
 
     // ---- reusable specs ----
-    for (ci, cache) in caches.iter().enumerate() {
-        let entries = cache.iter().map_err(|e| cache_error(ci, cache.as_ref(), e))?;
-        for entry in entries {
-            if !relevant_entry(&entry.spec) {
-                continue;
-            }
-            out_marks.push((
-                out.len(),
-                EncodeOrigin::Reusable {
-                    package: entry.spec.root().name,
-                    hash: entry.spec.dag_hash().to_base32(),
-                },
-            ));
-            emit_reusable(&mut out, &entry.spec, cfg);
-        }
+    for spec in &reusable {
+        fact_marks.push((
+            facts.len(),
+            FactOrigin::Reusable {
+                package: spec.root().name,
+                hash: spec.dag_hash(),
+            },
+        ));
+        emit_reusable(&mut facts, spec, cfg);
     }
 
     // ---- declared-version + version_satisfies facts ----
-    out_marks.push((out.len(), EncodeOrigin::Environment));
+    fact_marks.push((facts.len(), FactOrigin::Environment));
     for &pname in &closure {
         if repo.get(pname).is_none() {
             continue;
         }
         let universe = version_universe(pname);
-        for (i, v) in universe.iter().enumerate() {
-            writeln!(
-                out,
-                "pkg_fact({}, version_declared({}, {})).",
-                q(pname.as_str()),
-                q(&v.to_string()),
-                i
-            )
-            .ok();
+        let names: Vec<Sym> = universe
+            .iter()
+            .map(|ver| Sym::intern(&ver.to_string()))
+            .collect();
+        for (i, &name) in names.iter().enumerate() {
+            facts.push(pkg_fact(
+                pname,
+                v.version_declared,
+                vec![Term::Str(name), Term::Int(i as i64)],
+            ));
         }
         if let Some(keys) = ct.per_pkg.get(&pname) {
             for key in keys {
                 let req = &ct.reqs[key];
-                for v in &universe {
-                    if req.satisfies(v) {
-                        writeln!(
-                            out,
-                            "pkg_fact({}, version_satisfies({}, {})).",
-                            q(pname.as_str()),
-                            q(key),
-                            q(&v.to_string())
-                        )
-                        .ok();
+                let key = Sym::intern(key);
+                for (ver, &name) in universe.iter().zip(&names) {
+                    if req.satisfies(ver) {
+                        facts.push(pkg_fact(
+                            pname,
+                            v.version_satisfies,
+                            vec![Term::Str(key), Term::Str(name)],
+                        ));
                     }
                 }
             }
@@ -519,21 +694,13 @@ pub fn encode(
     for &pname in &closure {
         let Some(pkg) = repo.get(pname) else { continue };
         for (vn, kind) in &pkg.variants {
-            writeln!(
-                out,
-                "pkg_fact({}, variant({})).",
-                q(pname.as_str()),
-                q(vn.as_str())
-            )
-            .ok();
-            writeln!(
-                out,
-                "pkg_fact({}, variant_default({}, {})).",
-                q(pname.as_str()),
-                q(vn.as_str()),
-                q(&kind.default_value().canonical())
-            )
-            .ok();
+            facts.push(pkg_fact(pname, v.variant, vec![Term::Str(*vn)]));
+            let default = Sym::intern(&kind.default_value().canonical());
+            facts.push(pkg_fact(
+                pname,
+                v.variant_default,
+                vec![Term::Str(*vn), Term::Str(default)],
+            ));
             let mut values: BTreeSet<String> = kind
                 .candidate_values()
                 .iter()
@@ -544,28 +711,23 @@ pub fn encode(
                     values.insert(v.canonical());
                 }
             }
-            for v in values {
-                writeln!(
-                    out,
-                    "pkg_fact({}, variant_value({}, {})).",
-                    q(pname.as_str()),
-                    q(vn.as_str()),
-                    q(&v)
-                )
-                .ok();
+            for value in values {
+                facts.push(pkg_fact(
+                    pname,
+                    v.variant_value,
+                    vec![Term::Str(*vn), Term::Str(Sym::intern(&value))],
+                ));
             }
         }
     }
 
-    let shift = out.len();
-    out.push_str(&rules);
-    let mut ledger = out_marks;
-    ledger.extend(rule_marks.into_iter().map(|(o, g)| (o + shift, g)));
-    Ok(Encoded {
-        program: out,
+    Ok(EncodedGoal {
+        facts,
+        rules,
         root_names,
-        reusable_count,
-        ledger,
+        reusable_count: reusable.len(),
+        fact_marks,
+        rule_marks,
     })
 }
 
@@ -912,60 +1074,42 @@ fn emit_goal_root(
     Ok(())
 }
 
-/// Emit one reusable spec in the configured encoding.
-fn emit_reusable(out: &mut String, spec: &ConcreteSpec, cfg: &EncodeConfig) {
+/// Emit one reusable spec's facts in the configured encoding.
+fn emit_reusable(facts: &mut Vec<Atom>, spec: &ConcreteSpec, cfg: &EncodeConfig) {
+    let v = vocab();
     let root = spec.root();
-    let h = q(&spec.dag_hash().to_base32());
-    let name = q(root.name.as_str());
+    let h = Term::Str(Sym::intern(&spec.dag_hash().to_base32()));
+    let name = Term::Str(root.name);
     let pred = match cfg.encoding {
-        Encoding::Direct => "imposed_constraint",
-        Encoding::Indirect => "hash_attr",
+        Encoding::Direct => v.imposed_constraint,
+        Encoding::Indirect => v.hash_attr,
     };
-    writeln!(out, "installed_hash({name}, {h}).").ok();
-    writeln!(
-        out,
-        "{pred}({h}, \"version\", {name}, {v}).",
-        v = q(&root.version.to_string())
-    )
-    .ok();
-    writeln!(
-        out,
-        "{pred}({h}, \"node_os\", {name}, {o}).",
-        o = q(root.os.name().as_str())
-    )
-    .ok();
-    writeln!(
-        out,
-        "{pred}({h}, \"node_target\", {name}, {t}).",
-        t = q(root.target.name().as_str())
-    )
-    .ok();
+    let attr = |kind: Sym, args: &[Term]| {
+        let mut all = Vec::with_capacity(2 + args.len());
+        all.extend([h.clone(), Term::Str(kind)]);
+        all.extend_from_slice(args);
+        Atom { pred, args: all }
+    };
+    facts.push(Atom {
+        pred: v.installed_hash,
+        args: vec![name.clone(), h.clone()],
+    });
+    let version = Term::Str(Sym::intern(&root.version.to_string()));
+    facts.push(attr(v.version, &[name.clone(), version]));
+    facts.push(attr(v.node_os, &[name.clone(), Term::Str(root.os.name())]));
+    facts.push(attr(v.node_target, &[name.clone(), Term::Str(root.target.name())]));
     for (vn, vv) in &root.variants {
-        writeln!(
-            out,
-            "{pred}({h}, \"variant\", {name}, {vn}, {vv}).",
-            vn = q(vn.as_str()),
-            vv = q(&vv.canonical())
-        )
-        .ok();
+        let value = Term::Str(Sym::intern(&vv.canonical()));
+        facts.push(attr(v.variant, &[name.clone(), Term::Str(*vn), value]));
     }
     for &(dep, types) in &root.deps {
         if !types.is_link_run() {
             continue;
         }
         let dnode = spec.node(dep);
-        writeln!(
-            out,
-            "{pred}({h}, \"depends_on\", {name}, {d}).",
-            d = q(dnode.name.as_str())
-        )
-        .ok();
-        writeln!(
-            out,
-            "{pred}({h}, \"hash\", {d}, {dh}).",
-            d = q(dnode.name.as_str()),
-            dh = q(&dnode.hash.to_base32())
-        )
-        .ok();
+        let dname = Term::Str(dnode.name);
+        facts.push(attr(v.depends_on, &[name.clone(), dname.clone()]));
+        let dhash = Term::Str(Sym::intern(&dnode.hash.to_base32()));
+        facts.push(attr(v.hash, &[dname, dhash]));
     }
 }

@@ -74,7 +74,10 @@ pub struct SolvedGoal {
     pub root_names: Vec<Sym>,
     /// Reusable specs encoded into the program.
     pub reusable_count: usize,
-    /// Generated program text size in bytes.
+    /// Size in bytes of the rule text the solve parsed
+    /// ([`ConcretizeStats::program_bytes`]).
+    ///
+    /// [`ConcretizeStats::program_bytes`]: crate::ConcretizeStats::program_bytes
     pub program_bytes: usize,
 }
 

@@ -68,7 +68,8 @@ fn generated_program_always_parses() {
             &Goal::single(parse_spec("example").unwrap()),
             &cfg(enc, splice),
         )
-        .unwrap();
+        .unwrap()
+        .render();
         parse_program(&out.program)
             .unwrap_or_else(|e| panic!("({enc:?},{splice}) generated invalid ASP: {e}"));
     }
@@ -83,7 +84,8 @@ fn version_facts_carry_preference_indexes() {
         &Goal::single(parse_spec("example").unwrap()),
         &cfg(Encoding::Indirect, false),
     )
-    .unwrap();
+    .unwrap()
+    .render();
     // Newest first: index 0 for 1.1.0, 1 for 1.0.0 (paper 5.1's
     // version_declared facts, with our explicit penalty index).
     assert!(out
@@ -103,7 +105,8 @@ fn conditional_dependency_compiles_to_specialized_rule() {
         &Goal::single(parse_spec("example").unwrap()),
         &cfg(Encoding::Indirect, false),
     )
-    .unwrap();
+    .unwrap()
+    .render();
     // The @1.0.0-conditional zlib dependency mentions a version_satisfies
     // test on example and imposes a depends_on head.
     assert!(
@@ -134,7 +137,8 @@ fn direct_encoding_emits_imposed_constraints() {
         &Goal::single(parse_spec("example").unwrap()),
         &cfg(Encoding::Direct, false),
     )
-    .unwrap();
+    .unwrap()
+    .render();
     assert!(out.program.contains("installed_hash(\"example\""));
     assert!(out.program.contains("imposed_constraint("));
     assert!(
@@ -154,7 +158,8 @@ fn indirect_encoding_emits_hash_attr() {
         &Goal::single(parse_spec("example").unwrap()),
         &cfg(Encoding::Indirect, false),
     )
-    .unwrap();
+    .unwrap()
+    .render();
     assert!(out.program.contains("hash_attr("));
     assert!(
         !out.program.contains("imposed_constraint("),
@@ -169,11 +174,11 @@ fn splice_rules_only_when_enabled() {
     let cache = cached(&repo, "example");
     let goal = Goal::single(parse_spec("example").unwrap());
 
-    let without = encode(&repo, &[std::sync::Arc::new(cache.clone()) as std::sync::Arc<dyn CacheSource>], &goal, &cfg(Encoding::Indirect, false)).unwrap();
+    let without = encode(&repo, &[std::sync::Arc::new(cache.clone()) as std::sync::Arc<dyn CacheSource>], &goal, &cfg(Encoding::Indirect, false)).unwrap().render();
     assert!(!without.program.contains("can_splice"));
     assert!(!without.program.contains("splicer_decl"));
 
-    let with = encode(&repo, &[std::sync::Arc::new(cache.clone()) as std::sync::Arc<dyn CacheSource>], &goal, &cfg(Encoding::Indirect, true)).unwrap();
+    let with = encode(&repo, &[std::sync::Arc::new(cache.clone()) as std::sync::Arc<dyn CacheSource>], &goal, &cfg(Encoding::Indirect, true)).unwrap().render();
     // Fig 4a-style compiled rule for the zlib-ng directive.
     assert!(with.program.contains("can_splice(node(\"zlib-ng\"), \"zlib\", Hash)"));
     assert!(with.program.contains("splicer_decl(\"zlib-ng\", \"zlib\")"));
@@ -196,12 +201,12 @@ fn closure_filtering_excludes_unrelated_packages() {
     let repo = Repository::from_packages(pkgs).unwrap();
     let goal = Goal::single(parse_spec("app").unwrap());
 
-    let filtered = encode(&repo, &[], &goal, &cfg(Encoding::Indirect, false)).unwrap();
+    let filtered = encode(&repo, &[], &goal, &cfg(Encoding::Indirect, false)).unwrap().render();
     assert!(!filtered.program.contains("\"unrelated\""));
 
     let mut unfiltered_cfg = cfg(Encoding::Indirect, false);
     unfiltered_cfg.filter_irrelevant = false;
-    let unfiltered = encode(&repo, &[], &goal, &unfiltered_cfg).unwrap();
+    let unfiltered = encode(&repo, &[], &goal, &unfiltered_cfg).unwrap().render();
     assert!(unfiltered.program.contains("\"unrelated\""));
 }
 
@@ -210,7 +215,7 @@ fn forbidden_packages_become_constraints() {
     let repo = repo();
     let mut goal = Goal::single(parse_spec("example").unwrap());
     goal.forbidden.push(spackle_spec::Sym::intern("zlib"));
-    let out = encode(&repo, &[], &goal, &cfg(Encoding::Indirect, false)).unwrap();
+    let out = encode(&repo, &[], &goal, &cfg(Encoding::Indirect, false)).unwrap().render();
     assert!(out
         .program
         .contains(r#":- attr("node", node("zlib"))."#));
@@ -220,7 +225,7 @@ fn forbidden_packages_become_constraints() {
 fn goal_constraints_compile() {
     let repo = repo();
     let goal = Goal::single(parse_spec("example@1.0.0+bzip target=x86_64").unwrap());
-    let out = encode(&repo, &[], &goal, &cfg(Encoding::Indirect, false)).unwrap();
+    let out = encode(&repo, &[], &goal, &cfg(Encoding::Indirect, false)).unwrap().render();
     assert!(out.program.contains(r#"attr("root", node("example"))"#));
     assert!(out
         .program
@@ -235,7 +240,7 @@ fn reusable_count_reflects_filtering() {
     let repo = repo();
     let cache = cached(&repo, "example"); // example + zlib entries
     let goal = Goal::single(parse_spec("zlib").unwrap());
-    let out = encode(&repo, &[std::sync::Arc::new(cache.clone()) as std::sync::Arc<dyn CacheSource>], &goal, &cfg(Encoding::Indirect, false)).unwrap();
+    let out = encode(&repo, &[std::sync::Arc::new(cache.clone()) as std::sync::Arc<dyn CacheSource>], &goal, &cfg(Encoding::Indirect, false)).unwrap().render();
     // Only the zlib entry is within zlib's closure.
     assert_eq!(out.reusable_count, 1);
 }

@@ -11,8 +11,9 @@
 //!
 //! A *repo case* generates a random repository and goal spec, and
 //! cross-checks the concretizer: the exact solver input (via
-//! [`Concretizer::program_text`]) is re-solved, its optimal model is
-//! certificate-checked and every cheaper cost refuted
+//! [`Concretizer::program`]) must equal the parse of its rendered text
+//! ([`Concretizer::program_text`]); it is re-solved, its optimal model
+//! is certificate-checked and every cheaper cost refuted
 //! ([`refute_improvement`]), the old-Spack and splice-Spack
 //! configurations must agree on satisfiability and (with no
 //! buildcaches in play) on the chosen versions, and returned specs must
@@ -28,7 +29,7 @@ use spackle_asp::certify;
 use spackle_asp::ground::ground;
 use spackle_asp::stability::is_tight;
 use spackle_asp::term::AtomId;
-use spackle_asp::{parse_program, AspError, SolveOutcome, Solver};
+use spackle_asp::{parse_program, AspError, Program, Rule, SolveOutcome, Solver};
 use spackle_core::{Concretizer, ConcretizerConfig, CoreError, Goal};
 
 /// Cap on free atoms for program-case oracle enumeration.
@@ -176,6 +177,35 @@ pub fn check_program_case(seed: u64) -> Result<CaseStats, String> {
     })
 }
 
+/// Where `assembled` (the program [`Concretizer::program`] builds from
+/// the encoder's atoms) first differs from `parsed` (the parse of its
+/// rendered text), or `None` when the two are equal rule for rule and
+/// minimize element for minimize element.
+pub fn program_mismatch(assembled: &Program, parsed: &Program) -> Option<String> {
+    let (a, p) = (&assembled.rules, &parsed.rules);
+    if let Some(i) = (0..a.len().max(p.len())).find(|&i| a.get(i) != p.get(i)) {
+        let show = |r: Option<&Rule>| r.map_or_else(|| "nothing".to_string(), Rule::to_string);
+        return Some(format!(
+            "rule {i} of {}/{}: assembled {} vs parsed {}",
+            a.len(),
+            p.len(),
+            show(a.get(i)),
+            show(p.get(i))
+        ));
+    }
+    let (a, p) = (&assembled.minimize, &parsed.minimize);
+    if let Some(i) = (0..a.len().max(p.len())).find(|&i| a.get(i) != p.get(i)) {
+        return Some(format!(
+            "minimize element {i} of {}/{}: assembled {:?} vs parsed {:?}",
+            a.len(),
+            p.len(),
+            a.get(i),
+            p.get(i)
+        ));
+    }
+    None
+}
+
 /// Run one concretizer differential case.
 pub fn check_repo_case(seed: u64) -> Result<CaseStats, String> {
     let mut rng = TestRng::seed_from_u64(seed);
@@ -184,17 +214,26 @@ pub fn check_repo_case(seed: u64) -> Result<CaseStats, String> {
     let goal = Goal::single(spec.clone());
 
     // Solve the exact program the (splice-spack) concretizer would,
+    // after checking that its rendered text parses back to it;
     // certificate-check the optimal model independently of the
     // concretizer's own debug assertions, and prove its cost optimal.
     let conc = Concretizer::new(&repo);
+    let prog = match conc.program(&goal) {
+        Ok(p) => p,
+        Err(e) => return fail(format!("encode failed: {e}")),
+    };
     let text = match conc.program_text(&goal) {
         Ok(enc) => enc.program,
         Err(e) => return fail(format!("encode failed: {e}")),
     };
-    let prog = match parse_program(&text) {
-        Ok(p) => p,
+    match parse_program(&text) {
+        Ok(parsed) => {
+            if let Some(m) = program_mismatch(&prog, &parsed) {
+                return fail(format!("assembled program differs from its text: {m}"));
+            }
+        }
         Err(e) => return fail(format!("generated program does not parse: {e}")),
-    };
+    }
     let refuted_levels = match Solver::new().solve(&prog) {
         Err(e) => return fail(format!("solver failed on encoded program: {e}")),
         Ok((SolveOutcome::Unsat, _)) => 0,

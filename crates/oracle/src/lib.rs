@@ -38,6 +38,6 @@ pub mod genrepo;
 pub mod optimum;
 pub mod reference;
 
-pub use diff::{check_program_case, check_repo_case, CaseStats};
+pub use diff::{check_program_case, check_repo_case, program_mismatch, CaseStats};
 pub use optimum::refute_improvement;
 pub use reference::{OracleError, OracleSolution};

@@ -215,15 +215,9 @@ fn run_audit(state: &ServerState, session: &mut Session, request: &Request) -> R
             Ok(g) => g,
             Err(e) => return Response::err_for(request, e),
         };
-        let encoded = match state.concretizer(config).program_text(&goal) {
-            Ok(e) => e,
-            Err(e) => return Response::err_for(request, e.to_string()),
-        };
-        let program = match spackle_asp::parse_program(&encoded.program) {
+        let program = match state.concretizer(config).program(&goal) {
             Ok(p) => p,
-            Err(e) => {
-                return Response::err_for(request, format!("generated program invalid: {e}"))
-            }
+            Err(e) => return Response::err_for(request, e.to_string()),
         };
         let goals = [Sym::intern("attr"), Sym::intern("splice_to")];
         report = audit(&repo, &program, &goals);

@@ -269,20 +269,13 @@ fn main() -> ExitCode {
                 }
             }
             // Level 1 audits the demo repository; level 2 audits the
-            // exact ASP program the concretizer would hand the solver
-            // for a representative goal (empty cache, default config).
+            // exact ASP program the concretizer hands the solver for a
+            // representative goal (empty cache, default config).
             let goal = Goal::single(parse_spec("hypre").expect("valid demo goal"));
-            let enc = match Concretizer::new(&repo).program_text(&goal) {
-                Ok(e) => e,
-                Err(e) => {
-                    eprintln!("spackle: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let program = match spackle::asp::parse_program(&enc.program) {
+            let program = match Concretizer::new(&repo).program(&goal) {
                 Ok(p) => p,
                 Err(e) => {
-                    eprintln!("spackle: generated program invalid: {e}");
+                    eprintln!("spackle: {e}");
                     return ExitCode::FAILURE;
                 }
             };

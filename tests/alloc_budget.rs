@@ -10,6 +10,7 @@
 
 use spackle::asp::cdcl::Sat;
 use spackle::asp::cnf::{translate, translate_collected};
+use spackle::asp::program::Head;
 use spackle::asp::{parse_program, Solver};
 use spackle::core::Goal;
 use spackle::prelude::*;
@@ -60,15 +61,21 @@ fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
-#[test]
-fn ground_and_translate_allocate_only_what_they_keep() {
+/// The RADIUSS repository under `splice_spack_disabled`, over the local
+/// cache merged with a 200-DAG public cache.
+fn concretizer() -> Concretizer {
     let repo = radiuss_repo();
     let mut cache = local_cache(&repo);
     cache.merge(&public_cache(&repo, 200, 42));
     let cache: Arc<dyn CacheSource> = Arc::new(cache);
-    let concretizer = Concretizer::new(&repo)
+    Concretizer::new(&repo)
         .with_config(ConcretizerConfig::splice_spack_disabled())
-        .with_reusable(&cache);
+        .with_reusable(&cache)
+}
+
+#[test]
+fn ground_and_translate_allocate_only_what_they_keep() {
+    let concretizer = concretizer();
     let solver = Solver::new();
     for root in ["hypre", "mfem", "conduit"] {
         let goal = Goal::single(parse_spec(root).unwrap());
@@ -98,6 +105,40 @@ fn ground_and_translate_allocate_only_what_they_keep() {
             per_clause <= 2.0,
             "{root}: translation made {per_clause:.2} allocations per clause \
              ({cnf_allocs} for {clauses})"
+        );
+    }
+}
+
+/// Assembling the solver's program allocates a few times per fact: the
+/// facts are built as atoms, not printed as text and parsed back.
+/// Assembly makes 2.6–3.0 allocations per fact on these goals; printing
+/// and parsing the whole program (`program_text`, then `parse_program`)
+/// makes about 9, which the bound rejects.
+#[test]
+fn program_assembly_allocates_a_few_per_fact() {
+    let concretizer = concretizer();
+    for root in ["hypre", "mfem", "conduit"] {
+        let goal = Goal::single(parse_spec(root).unwrap());
+        // A first assembly interns the goal's strings; count a second.
+        concretizer.program(&goal).unwrap();
+        let (allocs, program) = counted(|| concretizer.program(&goal).unwrap());
+        let facts = program
+            .rules
+            .iter()
+            .filter(|r| r.body.is_empty() && matches!(r.head, Head::Atom(_)))
+            .count();
+        let per_fact = allocs as f64 / facts as f64;
+        let (text_allocs, _) =
+            counted(|| parse_program(&concretizer.program_text(&goal).unwrap().program).unwrap());
+        println!(
+            "{root}: assembly {allocs} allocations / {facts} facts = {per_fact:.2}; \
+             text route {:.2}",
+            text_allocs as f64 / facts as f64
+        );
+        assert!(
+            per_fact <= 4.0,
+            "{root}: assembling the program made {per_fact:.2} allocations per fact \
+             ({allocs} for {facts})"
         );
     }
 }
