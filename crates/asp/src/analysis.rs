@@ -44,7 +44,8 @@ pub enum EdgeKind {
 /// The predicate dependency graph of a program.
 ///
 /// Nodes are every predicate occurring anywhere (heads, bodies, choice
-/// elements and conditions, constraint bodies, minimize conditions). An
+/// elements and conditions, constraint bodies, minimize conditions,
+/// heuristic atoms and conditions). An
 /// edge `(head, body, kind)` records that deriving `head` depends on
 /// `body`; choice elements count as heads of their enclosing rule's body
 /// and of their own condition.
@@ -97,6 +98,11 @@ impl PredGraph {
         }
         for me in &program.minimize {
             note_body(&mut g, None, &me.condition);
+        }
+        // A heuristic derives nothing: its atom and condition are uses.
+        for h in &program.heuristics {
+            g.preds.insert(pred_of(&h.atom));
+            note_body(&mut g, None, &h.condition);
         }
         g
     }

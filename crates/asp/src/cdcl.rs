@@ -1,6 +1,8 @@
 //! A MiniSat-style CDCL SAT solver: two watched literals with blockers,
-//! first-UIP conflict analysis, VSIDS-style activity ordering with
-//! false-first decisions, and activity-ranked learnt-clause deletion.
+//! first-UIP conflict analysis, VSIDS-style activity ordering with a
+//! fixed decision polarity per variable (false unless the caller sets
+//! it; the translation sets it from `#heuristic` directives), and
+//! activity-ranked learnt-clause deletion.
 //! Supports incremental clause addition between `solve` calls (used by
 //! the optimizer's branch-and-bound loop and the stability CEGAR loop).
 //! Search runs directly on the translated CNF.
@@ -123,6 +125,8 @@ pub struct Sat {
     qhead: usize,
 
     activity: Vec<f64>,
+    /// Per var: decide true first (default false first).
+    polarity: Vec<bool>,
     var_inc: f64,
     heap: Vec<Var>,       // binary max-heap on activity
     heap_index: Vec<u32>, // var -> heap slot, u32::MAX if absent
@@ -173,6 +177,7 @@ impl Sat {
             trail_lim: Vec::new(),
             qhead: 0,
             activity: Vec::new(),
+            polarity: Vec::new(),
             var_inc: 1.0,
             heap: Vec::new(),
             heap_index: Vec::new(),
@@ -210,12 +215,20 @@ impl Sat {
         self.level.push(0);
         self.reason.push(NO_REASON);
         self.activity.push(0.0);
+        self.polarity.push(false);
         self.seen.push(false);
         self.heap_index.push(u32::MAX);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.heap_insert(v);
         v
+    }
+
+    /// Decide `v` true first when `true_first` is set, false first
+    /// otherwise (the default). A polarity changes which model a search
+    /// finds first, never whether one exists.
+    pub fn set_polarity(&mut self, v: Var, true_first: bool) {
+        self.polarity[v as usize] = true_first;
     }
 
     /// Number of variables.
@@ -658,7 +671,11 @@ impl Sat {
     fn pick_branch(&mut self) -> Option<Lit> {
         while let Some(v) = self.heap_pop() {
             if self.assign[v as usize] == LBool::Undef {
-                return Some(Lit::neg(v));
+                return Some(if self.polarity[v as usize] {
+                    Lit::pos(v)
+                } else {
+                    Lit::neg(v)
+                });
             }
         }
         None
@@ -1145,6 +1162,20 @@ mod tests {
         assert!(s.value(x) && s.value(y));
         assert_eq!(s.solve(), SatResult::Sat);
         assert!(!s.value(x) && !s.value(y));
+    }
+
+    #[test]
+    fn polarity_picks_the_first_model() {
+        // x ∨ y: false-first finds {y}; x true-first finds {x}.
+        let mut s = Sat::new();
+        let x = s.new_var();
+        let y = s.new_var();
+        s.add_clause(&[p(x), p(y)]);
+        assert_eq!(s.solve(), SatResult::Sat);
+        assert!(!s.value(x) && s.value(y));
+        s.set_polarity(x, true);
+        assert_eq!(s.solve(), SatResult::Sat);
+        assert!(s.value(x) && !s.value(y));
     }
 
     #[test]

@@ -2,6 +2,20 @@
 //! Clark completion for normal rules, free atoms with support clauses for
 //! choice elements, cardinality bounds via sequential counters, integrity
 //! constraints as plain clauses, and cost-tuple literals for `#minimize`.
+//!
+//! The solving translation ([`translate`]) hands the search only what the
+//! grounder left open. It trusts the grounder's `certain` and `possible`
+//! sets: every certain atom shares the constant-true variable, with no
+//! completion clause of its own, and what that or an atom's never
+//! becoming possible decides is never built: a rule with a certain head,
+//! a body with a certain negated atom, a certain positive literal, a
+//! never-possible negated one. (A never-possible atom keeps its variable,
+//! which its support-free completion makes false at level 0.) It also
+//! sets each `#heuristic` atom's decision polarity.
+//! [`translate_collected`] translates the whole completion unfolded, one
+//! variable and one completion clause per atom: explanations blame facts
+//! through their own clauses, and the optimum refutation must not trust
+//! the fold it checks.
 
 use crate::cdcl::{Lit, Sat, Var};
 use crate::ground::GroundProgram;
@@ -34,7 +48,7 @@ impl Translation {
     }
 }
 
-/// Where a clause produced by [`translate`] came from, at ground-program
+/// Where a clause of the translation came from, at ground-program
 /// granularity. Collected by [`translate_collected`] for unsat-core
 /// extraction; the normal solving path ([`translate`] into a [`Sat`])
 /// drops origins without cost.
@@ -69,8 +83,7 @@ impl ClauseOrigin {
 
 /// Output target of the CNF translation. [`Sat`] implements this by
 /// discarding origins; [`CollectedCnf`] records `(clause, origin)` pairs
-/// for core extraction. Both must allocate variables in call order so
-/// the two paths produce identical literals.
+/// for core extraction. Both allocate variables in call order.
 pub trait CnfSink {
     /// Allocate a fresh SAT variable.
     fn new_var(&mut self) -> Var;
@@ -360,41 +373,116 @@ fn add_upper_bound_guarded_with<S: CnfSink>(
     }
 }
 
-/// Translate the ground program into `sat`.
+/// Translate the ground program into `sat`, folding what the grounder
+/// decided (see the module docs), and set the decision polarity of every
+/// atom a `#heuristic` directive signs.
 pub fn translate(gp: &GroundProgram, sat: &mut Sat) -> Translation {
-    translate_into(gp, sat)
+    let tr = translate_into(gp, sat, true);
+    for &(a, true_first) in &gp.heuristics {
+        sat.set_polarity(tr.atom_var[a.0 as usize], true_first);
+    }
+    tr
 }
 
-/// Translate the ground program into a raw clause list with per-clause
-/// [`ClauseOrigin`] provenance. Allocates variables in exactly the same
-/// order as [`translate`], so the clauses (and the returned
-/// [`Translation`]) are literal-for-literal identical to the solving
-/// path's.
+/// Translate the ground program, unfolded, into a raw clause list with
+/// per-clause [`ClauseOrigin`] provenance: every atom gets a variable of
+/// its own and a completion clause, and every ground instance its
+/// clauses.
 pub fn translate_collected(gp: &GroundProgram) -> (CollectedCnf, Translation) {
     let mut cnf = CollectedCnf {
         num_vars: 0,
         clauses: Vec::new(),
     };
-    let tr = translate_into(gp, &mut cnf);
+    let tr = translate_into(gp, &mut cnf, false);
     (cnf, tr)
 }
 
-fn translate_into<S: CnfSink>(gp: &GroundProgram, sat: &mut S) -> Translation {
+/// What the translation takes as known about an atom.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Known {
+    Open,
+    /// True in every model.
+    Certain,
+    /// Never possible: false in every model.
+    Impossible,
+}
+
+/// Copy the body `pos`, `not neg` into `fpos` and `fneg` without the
+/// literals `known` decides. False when a certain negated atom means the
+/// body can never hold.
+fn fold_body(
+    known: &[Known],
+    pos: &[AtomId],
+    neg: &[AtomId],
+    fpos: &mut Vec<AtomId>,
+    fneg: &mut Vec<AtomId>,
+) -> bool {
+    fpos.clear();
+    fneg.clear();
+    fpos.extend(pos.iter().filter(|a| known[a.0 as usize] != Known::Certain));
+    for &a in neg {
+        match known[a.0 as usize] {
+            Known::Open => fneg.push(a),
+            Known::Certain => return false,
+            Known::Impossible => {}
+        }
+    }
+    true
+}
+
+fn translate_into<S: CnfSink>(gp: &GroundProgram, sat: &mut S, fold: bool) -> Translation {
     let n = gp.atom_count();
-    let atom_var: Vec<Var> = (0..n).map(|_| sat.new_var()).collect();
+    let mut known = vec![if fold { Known::Impossible } else { Known::Open }; n];
+    if fold {
+        for a in &gp.possible {
+            known[a.0 as usize] = Known::Open;
+        }
+        for a in &gp.certain {
+            known[a.0 as usize] = Known::Certain;
+        }
+    }
+    // Uncertain atoms get their variables in atom order; certain atoms
+    // share `true_var`, allocated after them.
+    let mut atom_var: Vec<Var> = known
+        .iter()
+        .map(|&k| {
+            if k == Known::Certain {
+                Var::MAX
+            } else {
+                sat.new_var()
+            }
+        })
+        .collect();
     let true_var = sat.new_var();
     sat.add(&[Lit::pos(true_var)], ClauseOrigin::Definition);
-    // Scratch for every clause built below.
+    for (v, &k) in atom_var.iter_mut().zip(&known) {
+        if k == Known::Certain {
+            *v = true_var;
+        }
+    }
+    let never = Lit::neg(true_var);
+    // Scratch for every clause and folded body built below.
     let mut clause: Vec<Lit> = Vec::new();
+    let (mut fpos, mut fneg): (Vec<AtomId>, Vec<AtomId>) = (Vec::new(), Vec::new());
 
-    // Supports: `(atom, body literal)` per disjunct allowing the atom to
-    // be true, in the order the rules and choices give them.
+    // Supports: `(atom, body literal)` per disjunct allowing an uncertain
+    // atom to be true, in the order the rules and choices give them.
     let mut supports: Vec<(u32, Lit)> = Vec::new();
 
-    // Normal rules.
+    // Normal rules. A skipped rule keeps a constant body literal so that
+    // `rule_body` stays indexed by rule; loop clauses never read the one
+    // of a certain head.
     let mut rule_body = Vec::with_capacity(gp.rules.len());
     for (ri, r) in gp.rules.iter().enumerate() {
-        let beta = body_lit(sat, &atom_var, true_var, &r.pos, &r.neg, &mut clause);
+        if known[r.head.0 as usize] == Known::Certain {
+            rule_body.push(Lit::pos(true_var));
+            continue;
+        }
+        if !fold_body(&known, &r.pos, &r.neg, &mut fpos, &mut fneg) {
+            rule_body.push(never);
+            continue;
+        }
+        let beta = body_lit(sat, &atom_var, true_var, &fpos, &fneg, &mut clause);
         rule_body.push(beta);
         let head = Lit::pos(atom_var[r.head.0 as usize]);
         // body -> head
@@ -407,11 +495,17 @@ fn translate_into<S: CnfSink>(gp: &GroundProgram, sat: &mut S) -> Translation {
     let mut elem_lits: Vec<(i64, Lit)> = Vec::new();
     for (ci, c) in gp.choices.iter().enumerate() {
         let origin = ClauseOrigin::Choice(ci as u32);
-        let beta = body_lit(sat, &atom_var, true_var, &c.pos, &c.neg, &mut clause);
+        if !fold_body(&known, &c.pos, &c.neg, &mut fpos, &mut fneg) {
+            choice_body.push(never);
+            continue;
+        }
+        let beta = body_lit(sat, &atom_var, true_var, &fpos, &fneg, &mut clause);
         choice_body.push(beta);
         for &e in c.elements.iter() {
             // The body *permits* the element (no implication to true).
-            supports.push((e.0, beta));
+            if known[e.0 as usize] != Known::Certain {
+                supports.push((e.0, beta));
+            }
         }
         elem_lits.clear();
         elem_lits.extend(
@@ -446,20 +540,26 @@ fn translate_into<S: CnfSink>(gp: &GroundProgram, sat: &mut S) -> Translation {
         }
     }
 
-    // Completion: every atom needs a support.
+    // Completion: every uncertain atom needs a support.
     let (first, sup) = group_by_key(n, &supports);
     for (i, &var) in atom_var.iter().enumerate() {
+        if known[i] == Known::Certain {
+            continue;
+        }
         clause.clear();
         clause.push(Lit::neg(var));
         clause.extend_from_slice(&sup[first[i]..first[i + 1]]);
         sat.add(&clause, ClauseOrigin::Completion(AtomId(i as u32)));
     }
 
-    // Integrity constraints.
+    // Integrity constraints; one whose body can never hold adds nothing.
     for (ci, c) in gp.constraints.iter().enumerate() {
+        if !fold_body(&known, &c.pos, &c.neg, &mut fpos, &mut fneg) {
+            continue;
+        }
         clause.clear();
-        clause.extend(c.pos.iter().map(|a| Lit::neg(atom_var[a.0 as usize])));
-        clause.extend(c.neg.iter().map(|a| Lit::pos(atom_var[a.0 as usize])));
+        clause.extend(fpos.iter().map(|a| Lit::neg(atom_var[a.0 as usize])));
+        clause.extend(fneg.iter().map(|a| Lit::pos(atom_var[a.0 as usize])));
         sat.add(&clause, ClauseOrigin::Constraint(ci as u32));
     }
 
@@ -470,7 +570,11 @@ fn translate_into<S: CnfSink>(gp: &GroundProgram, sat: &mut S) -> Translation {
     let mut reps: Vec<usize> = Vec::new();
     let mut conds: Vec<(u32, Lit)> = Vec::with_capacity(gp.minimize.len());
     for (mi, m) in gp.minimize.iter().enumerate() {
-        let beta = body_lit(sat, &atom_var, true_var, &m.pos, &m.neg, &mut clause);
+        let beta = if fold_body(&known, &m.pos, &m.neg, &mut fpos, &mut fneg) {
+            body_lit(sat, &atom_var, true_var, &fpos, &fneg, &mut clause)
+        } else {
+            never
+        };
         let hash = hash_key((m.priority, m.weight, &m.tuple));
         let same = |g: u32| {
             let r = &gp.minimize[reps[g as usize]];
@@ -545,12 +649,156 @@ mod tests {
     }
 
     fn truth(gp: &GroundProgram, sat: &Sat, tr: &Translation, atom: &str) -> bool {
-        for i in 0..gp.atom_count() {
-            if gp.store.format_atom(crate::term::AtomId(i as u32)) == atom {
-                return sat.value(tr.atom_var[i]);
+        sat.value(tr.atom_var[id(gp, atom).0 as usize])
+    }
+
+    fn id(gp: &GroundProgram, atom: &str) -> AtomId {
+        (0..gp.atom_count() as u32)
+            .map(AtomId)
+            .find(|&a| gp.store.format_atom(a) == atom)
+            .unwrap_or_else(|| panic!("atom {atom} not interned"))
+    }
+
+    /// The solving translation's clauses, with their origins.
+    fn folded(gp: &GroundProgram) -> CollectedCnf {
+        let mut cnf = CollectedCnf {
+            num_vars: 0,
+            clauses: Vec::new(),
+        };
+        translate_into(gp, &mut cnf, true);
+        cnf
+    }
+
+    /// Each clause as `"origin: literals"`, variables numbered from 1 and
+    /// negated literals negative.
+    fn render(cnf: &CollectedCnf) -> Vec<String> {
+        let lit = |l: &Lit| {
+            let v = l.var() as i64 + 1;
+            if l.is_neg() {
+                -v
+            } else {
+                v
             }
+        };
+        cnf.clauses
+            .iter()
+            .map(|(c, o)| {
+                let lits: Vec<String> = c.iter().map(|l| lit(l).to_string()).collect();
+                format!("{o:?}: {}", lits.join(" "))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn collected_translation_is_pinned() {
+        // Explanations and the optimum refutation read the unfolded
+        // completion: every atom its own variable and completion clause,
+        // every instance its clauses, the never-possible `y` included.
+        let gp = ground(
+            &parse_program(
+                "a. b :- a, not c. c :- not b. { d ; e } 1 :- a. :- d, e. x :- d, not y. \
+                 #minimize { 1@1,d : d ; 2@1,e : e ; 3@2 : b }.",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let (cnf, tr) = translate_collected(&gp);
+        assert_eq!((cnf.num_vars, tr.true_var), (13, 7));
+        assert_eq!(
+            render(&cnf),
+            [
+                "Definition: 8",
+                "Rule(0): -8 1",
+                "Definition: -9 1",
+                "Definition: -9 -2",
+                "Definition: -1 2 9",
+                "Rule(1): -9 3",
+                "Rule(2): 3 2",
+                "Definition: -10 4",
+                "Definition: -10 -7",
+                "Definition: -4 7 10",
+                "Rule(3): -10 6",
+                "Definition: -4 11",
+                "Definition: -11 12",
+                "Definition: -5 12",
+                "Definition: -5 -11 13",
+                "Choice(0): -1 -13",
+                "Completion(AtomId(0)): -1 8",
+                "Completion(AtomId(1)): -2 -3",
+                "Completion(AtomId(2)): -3 9",
+                "Completion(AtomId(3)): -4 1",
+                "Completion(AtomId(4)): -5 1",
+                "Completion(AtomId(5)): -6 10",
+                "Completion(AtomId(6)): -7",
+                "Constraint(0): -4 -5",
+            ]
+        );
+    }
+
+    #[test]
+    fn certain_atoms_share_the_true_variable() {
+        let gp = ground(&parse_program("a. b :- a. c :- b, not x. { d }.").unwrap()).unwrap();
+        let mut sat = Sat::new();
+        let tr = translate(&gp, &mut sat);
+        for atom in ["a", "b", "c"] {
+            assert_eq!(tr.atom_var[id(&gp, atom).0 as usize], tr.true_var, "{atom}");
         }
-        panic!("atom {atom} not interned");
+        // d and the never-possible x keep variables of their own.
+        let (d, x) = (
+            tr.atom_var[id(&gp, "d").0 as usize],
+            tr.atom_var[id(&gp, "x").0 as usize],
+        );
+        assert!(d != tr.true_var && x != tr.true_var && d != x);
+        assert_eq!(sat.num_vars(), 3);
+        assert_eq!(sat.solve(), SatResult::Sat);
+        assert!(truth(&gp, &sat, &tr, "c") && !truth(&gp, &sat, &tr, "x"));
+    }
+
+    #[test]
+    fn decided_instances_add_no_clause() {
+        // b's rules have a certain head; d's rule and the constraint have
+        // a certain negated atom, so their bodies never hold. What is
+        // left are the completions of c and d.
+        let gp = ground(
+            &parse_program("a. b :- a. b :- c. { c }. d :- c, not a. :- c, not a.").unwrap(),
+        )
+        .unwrap();
+        let tr = translate(&gp, &mut Sat::new());
+        let origins: Vec<ClauseOrigin> = folded(&gp)
+            .clauses
+            .into_iter()
+            .map(|(_, o)| o)
+            .filter(|o| o.is_soft())
+            .collect();
+        let (c, d) = (id(&gp, "c"), id(&gp, "d"));
+        assert_eq!(
+            origins,
+            [ClauseOrigin::Completion(c), ClauseOrigin::Completion(d)]
+        );
+        // Skipped rules keep a constant body literal each.
+        let never = Lit::neg(tr.true_var);
+        assert_eq!(tr.rule_body.len(), gp.rules.len());
+        assert_eq!(tr.rule_body[3], never);
+    }
+
+    #[test]
+    fn never_possible_negations_are_dropped() {
+        // x heads no rule: `not x` always holds and leaves the body, so
+        // d's body literal is c itself, where the unfolded translation
+        // defines an auxiliary for `c, not x`.
+        let gp = ground(&parse_program("{ c }. d :- c, not x.").unwrap()).unwrap();
+        let (c, d) = (id(&gp, "c").0 + 1, id(&gp, "d").0 + 1);
+        let rule = |cnf: &CollectedCnf| {
+            render(cnf)
+                .into_iter()
+                .find(|l| l.starts_with("Rule(0)"))
+                .expect("d's rule")
+        };
+        assert_eq!(rule(&folded(&gp)), format!("Rule(0): -{c} {d}"));
+        assert_ne!(
+            rule(&translate_collected(&gp).0),
+            format!("Rule(0): -{c} {d}")
+        );
     }
 
     #[test]

@@ -285,15 +285,15 @@ impl Solver {
         // does not cover. Only the check keeps such probes founded (for
         // `p1 :- not p0, not p1.` with p1's completion dropped, {p1}
         // satisfies every remaining clause but is not stable).
-        let stable = self.stable_solve(gp, tr, false, sat, assumps, stats)?;
-        Ok(match stable {
-            Some(_) => CegarAnswer::Stable,
-            None => CegarAnswer::Unsat(
+        Ok(if self.stable_solve(gp, tr, false, sat, assumps, stats)? {
+            CegarAnswer::Stable
+        } else {
+            CegarAnswer::Unsat(
                 sat.final_core()
                     .iter()
                     .filter_map(|&l| sel.index_of(l))
                     .collect(),
-            ),
+            )
         })
     }
 

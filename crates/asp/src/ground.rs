@@ -11,16 +11,23 @@
 //!    builtins are evaluated (they are deterministic).
 //! 2. **Emission pass**: with the closure fixed, instantiate every normal
 //!    rule once more and emit ground rules, deduplicated.
-//! 3. **Certainty closure**: atoms derivable through negation-free rules
-//!    from facts are *certain*. Each rule keeps a count of the distinct
-//!    atoms of its positive body not yet certain, and each atom a list of
-//!    the rules waiting on it; a rule whose count reaches zero makes its
-//!    head certain.
+//! 3. **Certainty closure**: atoms derivable from facts through rules
+//!    none of whose negated atoms is possible are *certain*. An atom that
+//!    never became possible is false in every model, so its negation
+//!    always holds and costs the rule nothing. Each rule keeps a count of
+//!    the distinct atoms of its positive body not yet certain, and each
+//!    atom a list of the rules waiting on it; a rule whose count reaches
+//!    zero makes its head certain.
 //! 4. **Choice/constraint/minimize emission**: choice-element conditions
 //!    must be certain — this engine (like the concretizer program it
 //!    serves) treats them as domain predicates; a condition over a
 //!    genuinely model-dependent predicate is an error rather than a
 //!    silent mis-solve. Minimize conditions stay model-dependent.
+//! 5. **Heuristic directives**: each `#heuristic` condition is a domain
+//!    condition, checked as a choice element's is. Every instance names
+//!    its atom by lookup, without interning, and the first instance with
+//!    a nonzero value to name an atom that is possible and not certain
+//!    sets that atom's decision sign.
 //!
 //! Joins are index-backed: per (predicate, arity) relations with
 //! per-argument-position hash indexes (pre-declared by a static probe
@@ -129,11 +136,16 @@ pub struct GroundProgram {
     pub choice_src: Vec<u32>,
     /// Provenance: source rule index per entry of `constraints`.
     pub constraint_src: Vec<u32>,
-    /// Atoms certain to hold in every model (facts plus negation-free
-    /// consequences of facts).
+    /// Atoms certain to hold in every model: facts, and the heads of
+    /// rules whose positive body is certain and none of whose negated
+    /// atoms is possible.
     pub certain: FxHashSet<AtomId>,
     /// Atoms that can possibly be true (the over-approximated base).
     pub possible: FxHashSet<AtomId>,
+    /// Decision signs from `#heuristic` directives: one `(atom, true
+    /// first)` per distinct atom that is possible and not certain, in
+    /// directive order.
+    pub heuristics: Vec<(AtomId, bool)>,
 }
 
 impl GroundProgram {
@@ -660,11 +672,22 @@ fn plan_rules(program: &Program) -> Vec<RulePlan<'_>> {
         .collect()
 }
 
+/// A condition compiled for a join of its own: its positive literals and
+/// comparisons, and its negated atoms (a minimize or heuristic
+/// condition).
+fn plan_condition(condition: &[BodyElem]) -> (JoinSpec, Vec<Atom>) {
+    let cond = normalize_body(condition);
+    (
+        JoinSpec::new(cond.pos, cond.cmps, &FxHashSet::default()),
+        cond.neg,
+    )
+}
+
 /// Every (predicate, arity, argument position) any join will ever probe,
 /// so the relations can install those indexes at creation time.
 fn collect_wanted(
     plans: &[RulePlan<'_>],
-    min_plans: &[(JoinSpec, Vec<Atom>)],
+    cond_plans: &[(JoinSpec, Vec<Atom>)],
 ) -> FxHashMap<(Sym, usize), Vec<usize>> {
     let mut wanted: FxHashMap<(Sym, usize), FxHashSet<usize>> = FxHashMap::default();
     let mut add = |spec: &JoinSpec| {
@@ -683,7 +706,7 @@ fn collect_wanted(
             }
         }
     }
-    for (spec, _) in min_plans {
+    for (spec, _) in cond_plans {
         add(spec);
     }
     wanted
@@ -900,6 +923,15 @@ impl Grounder {
         Ok(())
     }
 
+    /// The atom `a` names under `s` if it is interned; never interns.
+    fn find_under(&self, s: &Subst, a: &Atom) -> Option<AtomId> {
+        let mut args = ArgBuf::new();
+        for t in &a.args {
+            args.push(lookup_resolved(&self.store, s, t)?);
+        }
+        self.store.find_atom(a.pred, args.as_slice())
+    }
+
     fn intern_under(&mut self, s: &Subst, a: &Atom) -> Result<AtomId> {
         let mut args = ArgBuf::new();
         for t in &a.args {
@@ -933,19 +965,34 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
     for r in &program.rules {
         check_safety(r)?;
     }
+    for h in &program.heuristics {
+        // A directive is safe when the rule `atom :- condition.` is.
+        let rule = Rule {
+            head: Head::Atom(h.atom.clone()),
+            body: h.condition.clone(),
+        };
+        if let Some(u) = unsafe_variables(&rule).into_iter().next() {
+            return Err(AspError::Unsafe {
+                rule: format!("{h} ({})", u.context),
+                variable: u.variable.as_str().to_string(),
+            });
+        }
+    }
     let plans = plan_rules(program);
-    let min_plans: Vec<(JoinSpec, Vec<Atom>)> = program
+    // Minimize conditions, then heuristic conditions.
+    let cond_plans: Vec<(JoinSpec, Vec<Atom>)> = program
         .minimize
         .iter()
-        .map(|me| {
-            let cond = normalize_body(&me.condition);
-            (
-                JoinSpec::new(cond.pos, cond.cmps, &FxHashSet::default()),
-                cond.neg,
-            )
-        })
+        .map(|me| plan_condition(&me.condition))
+        .chain(
+            program
+                .heuristics
+                .iter()
+                .map(|h| plan_condition(&h.condition)),
+        )
         .collect();
-    let wanted = collect_wanted(&plans, &min_plans);
+    let (min_plans, heur_plans) = cond_plans.split_at(program.minimize.len());
+    let wanted = collect_wanted(&plans, &cond_plans);
     let mut g = Grounder::new(limits, wanted);
     // One match buffer for every join below, and a second for the
     // condition joins nested in a choice's body matches.
@@ -1081,11 +1128,13 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
     }
     let rules = rules.items;
 
-    // ---- Phase 3: certainty closure over negation-free rules. ----
-    // A rule fires once every distinct atom of its positive body is
-    // certain: `remaining` counts the distinct atoms not yet certain, and
-    // `waiting` lists, per atom, the rules whose body holds it (compressed
-    // rows, rules in index order).
+    // ---- Phase 3: certainty closure. ----
+    // Only rules none of whose negated atoms is possible take part: the
+    // closure is fixed, so an atom not possible now is false in every
+    // model. Such a rule fires once every distinct atom of its positive
+    // body is certain: `remaining` counts the distinct atoms not yet
+    // certain, and `waiting` lists, per atom, the rules whose body holds
+    // it (compressed rows, rules in index order).
     let mut certain: FxHashSet<AtomId> = FxHashSet::default();
     {
         let mut queue: Vec<AtomId> = Vec::new();
@@ -1094,7 +1143,7 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
         let mut waits: Vec<(u32, u32)> = Vec::new();
         let mut body: Vec<AtomId> = Vec::new();
         for (ri, r) in rules.iter().enumerate() {
-            if !r.neg.is_empty() {
+            if r.neg.iter().any(|&n| g.is_possible(n)) {
                 continue; // never participates
             }
             if r.pos.is_empty() {
@@ -1232,7 +1281,7 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
 
     let mut minimize: Emitted<GroundMin> = Emitted::default();
     let mut tuple: Vec<TermId> = Vec::new();
-    for (me, (spec, cond_neg)) in program.minimize.iter().zip(&min_plans) {
+    for (me, (spec, cond_neg)) in program.minimize.iter().zip(min_plans) {
         m.clear();
         g.join(spec, &[], None, &mut m)?;
         for k in 0..m.len() {
@@ -1275,6 +1324,38 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
         }
     }
 
+    // ---- Phase 5: heuristic directives (lookups only). ----
+    let mut heuristics: Vec<(AtomId, bool)> = Vec::new();
+    let mut signed: FxHashSet<AtomId> = FxHashSet::default();
+    for (h, (spec, cond_neg)) in program.heuristics.iter().zip(heur_plans) {
+        m.clear();
+        g.join(spec, &[], None, &mut m)?;
+        for k in 0..m.len() {
+            let (subst, pos) = m.get(k);
+            if let Some(&c) = pos.iter().find(|c| !certain.contains(c)) {
+                return Err(AspError::NonDomainCondition {
+                    atom: g.store.format_atom(c),
+                    rule: h.to_string(),
+                });
+            }
+            // A negated atom that was never interned is not possible.
+            for n in cond_neg {
+                if let Some(nid) = g.find_under(subst, n).filter(|&n| g.is_possible(n)) {
+                    return Err(AspError::DerivableNegatedCondition {
+                        atom: g.store.format_atom(nid),
+                        rule: h.to_string(),
+                    });
+                }
+            }
+            let Some(a) = g.find_under(subst, &h.atom) else {
+                continue;
+            };
+            if h.value != 0 && g.is_possible(a) && !certain.contains(&a) && signed.insert(a) {
+                heuristics.push((a, h.value > 0));
+            }
+        }
+    }
+
     let possible: FxHashSet<AtomId> = g.possible.iter().copied().collect();
     Ok(GroundProgram {
         store: g.store,
@@ -1287,6 +1368,7 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
         constraint_src,
         certain,
         possible,
+        heuristics,
     })
 }
 
@@ -1409,6 +1491,62 @@ mod tests {
         // But b is NOT certain (its rule has negation).
         let b_atoms = atom_strings(&gp, &gp.certain);
         assert!(!b_atoms.contains(&"b".to_string()));
+    }
+
+    #[test]
+    fn negating_a_never_possible_atom_keeps_certainty() {
+        // x heads no rule, so `not x` always holds: b and c are as
+        // certain as a. e is possible, so d's negation still counts.
+        let gp = ground_text("a. b :- a, not x. c :- b. { e }. d :- a, not e.");
+        assert_eq!(atom_strings(&gp, &gp.certain), ["a", "b", "c"]);
+        assert_eq!(atom_strings(&gp, &gp.possible), ["a", "b", "c", "d", "e"]);
+    }
+
+    #[test]
+    fn heuristics_sign_each_open_atom_once() {
+        // p(1) and p(2) are open; the later directive naming p(1) loses
+        // to the earlier one. a is certain, z is never interned and q(1)
+        // has value 0: none of them gets a sign.
+        let text = "a. d(1). d(2). { p(X) : d(X) }. { q(1) }.";
+        let directives = "#heuristic p(X) : d(X), X >= 1. [2, sign] \
+                          #heuristic p(1). [-1, sign] #heuristic a. [1, sign] \
+                          #heuristic z. [1, sign] #heuristic q(1). [0, sign]";
+        let plain = ground_text(text);
+        let gp = ground_text(&format!("{text} {directives}"));
+        let signed: Vec<(String, bool)> = gp
+            .heuristics
+            .iter()
+            .map(|&(a, first)| (gp.store.format_atom(a), first))
+            .collect();
+        assert_eq!(
+            signed,
+            [("p(1)".to_string(), true), ("p(2)".to_string(), true)]
+        );
+        // Directives intern nothing.
+        assert_eq!(gp.atom_count(), plain.atom_count());
+    }
+
+    #[test]
+    fn heuristic_conditions_are_domain_conditions() {
+        let err = |text: &str| ground(&parse_program(text).unwrap()).err();
+        match err("{ q(1) }. { p(1) }. #heuristic p(X) : q(X). [1, sign]") {
+            Some(AspError::NonDomainCondition { atom, rule }) => {
+                assert_eq!(atom, "q(1)");
+                assert!(rule.starts_with("#heuristic p(X)"), "{rule}");
+            }
+            other => panic!("expected NonDomainCondition, got {other:?}"),
+        }
+        match err("d(1). { q(1) }. { p(1) }. #heuristic p(X) : d(X), not q(X). [1, sign]") {
+            Some(AspError::DerivableNegatedCondition { atom, .. }) => assert_eq!(atom, "q(1)"),
+            other => panic!("expected DerivableNegatedCondition, got {other:?}"),
+        }
+        match err("{ p(1) }. #heuristic p(X). [1, sign]") {
+            Some(AspError::Unsafe { variable, rule }) => {
+                assert_eq!(variable, "X");
+                assert!(rule.contains("[1, sign]"), "{rule}");
+            }
+            other => panic!("expected Unsafe, got {other:?}"),
+        }
     }
 
     #[test]

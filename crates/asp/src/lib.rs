@@ -11,7 +11,9 @@
 //! * comparison builtins (`=`, `!=`, `<`, `<=`, `>`, `>=`);
 //! * choice rules with cardinality bounds (`1 { a(X) : b(X) } 1 :- c.`);
 //! * integrity constraints (`:- body.`);
-//! * prioritized weighted minimization (`#minimize { W@P,T : cond }.`).
+//! * prioritized weighted minimization (`#minimize { W@P,T : cond }.`);
+//! * Clingo's domain heuristic with the `sign` modifier only
+//!   (`#heuristic a(X) : b(X). [1, sign]`).
 //!
 //! ## Pipeline
 //!
@@ -19,11 +21,14 @@
 //! 2. **Ground** ([`ground`]) — semi-naive, index-backed instantiation of
 //!    rules over an over-approximated Herbrand base.
 //! 3. **Translate** ([`cnf`]) — Clark completion plus sequential-counter
-//!    cardinality encodings to CNF.
+//!    cardinality encodings to CNF, over only what the grounder left
+//!    open: certain atoms share the constant-true variable, and the
+//!    clauses and literals the grounder decided are left out.
 //! 4. **Search** ([`cdcl`]) — a MiniSat-style CDCL SAT solver (two
-//!    watched literals with blockers, 1UIP learning, VSIDS with
-//!    false-first decisions, activity-ranked clause deletion) over the
-//!    translated CNF.
+//!    watched literals with blockers, 1UIP learning, VSIDS with a
+//!    decision polarity per variable — false first unless a `#heuristic`
+//!    directive signs the atom true — and activity-ranked clause
+//!    deletion) over the translated CNF.
 //! 5. **Verify** ([`stability`]) — a model-guided Gelfond–Lifschitz
 //!    stability check; non-stable models are blocked and search resumes
 //!    (CEGAR). Programs whose ground positive-dependency graph is acyclic

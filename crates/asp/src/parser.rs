@@ -10,10 +10,14 @@
 //! 1 { pick(V) : candidate(V) } 1 :- node(N).
 //! { reuse(H) : installed(H) } 1 :- node(N).
 //! #minimize { 100@2,Node : build(Node) }.
+//! #heuristic reuse(H) : installed(H). [1, sign]
 //! % comments run to end of line
 //! ```
+//!
+//! `#heuristic` takes only the `sign` modifier with an integer value and
+//! no `@priority`; any other modifier or a priority is a parse error.
 
-use crate::program::{BodyElem, ChoiceElem, CmpOp, Head, MinimizeElem, Program, Rule};
+use crate::program::{BodyElem, ChoiceElem, CmpOp, Head, Heuristic, MinimizeElem, Program, Rule};
 use crate::term::{Atom, Term};
 use crate::{AspError, Result};
 use spackle_spec::Sym;
@@ -28,6 +32,8 @@ enum Tok {
     RParen,
     LBrace,
     RBrace,
+    LBracket,
+    RBracket,
     Comma,
     Semi,
     Dot,
@@ -36,6 +42,7 @@ enum Tok {
     At,
     Cmp(CmpOp),
     Minimize,
+    Heuristic,
     Not,
 }
 
@@ -90,6 +97,14 @@ impl<'a> Lexer<'a> {
                 b'}' => {
                     self.pos += 1;
                     out.push((start, Tok::RBrace));
+                }
+                b'[' => {
+                    self.pos += 1;
+                    out.push((start, Tok::LBracket));
+                }
+                b']' => {
+                    self.pos += 1;
+                    out.push((start, Tok::RBracket));
                 }
                 b',' => {
                     self.pos += 1;
@@ -149,10 +164,10 @@ impl<'a> Lexer<'a> {
                 b'#' => {
                     self.pos += 1;
                     let word = self.read_word();
-                    if word == "minimize" {
-                        out.push((start, Tok::Minimize));
-                    } else {
-                        return Err(self.err(format!("unsupported directive #{word}")));
+                    match word.as_str() {
+                        "minimize" => out.push((start, Tok::Minimize)),
+                        "heuristic" => out.push((start, Tok::Heuristic)),
+                        _ => return Err(self.err(format!("unsupported directive #{word}"))),
                     }
                 }
                 b'"' => {
@@ -285,18 +300,26 @@ impl Parser {
         }
     }
 
-    fn parse_program(&mut self) -> Result<Program> {
-        let mut prog = Program::new();
-        while self.peek().is_some() {
-            if self.peek() == Some(&Tok::Minimize) {
+    /// Parse the next statement into `prog`; true when it was a rule.
+    fn parse_statement(&mut self, prog: &mut Program) -> Result<bool> {
+        match self.peek() {
+            Some(Tok::Minimize) => {
                 self.bump();
                 let elems = self.parse_minimize_body()?;
                 prog.minimize.extend(elems);
-            } else {
+                Ok(false)
+            }
+            Some(Tok::Heuristic) => {
+                self.bump();
+                let h = self.parse_heuristic()?;
+                prog.heuristics.push(h);
+                Ok(false)
+            }
+            _ => {
                 prog.rules.push(self.parse_rule()?);
+                Ok(true)
             }
         }
-        Ok(prog)
     }
 
     fn parse_rule(&mut self) -> Result<Rule> {
@@ -497,20 +520,60 @@ impl Parser {
         self.expect(Tok::Dot)?;
         Ok(elems)
     }
+
+    /// After `#heuristic`: `atom [: condition]. [value, sign]`.
+    fn parse_heuristic(&mut self) -> Result<Heuristic> {
+        let atom = self.parse_atom()?;
+        let mut condition = Vec::new();
+        if self.peek() == Some(&Tok::Colon) {
+            self.bump();
+            condition = self.parse_body(&Tok::Dot)?;
+        }
+        self.expect(Tok::Dot)?;
+        self.expect(Tok::LBracket)?;
+        let value = match self.peek() {
+            Some(&Tok::Int(v)) => v,
+            other => {
+                let found = format!("expected an integer #heuristic value, found {other:?}");
+                return Err(self.err(found));
+            }
+        };
+        self.bump();
+        if self.peek() == Some(&Tok::At) {
+            return Err(self.err("#heuristic priorities (@P) are not supported"));
+        }
+        self.expect(Tok::Comma)?;
+        match self.peek() {
+            Some(Tok::Ident(m)) if m.as_str() == "sign" => {}
+            Some(Tok::Ident(m)) => {
+                let m = format!("unsupported #heuristic modifier {m}: only sign is supported");
+                return Err(self.err(m));
+            }
+            other => {
+                let found = format!("expected a #heuristic modifier, found {other:?}");
+                return Err(self.err(found));
+            }
+        }
+        self.bump();
+        self.expect(Tok::RBracket)?;
+        Ok(Heuristic {
+            atom,
+            condition,
+            value,
+        })
+    }
 }
 
 /// Parse a complete program from text.
 pub fn parse_program(text: &str) -> Result<Program> {
-    let toks = Lexer::new(text).tokens()?;
-    let mut p = Parser { toks, pos: 0 };
-    p.parse_program()
+    Ok(parse_program_spanned(text)?.0)
 }
 
 /// Parse a complete program, additionally returning the byte offset of
 /// each rule's first token into `text`, indexed exactly like the
-/// returned `Program::rules`. `#minimize` statements contribute no
-/// offset (they never appear in unsat cores). The parsed program is
-/// identical to [`parse_program`]'s.
+/// returned `Program::rules`. `#minimize` and `#heuristic` statements
+/// contribute no offset (they never appear in unsat cores). The parsed
+/// program is identical to [`parse_program`]'s.
 pub fn parse_program_spanned(text: &str) -> Result<(Program, Vec<usize>)> {
     let toks = Lexer::new(text).tokens()?;
     let mut p = Parser { toks, pos: 0 };
@@ -518,12 +581,7 @@ pub fn parse_program_spanned(text: &str) -> Result<(Program, Vec<usize>)> {
     let mut offsets = Vec::new();
     while p.peek().is_some() {
         let off = p.offset();
-        if p.peek() == Some(&Tok::Minimize) {
-            p.bump();
-            let elems = p.parse_minimize_body()?;
-            prog.minimize.extend(elems);
-        } else {
-            prog.rules.push(p.parse_rule()?);
+        if p.parse_statement(&mut prog)? {
             offsets.push(off);
         }
     }
@@ -713,6 +771,50 @@ mod tests {
             (0u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap_or('\u{FFFD}')),
             (0x20u32..0x7f).prop_map(|c| char::from_u32(c).expect("ASCII")),
         ]
+    }
+
+    #[test]
+    fn parse_heuristic_forms() {
+        let text = "a. #heuristic a. [1, sign] \
+                    #heuristic p(X) : q(X), not r(X), X != 2. [-3, sign] b.";
+        let (p, offsets) = parse_program_spanned(text).unwrap();
+        assert_eq!(p.rules.len(), 2);
+        assert_eq!(offsets, [0, text.rfind('b').unwrap()]);
+        assert_eq!(p.heuristics.len(), 2);
+        let h = &p.heuristics[1];
+        assert_eq!(
+            (h.atom.to_string().as_str(), h.condition.len(), h.value),
+            ("p(X)", 3, -3)
+        );
+        assert_eq!(
+            h.to_string(),
+            "#heuristic p(X) : q(X), not r(X), X != 2. [-3, sign]"
+        );
+        let again = parse_program(&p.to_string()).unwrap();
+        assert_eq!(again.heuristics, p.heuristics);
+        assert_eq!(again.rules, p.rules);
+    }
+
+    #[test]
+    fn heuristic_takes_only_the_sign_modifier() {
+        for (text, said) in [
+            ("#heuristic a. [1, level]", "modifier level"),
+            ("#heuristic a. [1, init]", "modifier init"),
+            ("#heuristic a. [1, factor]", "modifier factor"),
+            ("#heuristic a. [1, true]", "modifier true"),
+            ("#heuristic a. [1, false]", "modifier false"),
+            ("#heuristic a. [1@2, sign]", "priorities"),
+            ("#heuristic a. [x, sign]", "integer"),
+            ("#heuristic a. [1]", "expected Comma"),
+            ("#heuristic a [1, sign]", "expected Dot"),
+        ] {
+            match parse_program(text) {
+                Err(AspError::Parse { message, .. }) => {
+                    assert!(message.contains(said), "{text}: {message}")
+                }
+                other => panic!("{text}: expected a parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

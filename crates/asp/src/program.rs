@@ -184,6 +184,33 @@ pub struct MinimizeElem {
     pub condition: Vec<BodyElem>,
 }
 
+/// A `#heuristic atom : condition. [value, sign]` directive: Clingo's
+/// domain-specific heuristic (Gebser et al., AAAI 2013) restricted to
+/// the `sign` modifier. It changes no model, only the polarity the
+/// search first decides `atom` with: true when `value > 0`, false when
+/// `value < 0`, and no preference at 0.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Heuristic {
+    /// The atom whose decision polarity is set.
+    pub atom: Atom,
+    /// Domain condition (certain positive literals, never-possible
+    /// negations, comparisons), as for a choice element.
+    pub condition: Vec<BodyElem>,
+    /// The sign value.
+    pub value: i64,
+}
+
+impl fmt::Display for Heuristic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "#heuristic {}", self.atom)?;
+        for (i, c) in self.condition.iter().enumerate() {
+            f.write_str(if i == 0 { " : " } else { ", " })?;
+            write!(f, "{c}")?;
+        }
+        write!(f, ". [{}, sign]", self.value)
+    }
+}
+
 /// A complete logic program.
 #[derive(Clone, Debug, Default)]
 pub struct Program {
@@ -191,6 +218,8 @@ pub struct Program {
     pub rules: Vec<Rule>,
     /// All minimize elements, across all `#minimize` statements.
     pub minimize: Vec<MinimizeElem>,
+    /// All `#heuristic` directives, in program order.
+    pub heuristics: Vec<Heuristic>,
 }
 
 impl Program {
@@ -199,10 +228,11 @@ impl Program {
         Self::default()
     }
 
-    /// Append every rule and minimize element of `other`.
+    /// Append every rule, minimize element and heuristic of `other`.
     pub fn extend(&mut self, other: Program) {
         self.rules.extend(other.rules);
         self.minimize.extend(other.minimize);
+        self.heuristics.extend(other.heuristics);
     }
 
     /// Add a ground fact.
@@ -259,6 +289,9 @@ impl fmt::Display for Program {
             }
             writeln!(f, " }}.")?;
         }
+        for h in &self.heuristics {
+            writeln!(f, "{h}")?;
+        }
         Ok(())
     }
 }
@@ -294,6 +327,25 @@ mod tests {
             body: vec![BodyElem::Pos(Atom::new("bad", vec![]))],
         };
         assert_eq!(r.to_string(), " :- bad.");
+    }
+
+    #[test]
+    fn display_heuristic() {
+        let mut p = Program::new();
+        p.heuristics.push(Heuristic {
+            atom: Atom::new("reuse", vec![Term::var("H")]),
+            condition: vec![BodyElem::Pos(Atom::new("installed", vec![Term::var("H")]))],
+            value: 1,
+        });
+        p.heuristics.push(Heuristic {
+            atom: Atom::new("a", vec![]),
+            condition: Vec::new(),
+            value: -2,
+        });
+        assert_eq!(
+            p.to_string(),
+            "#heuristic reuse(H) : installed(H). [1, sign]\n#heuristic a. [-2, sign]\n"
+        );
     }
 
     #[test]

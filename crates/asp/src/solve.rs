@@ -242,10 +242,11 @@ impl Solver {
     }
 
     /// Find a stable model under `assumps`, adding loop clauses for
-    /// unfounded sets until stable (CEGAR). With `tight` set the first
-    /// SAT model is returned unchecked: the caller vouches that `gp` is
-    /// tight and that `sat` holds its whole completion as hard clauses,
-    /// so every model is stable.
+    /// unfounded sets until stable (CEGAR). True when `sat`'s assignment
+    /// then holds a stable model, false when there is none. With `tight`
+    /// set the first SAT model is accepted unchecked, and no atom set is
+    /// built: the caller vouches that `gp` is tight and that `sat` holds
+    /// its whole completion as hard clauses, so every model is stable.
     pub(crate) fn stable_solve(
         &self,
         gp: &GroundProgram,
@@ -254,10 +255,10 @@ impl Solver {
         sat: &mut Sat,
         assumps: &[Lit],
         stats: &mut SolveStats,
-    ) -> Result<Option<FxHashSet<AtomId>>> {
+    ) -> Result<bool> {
         for _ in 0..MAX_STABILITY_LOOPS {
             match sat.solve_with(assumps) {
-                SatResult::Unsat => return Ok(None),
+                SatResult::Unsat => return Ok(false),
                 SatResult::Unknown => {
                     return Err(AspError::BudgetExhausted {
                         conflicts: sat.stats.conflicts,
@@ -270,17 +271,11 @@ impl Solver {
                 }
                 SatResult::Sat => {}
             }
-            let model: FxHashSet<AtomId> = gp
-                .possible
-                .iter()
-                .copied()
-                .filter(|a| sat.value(tr.atom_var[a.0 as usize]))
-                .collect();
             if tight {
-                return Ok(Some(model));
+                return Ok(true);
             }
-            match check_stability(gp, &model) {
-                Stability::Stable => return Ok(Some(model)),
+            match check_stability(gp, &model_set(gp, |a| sat.value(tr.atom_var[a.0 as usize]))) {
+                Stability::Stable => return Ok(true),
                 Stability::Unfounded(unfounded) => {
                     stats.stability_restarts += 1;
                     self.add_loop_clauses(gp, tr, sat, &unfounded);
@@ -343,9 +338,12 @@ impl Solver {
         sat: &mut Sat,
         stats: &mut SolveStats,
     ) -> Result<SolveOutcome> {
-        let Some(mut model) = self.stable_solve(&gp, tr, tight, sat, &[], stats)? else {
+        if !self.stable_solve(&gp, tr, tight, sat, &[], stats)? {
             return Ok(SolveOutcome::Unsat);
-        };
+        }
+        // The incumbent: its atom values, read after each stable model.
+        let mut model = AtomBits::default();
+        model.read(sat, tr);
 
         // Lexicographic branch-and-bound, highest priority first. The
         // cost vector snapshot must be taken right after each SAT call
@@ -380,28 +378,25 @@ impl Solver {
                     .get_or_insert_with(|| BoundCounter::build(sat, items, current))
                     .assert_upper(sat, current - 1, Some(act));
                 stats.optimize_probes += 1;
-                match self.stable_solve(&gp, tr, tight, sat, &[act], stats)? {
-                    Some(m) => {
-                        model = m;
-                        clobbered = false;
-                        // Snapshot the full cost vector of the improved
-                        // model; higher priorities are pinned so they
-                        // cannot have regressed.
-                        best_costs = tr
-                            .cost
-                            .iter()
-                            .map(|(p, its)| (*p, Self::eval_cost(sat, its)))
-                            .collect();
-                        // Retire the probe circuit.
-                        sat.add_clause(&[act.negate()]);
-                    }
-                    None => {
-                        // No improvement possible: retire the probe and
-                        // pin this level at its optimum permanently.
-                        sat.add_clause(&[act.negate()]);
-                        clobbered = true;
-                        break;
-                    }
+                if self.stable_solve(&gp, tr, tight, sat, &[act], stats)? {
+                    model.read(sat, tr);
+                    clobbered = false;
+                    // Snapshot the full cost vector of the improved
+                    // model; higher priorities are pinned so they
+                    // cannot have regressed.
+                    best_costs = tr
+                        .cost
+                        .iter()
+                        .map(|(p, its)| (*p, Self::eval_cost(sat, its)))
+                        .collect();
+                    // Retire the probe circuit.
+                    sat.add_clause(&[act.negate()]);
+                } else {
+                    // No improvement possible: retire the probe and pin
+                    // this level at its optimum permanently.
+                    sat.add_clause(&[act.negate()]);
+                    clobbered = true;
+                    break;
                 }
             }
             // Pin the optimum for this priority level so optimizing lower
@@ -425,14 +420,12 @@ impl Solver {
             // descent-free workloads that removes one full SAT solve per
             // priority level.
             if clobbered {
-                match self.stable_solve(&gp, tr, tight, sat, &[], stats)? {
-                    Some(m) => model = m,
-                    None => {
-                        return Err(AspError::Internal(
-                            "pinned optimum became unsatisfiable".into(),
-                        ));
-                    }
+                if !self.stable_solve(&gp, tr, tight, sat, &[], stats)? {
+                    return Err(AspError::Internal(
+                        "pinned optimum became unsatisfiable".into(),
+                    ));
                 }
+                model.read(sat, tr);
                 best_costs = tr
                     .cost
                     .iter()
@@ -441,7 +434,8 @@ impl Solver {
             }
         }
 
-        Ok(SolveOutcome::Optimal(Model::new(gp, model, best_costs)))
+        let atoms = model_set(&gp, |a| model.holds(a));
+        Ok(SolveOutcome::Optimal(Model::new(gp, atoms, best_costs)))
     }
 
     /// Enumerate up to `limit` stable models (ignoring `#minimize`
@@ -460,9 +454,10 @@ impl Solver {
         sat.set_cancel(self.config.cancel.clone());
         let mut out = Vec::new();
         while out.len() < limit {
-            let Some(model) = self.stable_solve(&gp, &tr, tight, &mut sat, &[], &mut stats)? else {
+            if !self.stable_solve(&gp, &tr, tight, &mut sat, &[], &mut stats)? {
                 break;
-            };
+            }
+            let model = model_set(&gp, |a| sat.value(tr.atom_var[a.0 as usize]));
             // Block this assignment over the possible-atom universe.
             let block: Vec<Lit> = gp
                 .possible
@@ -482,6 +477,33 @@ impl Solver {
             }
         }
         Ok(out)
+    }
+}
+
+/// The possible atoms `holds` accepts, as a set.
+fn model_set(gp: &GroundProgram, holds: impl Fn(AtomId) -> bool) -> FxHashSet<AtomId> {
+    gp.possible.iter().copied().filter(|&a| holds(a)).collect()
+}
+
+/// One bit per interned atom: its value in a SAT model, read through the
+/// translation's atom variables. Reading reuses the words.
+#[derive(Default)]
+struct AtomBits(Vec<u64>);
+
+impl AtomBits {
+    fn read(&mut self, sat: &Sat, tr: &Translation) {
+        self.0.clear();
+        self.0.extend(tr.atom_var.chunks(64).map(|vars| {
+            vars.iter()
+                .enumerate()
+                .filter(|&(_, &v)| sat.value(v))
+                .fold(0u64, |w, (i, _)| w | 1 << i)
+        }));
+    }
+
+    fn holds(&self, a: AtomId) -> bool {
+        let i = a.0 as usize;
+        self.0[i / 64] >> (i % 64) & 1 == 1
     }
 }
 
@@ -813,6 +835,22 @@ mod tests {
             }
             _ => panic!("expected optima from both"),
         }
+    }
+
+    #[test]
+    fn heuristic_sign_picks_among_models() {
+        // False-first search finds the empty model; deciding b true
+        // first finds {b}. (A sign acts when its atom is decided: under
+        // `{ a; b } 1.` the bound's counter outputs come first in the
+        // decision order, and deciding them false forces b false.)
+        const AT_MOST_ONE: &str = "{ a; b }. :- a, b.";
+        assert!(model_of(AT_MOST_ONE).is_empty());
+        let m = model_of(&format!("{AT_MOST_ONE} #heuristic b. [1, sign]"));
+        assert_eq!(m.render(), vec!["b".to_string()]);
+        let m = model_of(&format!(
+            "{AT_MOST_ONE} #heuristic a. [1, sign] #heuristic b. [1, sign]"
+        ));
+        assert_eq!(m.render(), vec!["a".to_string()]);
     }
 
     #[test]

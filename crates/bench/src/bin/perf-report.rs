@@ -1,7 +1,10 @@
 //! **perf-report** — the concretization fast-path regression harness.
 //!
 //! Runs fig5/fig6-style multi-goal RADIUSS workloads through two
-//! configurations of the same concretizer:
+//! configurations of the same concretizer. The fig5 goals run twice,
+//! over the local cache and over the public cache (`--public-dags`
+//! synthesized DAGs merged with the local cache), so that the phase split
+//! shows the paper's cache-size axis:
 //!
 //! * `sequential` — no memoization: every solve encodes, parses,
 //!   grounds, translates and searches (the baseline every prior figure
@@ -53,6 +56,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A goal with its display name.
+#[derive(Clone)]
 struct NamedGoal {
     name: String,
     spec: AbstractSpec,
@@ -317,9 +321,10 @@ fn main() {
     let t0 = Instant::now();
     let env = ExperimentEnv::setup(public_dags, seed);
     eprintln!(
-        "perf-report: setup took {:?}; local cache = {} specs",
+        "perf-report: setup took {:?}; local cache = {} specs, public cache = {} specs",
         t0.elapsed(),
-        env.local.len()
+        env.local.len(),
+        env.public.len()
     );
 
     // Workload 1 (fig5-style): plain RADIUSS roots, indirect encoding,
@@ -350,15 +355,25 @@ fn main() {
         })
         .collect();
 
-    // One shared handle: both workloads (and every mode within them)
-    // read the same local-cache index, daemon-style.
+    // One shared handle per cache: every workload (and every mode
+    // within it) over a cache reads the same index, daemon-style.
     let local: Arc<dyn CacheSource> = Arc::new(env.local.clone());
+    let public: Arc<dyn CacheSource> = Arc::new(env.public.clone());
 
     let workloads = [
         Workload {
             name: "fig5-multi-goal",
             repo: &env.repo_plain,
             cache: Arc::clone(&local),
+            base_config: ConcretizerConfig::splice_spack_disabled(),
+            goals: fig5_goals.clone(),
+        },
+        // Workload 3 (fig5 public): the same goals and preset over the
+        // public cache, the cache-size axis of Fig 5.
+        Workload {
+            name: "fig5-public-multi-goal",
+            repo: &env.repo_plain,
+            cache: Arc::clone(&public),
             base_config: ConcretizerConfig::splice_spack_disabled(),
             goals: fig5_goals,
         },

@@ -14,6 +14,7 @@ use crate::encode::{
 use crate::explain::{ExplainEntry, Explanation};
 use crate::ground_cache::{GroundCache, SolvedGoal};
 use crate::interpret::{interpret, Interpretation, SpliceReport};
+use crate::logic::{self, Fragment};
 use crate::segment::SegmentSet;
 use crate::CoreError;
 use spackle_asp::{
@@ -143,7 +144,8 @@ pub struct ConcretizeStats {
     /// Wall time for fact/rule compilation.
     pub encode_time: Duration,
     /// Wall time for parsing the rule text and assembling it with the
-    /// encoded facts into the solver's program.
+    /// encoded facts and the parsed logic fragments into the solver's
+    /// program.
     pub parse_time: Duration,
     /// Wall time for ground + translate + search + optimize (from the
     /// ASP engine).
@@ -154,9 +156,11 @@ pub struct ConcretizeStats {
     pub total_time: Duration,
     /// Number of reusable specs the solver considered.
     pub reusable_specs: usize,
-    /// Size in bytes of the rule text the solve parsed: directive rules
-    /// and logic fragments. The facts reach the solver as data and are
-    /// not counted; [`Concretizer::program_text`] renders them.
+    /// Size in bytes of the rule text the solve parsed: the directive
+    /// rules and the facts that interleave with them. The other facts
+    /// reach the solver as data, and the logic fragments as clones of a
+    /// parse made once per process, so neither is counted;
+    /// [`Concretizer::program_text`] renders both.
     pub program_bytes: usize,
     /// Whether this solve replayed a memoized answer (always `false`
     /// without [`Concretizer::with_ground_cache`]). A hit runs no
@@ -327,7 +331,7 @@ impl Concretizer {
     /// `spackle-oracle` differential harness) read the same program.
     pub fn program(&self, goal: &Goal) -> Result<Program, CoreError> {
         let enc = self.encode_for(goal, &self.caches)?;
-        solver_program(enc.facts, &enc.rules)
+        solver_program(enc.facts, &enc.rules, &enc.logic)
     }
 
     /// Render the program [`Concretizer::program`] assembles as ASP text
@@ -349,16 +353,16 @@ impl Concretizer {
     ) -> Result<EncodedGoal, CoreError> {
         let enc_cfg = self.encode_config()?;
         let mut enc = encode(&self.repo, sources, goal, &enc_cfg)?;
-        enc.push_logic("base", crate::logic::BASE_PROGRAM);
-        match enc_cfg.encoding {
-            Encoding::Direct => enc.push_logic("reuse-direct", crate::logic::REUSE_DIRECT),
-            Encoding::Indirect => enc.push_logic("reuse-indirect", crate::logic::REUSE_INDIRECT),
-        }
-        if enc_cfg.splicing {
-            enc.push_logic("splice", crate::logic::SPLICE_FRAGMENT);
+        enc.logic.push(&logic::BASE);
+        enc.logic.push(match enc_cfg.encoding {
+            Encoding::Direct => &logic::DIRECT,
+            Encoding::Indirect => &logic::INDIRECT,
+        });
+        enc.logic.push(if enc_cfg.splicing {
+            &logic::SPLICE
         } else {
-            enc.push_logic("no-splice", crate::logic::NO_SPLICE_STUB);
-        }
+            &logic::NO_SPLICE
+        });
         Ok(enc)
     }
 
@@ -455,6 +459,7 @@ impl Concretizer {
         let EncodedGoal {
             facts,
             rules,
+            logic,
             root_names,
             reusable_count,
             ..
@@ -462,7 +467,7 @@ impl Concretizer {
         stats.encode_time = t0.elapsed();
 
         let t1 = Instant::now();
-        let program = solver_program(facts, &rules)?;
+        let program = solver_program(facts, &rules, &logic)?;
         stats.parse_time = t1.elapsed();
 
         let solver = Solver::with_config(self.config.solver.clone());
@@ -702,19 +707,33 @@ impl Concretizer {
 }
 
 /// The solver's program: each fact as a body-less rule, in order, then
-/// the parsed rule text. It equals `parse_program` of the rendered text
-/// ([`EncodedGoal::render`]), with no fact parsed back from text.
-fn solver_program(facts: Vec<Atom>, rules: &str) -> Result<Program, CoreError> {
+/// the parsed rule text, then clones of the logic fragments' programs,
+/// each parsed once per process. It equals `parse_program` of the
+/// rendered text ([`EncodedGoal::render`]), with no fact parsed back from
+/// text.
+fn solver_program(
+    facts: Vec<Atom>,
+    rules: &str,
+    logic: &[&'static Fragment],
+) -> Result<Program, CoreError> {
     let parsed = parse_program(rules)
         .map_err(|e| CoreError::Solve(format!("generated program invalid: {e}")))?;
+    let logic_rules: usize = logic.iter().map(|f| f.program().rules.len()).sum();
     let mut program = Program {
-        rules: Vec::with_capacity(facts.len() + parsed.rules.len()),
+        rules: Vec::with_capacity(facts.len() + parsed.rules.len() + logic_rules),
         minimize: parsed.minimize,
+        heuristics: parsed.heuristics,
     };
     for atom in facts {
         program.fact(atom);
     }
     program.rules.extend(parsed.rules);
+    for f in logic {
+        let p = f.program();
+        program.rules.extend_from_slice(&p.rules);
+        program.minimize.extend_from_slice(&p.minimize);
+        program.heuristics.extend_from_slice(&p.heuristics);
+    }
     Ok(program)
 }
 

@@ -18,6 +18,7 @@
 //! of that text: the rendering parses back to the same program, and is
 //! what explanations, audits of the text and external checkers read.
 
+use crate::logic::Fragment;
 use crate::CoreError;
 use rustc_hash::{FxHashMap, FxHashSet};
 use spackle_asp::{Atom, Term};
@@ -259,21 +260,22 @@ impl FactOrigin {
 }
 
 /// A goal compiled for the solver: the fact section as ground atoms, the
-/// directive rules as text, and what the interpreter needs to map the
-/// model back to specs.
+/// directive rules as text, the logic fragments the concretizer appends,
+/// and what the interpreter needs to map the model back to specs.
 ///
 /// The solver's program is every fact as a body-less rule, in order,
-/// followed by the parsed rule text. [`EncodedGoal::render`] prints the
-/// same program as text.
+/// followed by the parsed rule text and the fragments' parsed programs.
+/// [`EncodedGoal::render`] prints the same program as text.
 pub struct EncodedGoal {
     /// Environment facts, reusable specs, then the version and variant
     /// universes, in emission order.
     pub(crate) facts: Vec<Atom>,
-    /// Directive rules, the facts that interleave with them
+    /// Directive rules and the facts that interleave with them
     /// (`provider_decl`, `provider_weight`, `reach_from`, `splicer_decl`,
-    /// `splice_relevant`, `attr("root", …)`), and the logic fragments
-    /// the concretizer appends, as ASP text.
+    /// `splice_relevant`, `attr("root", …)`), as ASP text.
     pub(crate) rules: String,
+    /// The logic fragments the concretizer appends, in order.
+    pub(crate) logic: Vec<&'static Fragment>,
     /// Root package names in goal order.
     pub(crate) root_names: Vec<Sym>,
     /// Number of reusable-spec entries encoded.
@@ -286,19 +288,15 @@ pub struct EncodedGoal {
 }
 
 impl EncodedGoal {
-    /// Append a static logic fragment to the rule text.
-    pub(crate) fn push_logic(&mut self, fragment: &'static str, text: &str) {
-        self.rule_marks
-            .push((self.rules.len(), EncodeOrigin::Logic { fragment }));
-        self.rules.push_str(text);
-    }
-
     /// Print the program as text: each fact on its own line, in the
-    /// encoder's quoting and with `", "` separators, then the rule text.
-    /// Parsing the text yields the solver's program rule for rule. The
-    /// provenance ledger is built here, for the rendered offsets.
+    /// encoder's quoting and with `", "` separators, then the rule text
+    /// and the logic fragments. Parsing the text yields the solver's
+    /// program rule for rule. The provenance ledger is built here, for
+    /// the rendered offsets.
     pub fn render(self) -> Encoded {
-        let mut program = String::with_capacity(48 * self.facts.len() + self.rules.len());
+        let logic_len: usize = self.logic.iter().map(|f| f.text.len()).sum();
+        let mut program =
+            String::with_capacity(48 * self.facts.len() + self.rules.len() + logic_len);
         let mut ledger = Vec::with_capacity(self.fact_marks.len() + self.rule_marks.len());
         let mut marks = self.fact_marks.iter().peekable();
         for (i, fact) in self.facts.iter().enumerate() {
@@ -316,6 +314,10 @@ impl EncodedGoal {
                 .into_iter()
                 .map(|(o, origin)| (o + shift, origin)),
         );
+        for f in self.logic {
+            ledger.push((program.len(), EncodeOrigin::Logic { fragment: f.label }));
+            program.push_str(f.text);
+        }
         Encoded {
             program,
             root_names: self.root_names,
@@ -724,6 +726,7 @@ pub fn encode(
     Ok(EncodedGoal {
         facts,
         rules,
+        logic: Vec::new(),
         root_names,
         reusable_count: reusable.len(),
         fact_marks,

@@ -1,7 +1,49 @@
 //! The concretizer's logic program (paper §3.3, §5.1, §5.3, §5.4),
 //! written in the ASP fragment `spackle-asp` implements. The encoder
 //! (see [`crate::encode`]) appends compiled facts and per-directive
-//! rules; these constants carry the program's invariant semantics.
+//! rules; these constants carry the program's invariant semantics. Each
+//! is parsed once per process; a solve appends clones of the parsed
+//! rules after its directive rules.
+
+use spackle_asp::{parse_program, Program};
+use std::sync::OnceLock;
+
+/// A static logic fragment: its label, its text, and its parse, made on
+/// first use.
+pub(crate) struct Fragment {
+    /// Label in provenance (`"base"`, `"reuse-indirect"`, ...).
+    pub(crate) label: &'static str,
+    /// The fragment's ASP text.
+    pub(crate) text: &'static str,
+    parsed: OnceLock<Program>,
+}
+
+impl Fragment {
+    const fn new(label: &'static str, text: &'static str) -> Fragment {
+        Fragment {
+            label,
+            text,
+            parsed: OnceLock::new(),
+        }
+    }
+
+    /// The fragment's parsed program.
+    pub(crate) fn program(&self) -> &Program {
+        self.parsed
+            .get_or_init(|| parse_program(self.text).expect("static logic fragments parse"))
+    }
+}
+
+/// [`BASE_PROGRAM`] as a fragment.
+pub(crate) static BASE: Fragment = Fragment::new("base", BASE_PROGRAM);
+/// [`REUSE_DIRECT`] as a fragment.
+pub(crate) static DIRECT: Fragment = Fragment::new("reuse-direct", REUSE_DIRECT);
+/// [`REUSE_INDIRECT`] as a fragment.
+pub(crate) static INDIRECT: Fragment = Fragment::new("reuse-indirect", REUSE_INDIRECT);
+/// [`SPLICE_FRAGMENT`] as a fragment.
+pub(crate) static SPLICE: Fragment = Fragment::new("splice", SPLICE_FRAGMENT);
+/// [`NO_SPLICE_STUB`] as a fragment.
+pub(crate) static NO_SPLICE: Fragment = Fragment::new("no-splice", NO_SPLICE_STUB);
 
 /// Core concretization semantics: node derivation, one-version /
 /// one-variant-value / one-os / one-target per node, virtual providers,
@@ -56,9 +98,9 @@ reach(P, D) :- reach_from(P), attr("depends_on", node(P), node(D), "link-run").
 reach(P, E) :- reach(P, D), attr("depends_on", node(D), node(E), "link-run").
 
 % ------------------------------------------------------------------
-% Reuse (paper 5.1.2): choose at most one installed spec per node;
-% anything not reused must be built.
-% ------------------------------------------------------------------
+% Reuse (paper 5.1.2): choose at most one installed spec per node, and
+% decide each choice true first; anything not reused must be built.
+#heuristic attr("hash", node(P), H) : installed_hash(P, H). [1, sign]
 { attr("hash", node(P), H) : installed_hash(P, H) } 1 :- attr("node", node(P)).
 reused(P) :- attr("hash", node(P), H).
 build(P) :- attr("node", node(P)), not reused(P).
@@ -174,13 +216,13 @@ pub const NO_SPLICE_STUB: &str = r#"
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spackle_asp::parse_program;
 
     #[test]
     fn base_program_parses() {
         let p = parse_program(BASE_PROGRAM).unwrap();
         assert!(p.rules.len() > 15);
         assert_eq!(p.minimize.len(), 9);
+        assert_eq!(p.heuristics.len(), 1);
     }
 
     #[test]

@@ -27,6 +27,7 @@ use proptest::TestRng;
 use rustc_hash::FxHashSet;
 use spackle_asp::certify;
 use spackle_asp::ground::ground;
+use spackle_asp::program::Heuristic;
 use spackle_asp::stability::is_tight;
 use spackle_asp::term::AtomId;
 use spackle_asp::{parse_program, AspError, Program, Rule, SolveOutcome, Solver};
@@ -179,8 +180,8 @@ pub fn check_program_case(seed: u64) -> Result<CaseStats, String> {
 
 /// Where `assembled` (the program [`Concretizer::program`] builds from
 /// the encoder's atoms) first differs from `parsed` (the parse of its
-/// rendered text), or `None` when the two are equal rule for rule and
-/// minimize element for minimize element.
+/// rendered text), or `None` when the two are equal rule for rule,
+/// minimize element for minimize element and heuristic for heuristic.
 pub fn program_mismatch(assembled: &Program, parsed: &Program) -> Option<String> {
     let (a, p) = (&assembled.rules, &parsed.rules);
     if let Some(i) = (0..a.len().max(p.len())).find(|&i| a.get(i) != p.get(i)) {
@@ -201,6 +202,18 @@ pub fn program_mismatch(assembled: &Program, parsed: &Program) -> Option<String>
             p.len(),
             a.get(i),
             p.get(i)
+        ));
+    }
+    let (a, p) = (&assembled.heuristics, &parsed.heuristics);
+    if let Some(i) = (0..a.len().max(p.len())).find(|&i| a.get(i) != p.get(i)) {
+        let show =
+            |h: Option<&Heuristic>| h.map_or_else(|| "nothing".to_string(), Heuristic::to_string);
+        return Some(format!(
+            "heuristic {i} of {}/{}: assembled {} vs parsed {}",
+            a.len(),
+            p.len(),
+            show(a.get(i)),
+            show(p.get(i))
         ));
     }
     None

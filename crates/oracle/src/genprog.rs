@@ -119,6 +119,21 @@ pub fn random_program(rng: &mut TestRng) -> Program {
         });
     }
 
+    // A rule negating a predicate no rule derives: the negation always
+    // holds, so the grounder proves the head certain. (Drawn last, so the
+    // rest of each seed's program is what earlier generators drew.)
+    if chance(rng, 50) {
+        let head = pick_atom(rng, &props);
+        let mut body = vec![BodyElem::Neg(Atom::new("absent", Vec::new()))];
+        if chance(rng, 50) {
+            body.push(BodyElem::Pos(pick_atom(rng, &props)));
+        }
+        prog.rule(Rule {
+            head: Head::Atom(head),
+            body,
+        });
+    }
+
     prog
 }
 

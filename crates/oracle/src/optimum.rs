@@ -15,11 +15,13 @@
 //! this level one below its claim, and requires that bound to admit no
 //! stable model.
 //!
-//! Each level gets a fresh [`Sat`], a fresh [`cnf::translate`] and fresh
+//! Each level gets a fresh [`Sat`] loaded with the unfolded completion
+//! ([`cnf::translate_collected`]: one variable and one completion clause
+//! per atom, nothing taken from the grounder's `certain` set) and fresh
 //! [`cnf::add_upper_bound`] circuits. No `Solver`, no bound counter
 //! reused across probes, no learnt clause carried from one bound to the
-//! next and no elided re-solve: those are the production
-//! branch-and-bound's incremental machinery, which this check judges.
+//! next, no elided re-solve and no fold of certain atoms: those are the
+//! production search's own shortcuts, which this check judges.
 //! Stability is decided by [`reference::is_stable`], not by the
 //! production stability check.
 
@@ -42,8 +44,14 @@ pub fn refute_improvement(gp: &GroundProgram, cost: &[(i64, i64)]) -> Result<usi
         if claimed == 0 {
             continue;
         }
+        let (cnf, tr) = cnf::translate_collected(gp);
         let mut sat = Sat::new();
-        let tr = cnf::translate(gp, &mut sat);
+        for _ in 0..cnf.num_vars {
+            sat.new_var();
+        }
+        for (clause, _) in &cnf.clauses {
+            sat.add_clause(clause);
+        }
         let priorities: Vec<i64> = tr.cost.iter().map(|&(p, _)| p).collect();
         if !priorities.iter().copied().eq(cost.iter().map(|&(p, _)| p)) {
             return Err(format!(

@@ -9,7 +9,7 @@
 //! emission allocates nothing.
 
 use spackle::asp::cdcl::Sat;
-use spackle::asp::cnf::{translate, translate_collected};
+use spackle::asp::cnf::translate;
 use spackle::asp::program::Head;
 use spackle::asp::{parse_program, Solver};
 use spackle::core::Goal;
@@ -89,7 +89,10 @@ fn ground_and_translate_allocate_only_what_they_keep() {
 
         let mut sat = Sat::new();
         let (cnf_allocs, _) = counted(|| translate(&gp, &mut sat));
-        let clauses = translate_collected(&gp).0.clauses.len();
+        // The clauses the solving translation attaches, counted on an
+        // identical translation: the fold leaves out what the grounder
+        // decided, so the unfolded clause list counts another program.
+        let clauses = solver.translate_ground(gp).preprocess_stats().clauses_in as usize;
         let per_clause = cnf_allocs as f64 / clauses as f64;
 
         println!(

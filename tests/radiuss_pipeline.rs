@@ -253,9 +253,11 @@ fn joint_concretization_of_mpi_subset() {
 
 /// The ground program and the search over it, pinned on real programs:
 /// the sizes the grounder emits, the CNF variable count and the CDCL
-/// counters follow from the atom numbering, the rule order and the
-/// clause order, so any change to those moves a number here. The DAG
-/// hash pins the answer.
+/// counters follow from the atom numbering, the rule order, the clause
+/// order and the decision polarities, so any change to those moves a
+/// number here. The DAG hash pins the answer and the cost vector its
+/// optimum: a search change may move the hash only to another model of
+/// the same cost, which debug builds certify as they solve.
 #[test]
 fn pinned_ground_and_search_counts() {
     let fx = fixture();
@@ -268,27 +270,30 @@ fn pinned_ground_and_search_counts() {
             ConcretizerConfig::splice_spack_disabled(),
             "hypre",
             false,
-            [362, 355, 66, 16, 662, 0, 10, 1075, 0],
+            [362, 355, 66, 16, 312, 1, 69, 1070, 1],
             "fp2o27kriqmeenxxo6ukix3dg6rzbbgsinbbzy2bnauawgew7yeq",
+            &[0, 0, 0, 0, 0, 0, 0, 0][..],
         ),
         (
             &fx.repo_mpiabi,
             ConcretizerConfig::splice_spack(),
             "mfem ^mpiabi",
             false,
-            [474, 486, 82, 23, 882, 3, 56, 1846, 2],
+            [474, 486, 82, 23, 435, 1, 61, 1037, 2],
             "evnpyxtitxh3rsenqqp4yo5llgisjjyb35vkmf3ezj6f2t7ogkoq",
+            &[0, 0, 0, 100, 2, 0, 0, 0, 0][..],
         ),
         (
             &replicas,
             ConcretizerConfig::splice_spack(),
             "hypre",
             true,
-            [525, 517, 107, 47, 1014, 33, 481, 10770, 6],
-            "diqjjtplenegpramokbjdjxjhggdpcumtqafqc2lzdpqjdjrw2pq",
+            [525, 517, 107, 47, 555, 4, 141, 2397, 2],
+            "pn4kacni7vzrvs3g45hrl7m22axd4jxqotpvkr7r5ko6fabphwnq",
+            &[0, 0, 0, 100, 1, 0, 0, 0, 0][..],
         ),
     ];
-    for (repo, config, spec, forbid_mpich, counts, hash) in cases {
+    for (repo, config, spec, forbid_mpich, counts, hash, cost) in cases {
         let mut goal = Goal::single(parse_spec(spec).unwrap());
         if forbid_mpich {
             goal.forbidden.push(Sym::intern("mpich"));
@@ -316,5 +321,7 @@ fn pinned_ground_and_search_counts() {
             hash,
             "{spec:?} (mpich forbidden: {forbid_mpich})"
         );
+        let costs: Vec<i64> = sol.cost.iter().map(|&(_, c)| c).collect();
+        assert_eq!(costs, cost, "{spec:?} (mpich forbidden: {forbid_mpich})");
     }
 }
