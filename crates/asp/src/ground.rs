@@ -29,10 +29,18 @@
 //!    a nonzero value to name an atom that is possible and not certain
 //!    sets that atom's decision sign.
 //!
-//! Joins are index-backed: per (predicate, arity) relations with
-//! per-argument-position hash indexes (pre-declared by a static probe
-//! analysis, incrementally maintained), so fact bases with many
-//! thousands of `hash_attr` entries ground quickly.
+//! Joins find their candidates by lookup. What a literal's earlier
+//! literals bind is known before grounding starts, so each literal gets
+//! a fixed probe: a literal they bind completely is one atom lookup; a
+//! partly bound one reads the index bucket of the first position a
+//! variable binds (a hash, a package, a node), or failing that of the
+//! first constant position; only a literal with nothing bound scans its
+//! relation. The indexes, per (predicate, arity) and argument position,
+//! are declared for exactly the probed positions and kept in rank order
+//! as atoms become possible. In a closure round a literal before the
+//! delta literal matches only old atoms, so each match is found once.
+//! Facts (body-less rules with a ground head) are interned directly,
+//! never planned or joined.
 //!
 //! Grounding allocates only for what it keeps. Terms and atoms are
 //! looked up by their parts and never built to be found; a join appends
@@ -60,6 +68,7 @@ use crate::term::{
 use crate::{AspError, Result};
 use rustc_hash::{FxHashMap, FxHashSet};
 use spackle_spec::Sym;
+use std::cell::Cell;
 use std::cmp::Ordering;
 
 /// A ground normal rule (`head :- pos, not neg`). Facts have empty bodies.
@@ -146,6 +155,10 @@ pub struct GroundProgram {
     /// first)` per distinct atom that is possible and not certain, in
     /// directive order.
     pub heuristics: Vec<(AtomId, bool)>,
+    /// The candidates grounding's joins examined: each index-bucket
+    /// entry and each point lookup. A measure of grounding work; no
+    /// output depends on it.
+    pub join_candidates: u64,
 }
 
 impl GroundProgram {
@@ -543,51 +556,66 @@ fn eval_cmps(store: &GroundStore, s: &Subst, cmps: &[(Term, CmpOp, Term)]) -> Re
 // Join plans: static probe analysis
 // ---------------------------------------------------------------------
 
+/// How a join finds a literal's candidates. A variable is bound at run
+/// time iff it occurs in an earlier positive literal or the join's
+/// initial bindings, so the kind is fixed per literal before grounding
+/// starts, and the relations can maintain exactly the indexes probed.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Probe {
+    /// Every argument is bound: the candidate is the one atom they name.
+    Point,
+    /// The index bucket of this argument position's bound term.
+    Index(usize),
+    /// No argument is bound: the whole relation.
+    Scan,
+}
+
 /// A compiled positive-body join: the literal patterns, the comparison
-/// filters, and one statically chosen *probe* argument position per
-/// literal.
-///
-/// The probe for literal `j` is the first argument position whose
-/// variables are all bound once literals `0..j` (plus the join's initial
-/// bindings) have matched. This is exactly the position the previous
-/// implementation selected dynamically per candidate lookup — a variable
-/// is bound at runtime iff it occurs in an earlier positive literal or
-/// the initial substitution — but knowing it up front lets the grounder
-/// pre-declare the per-position hash indexes and maintain them
-/// incrementally instead of rebuilding them lazily mid-join.
+/// filters, and one [`Probe`] per literal.
+#[derive(Default)]
 struct JoinSpec {
     pats: Vec<Atom>,
     cmps: Vec<(Term, CmpOp, Term)>,
-    probes: Vec<Option<usize>>,
+    probes: Vec<Probe>,
 }
 
 impl JoinSpec {
     fn new(pats: Vec<Atom>, cmps: Vec<(Term, CmpOp, Term)>, init_bound: &FxHashSet<Sym>) -> Self {
-        let probes = probe_positions(&pats, init_bound);
+        let probes = plan_probes(&pats, init_bound);
         JoinSpec { pats, cmps, probes }
     }
 }
 
-/// For each literal, the first argument position fully bound by earlier
-/// literals plus `init_bound` (constants count as bound), or `None` when
-/// every position contains an unbound variable (full-scan literal).
-fn probe_positions(pats: &[Atom], init_bound: &FxHashSet<Sym>) -> Vec<Option<usize>> {
+/// The probe of each literal once earlier literals and `init_bound` have
+/// bound their variables. A partly bound literal probes the first
+/// position a variable binds, which splits its relation by an entity (a
+/// hash, a package, a node); only failing that the first constant
+/// position, which in this program is mostly a tag with a few values.
+fn plan_probes(pats: &[Atom], init_bound: &FxHashSet<Sym>) -> Vec<Probe> {
     let mut bound: FxHashSet<Sym> = init_bound.clone();
+    let mut vs: Vec<Sym> = Vec::new();
     let mut probes = Vec::with_capacity(pats.len());
     for a in pats {
-        let mut probe = None;
+        let (mut by_var, mut by_const, mut all_bound) = (None, None, true);
         for (i, arg) in a.args.iter().enumerate() {
-            let mut vs = Vec::new();
+            vs.clear();
             arg.collect_vars(&mut vs);
-            if vs.iter().all(|v| bound.contains(v)) {
-                probe = Some(i);
-                break;
+            if vs.is_empty() {
+                by_const.get_or_insert(i);
+            } else if vs.iter().all(|v| bound.contains(v)) {
+                by_var.get_or_insert(i);
+            } else {
+                all_bound = false;
             }
         }
-        probes.push(probe);
-        let mut vs = Vec::new();
+        probes.push(if all_bound {
+            Probe::Point
+        } else {
+            by_var.or(by_const).map_or(Probe::Scan, Probe::Index)
+        });
+        vs.clear();
         a.collect_vars(&mut vs);
-        bound.extend(vs);
+        bound.extend(vs.iter().copied());
     }
     probes
 }
@@ -604,6 +632,8 @@ struct ElemPlan<'a> {
 }
 
 enum HeadPlan<'a> {
+    /// A body-less rule with a ground head: interned, never joined.
+    Fact(&'a Atom),
     Atom(&'a Atom),
     Choice {
         lower: Option<u32>,
@@ -619,12 +649,28 @@ struct RulePlan<'a> {
     neg: Vec<Atom>,
 }
 
+/// The head of `rule` if it is a fact: a ground atom with no body.
+/// (`a :- 1 < 2.` and `b :- not c.` are rules.)
+fn fact_head(rule: &Rule) -> Option<&Atom> {
+    match &rule.head {
+        Head::Atom(a) if rule.body.is_empty() && a.is_ground() => Some(a),
+        _ => None,
+    }
+}
+
 fn plan_rules(program: &Program) -> Vec<RulePlan<'_>> {
     let empty: FxHashSet<Sym> = FxHashSet::default();
     program
         .rules
         .iter()
         .map(|r| {
+            if let Some(a) = fact_head(r) {
+                return RulePlan {
+                    head: HeadPlan::Fact(a),
+                    body: JoinSpec::default(),
+                    neg: Vec::new(),
+                };
+            }
             let nb = normalize_body(&r.body);
             let head = match &r.head {
                 Head::Atom(a) => HeadPlan::Atom(a),
@@ -683,8 +729,9 @@ fn plan_condition(condition: &[BodyElem]) -> (JoinSpec, Vec<Atom>) {
     )
 }
 
-/// Every (predicate, arity, argument position) any join will ever probe,
-/// so the relations can install those indexes at creation time.
+/// Every (predicate, arity, argument position) any join will ever probe
+/// by index, so the relations can install those indexes at creation
+/// time. A point lookup goes through the store and needs none.
 fn collect_wanted(
     plans: &[RulePlan<'_>],
     cond_plans: &[(JoinSpec, Vec<Atom>)],
@@ -692,7 +739,7 @@ fn collect_wanted(
     let mut wanted: FxHashMap<(Sym, usize), FxHashSet<usize>> = FxHashMap::default();
     let mut add = |spec: &JoinSpec| {
         for (a, p) in spec.pats.iter().zip(&spec.probes) {
-            if let Some(p) = p {
+            if let Probe::Index(p) = p {
                 wanted.entry((a.pred, a.args.len())).or_default().insert(*p);
             }
         }
@@ -741,6 +788,9 @@ struct Grounder {
     limits: GroundLimits,
     /// Index positions each (predicate, arity) relation must maintain.
     wanted: FxHashMap<(Sym, usize), Vec<usize>>,
+    /// Candidates the joins have examined (see
+    /// [`GroundProgram::join_candidates`]).
+    join_candidates: Cell<u64>,
 }
 
 /// Complete instantiations found by joins, back to back in flat buffers
@@ -786,7 +836,9 @@ impl Matches {
 }
 
 /// A semi-naive delta restriction `(literal, lo_rank, hi_rank)`: that
-/// literal only matches atoms whose possible-rank lies in `lo..hi`.
+/// literal only matches the round's new atoms, whose possible-rank lies
+/// in `lo..hi`, and the literals before it only old ones, of rank below
+/// `lo`.
 type Delta = Option<(usize, usize, usize)>;
 
 impl Grounder {
@@ -798,6 +850,7 @@ impl Grounder {
             possible: Vec::new(),
             limits,
             wanted,
+            join_candidates: Cell::new(0),
         }
     }
 
@@ -841,18 +894,18 @@ impl Grounder {
         true
     }
 
-    /// Candidate atoms matching `pattern` under `s`: the pre-declared
-    /// index bucket when a probe position was chosen statically, the
-    /// whole relation otherwise. Never interns. (A probe term that was
-    /// never interned can occur in no atom, so the empty slice is
-    /// exact.)
-    fn candidates(&self, s: &Subst, pattern: &Atom, probe: Option<usize>) -> &[AtomId] {
+    /// Candidate atoms matching `pattern` under `s`, in rank order: the
+    /// pre-declared index bucket of an [`Probe::Index`] position, the
+    /// whole relation for [`Probe::Scan`]. Never interns. (A probe term
+    /// that was never interned can occur in no atom, so the empty slice
+    /// is exact.)
+    fn candidates(&self, s: &Subst, pattern: &Atom, probe: Probe) -> &[AtomId] {
         let key = (pattern.pred, pattern.args.len());
         let Some(rel) = self.rels.get(&key) else {
             return &[];
         };
         match probe {
-            Some(p) => {
+            Probe::Index(p) => {
                 let Some(tid) = lookup_resolved(&self.store, s, &pattern.args[p]) else {
                     return &[];
                 };
@@ -866,7 +919,8 @@ impl Grounder {
                     None => &[],
                 }
             }
-            None => &rel.atoms,
+            Probe::Scan => &rel.atoms,
+            Probe::Point => unreachable!("a point lookup has no bucket"),
         }
     }
 
@@ -896,19 +950,41 @@ impl Grounder {
             }
             return Ok(());
         }
-        let mut cands = self.candidates(&out.subst, &spec.pats[i], spec.probes[i]);
-        if let Some((dpos, lo, hi)) = delta {
-            if dpos == i {
-                // Candidates are in rank order: the delta window is a slice.
-                let start = cands.partition_point(|&a| self.rank(a) < lo);
-                let len = cands[start..].partition_point(|&a| self.rank(a) < hi);
-                cands = &cands[start..start + len];
+        // The ranks literal `i` may match: the round's new atoms at the
+        // delta literal, old ones before it (a match with two new atoms
+        // was found at the first of them), any possible atom otherwise.
+        let (lo, hi) = match delta {
+            Some((dpos, lo, hi)) if i == dpos => (lo, hi),
+            Some((dpos, lo, _)) if i < dpos => (0, lo),
+            _ => (0, usize::MAX),
+        };
+        let pat = &spec.pats[i];
+        if spec.probes[i] == Probe::Point {
+            self.join_candidates.set(self.join_candidates.get() + 1);
+            // Every argument is bound: unifying would bind nothing.
+            if let Some(a) = self.find_under(&out.subst, pat) {
+                if (lo..hi).contains(&self.rank(a)) {
+                    out.path.push(a);
+                    self.join_rec(spec, i + 1, delta, out)?;
+                    out.path.pop();
+                }
             }
+            return Ok(());
         }
+        let mut cands = self.candidates(&out.subst, pat, spec.probes[i]);
+        // Candidates are in rank order: the rank window is a slice.
+        if lo > 0 {
+            cands = &cands[cands.partition_point(|&a| self.rank(a) < lo)..];
+        }
+        if hi < usize::MAX {
+            cands = &cands[..cands.partition_point(|&a| self.rank(a) < hi)];
+        }
+        self.join_candidates
+            .set(self.join_candidates.get() + cands.len() as u64);
         for &cand in cands {
             let mark = out.subst.len();
             let (_, args) = self.store.atom_data(cand);
-            let ok = spec.pats[i]
+            let ok = pat
                 .args
                 .iter()
                 .zip(args.iter())
@@ -962,7 +1038,8 @@ pub fn ground(program: &Program) -> Result<GroundProgram> {
 
 /// Ground with explicit resource limits.
 pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<GroundProgram> {
-    for r in &program.rules {
+    // A fact is ground, hence safe.
+    for r in program.rules.iter().filter(|r| fact_head(r).is_none()) {
         check_safety(r)?;
     }
     for h in &program.heuristics {
@@ -999,14 +1076,22 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
     let mut m = Matches::default();
 
     // ---- Phase 1: possible-atom closure (semi-naive). ----
-    // Round 0: derivations with no positive literals at all (plain facts,
-    // and choice elements whose body and condition are both literal-free)
-    // fire exactly once; everything else participates in the loop below.
+    // Round 0: derivations with no positive literals at all (facts, rules
+    // such as `a :- 1 < 2.`, and choice elements whose body and condition
+    // are both literal-free) fire exactly once; everything else
+    // participates in the loop below. A fact's atom is interned here, in
+    // rule order, and emitted as it is in phase 2.
+    let mut facts: Vec<AtomId> = Vec::new();
     for rp in &plans {
         if !rp.body.pats.is_empty() {
             continue;
         }
         match &rp.head {
+            HeadPlan::Fact(a) => {
+                let id = g.store.intern_atom(a);
+                g.add_possible(id);
+                facts.push(id);
+            }
             HeadPlan::Atom(a) => {
                 m.clear();
                 g.join(&rp.body, &[], None, &mut m)?;
@@ -1045,8 +1130,11 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
         // derived *this* round is found next round, when that atom is in
         // the delta window — the fixpoint is unchanged); the heads are
         // interned in join order only afterwards, which fixes the
-        // possible-atom ranks. A delta literal whose relation gained no
-        // atom this round matches nothing, so its join is skipped.
+        // possible-atom ranks. The literals before the delta literal match
+        // only old atoms, so a match is found once, at its first new
+        // literal: the first time the unrestricted joins found it. A delta
+        // literal whose relation gained no atom this round matches
+        // nothing, so its join is skipped.
         m.clear();
         targets.clear();
         for rp in &plans {
@@ -1071,7 +1159,7 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
                         }
                     }
                 }
-                HeadPlan::Constraint => {}
+                HeadPlan::Fact(_) | HeadPlan::Constraint => {}
             }
         }
         let mut k = 0;
@@ -1097,33 +1185,45 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
     // atoms cannot affect a later rule's join.
     let mut rules: Emitted<GroundRule> = Emitted::default();
     let mut rule_src: Vec<u32> = Vec::new();
+    // Keep rule `ri`'s instance unless an earlier emitter has it; the
+    // number of rules kept.
+    let mut emit = |ri: usize, h: AtomId, pos: &[AtomId], neg: &[AtomId]| {
+        let new = rules.insert(
+            hash_key((h, pos, neg)),
+            |r| r.head == h && *r.pos == *pos && *r.neg == *neg,
+            || GroundRule {
+                head: h,
+                pos: pos.into(),
+                neg: neg.into(),
+            },
+        );
+        if new {
+            rule_src.push(ri as u32);
+        }
+        rules.len()
+    };
+    let mut facts = facts.into_iter();
     let mut neg: Vec<AtomId> = Vec::new();
     for (ri, rp) in plans.iter().enumerate() {
-        let HeadPlan::Atom(head) = &rp.head else {
-            continue;
-        };
-        m.clear();
-        g.join(&rp.body, &[], None, &mut m)?;
-        for k in 0..m.len() {
-            let (subst, pos) = m.get(k);
-            let h = g.intern_under(subst, head)?;
-            neg.clear();
-            for n in &rp.neg {
-                neg.push(g.intern_under(subst, n)?);
+        match &rp.head {
+            HeadPlan::Fact(_) => {
+                let h = facts.next().expect("round 0 interned every fact");
+                g.check_emitted(emit(ri, h, &[], &[]))?;
             }
-            let new = rules.insert(
-                hash_key((h, pos, &neg)),
-                |r| r.head == h && *r.pos == *pos && *r.neg == *neg,
-                || GroundRule {
-                    head: h,
-                    pos: pos.into(),
-                    neg: neg.as_slice().into(),
-                },
-            );
-            if new {
-                rule_src.push(ri as u32);
+            HeadPlan::Atom(head) => {
+                m.clear();
+                g.join(&rp.body, &[], None, &mut m)?;
+                for k in 0..m.len() {
+                    let (subst, pos) = m.get(k);
+                    let h = g.intern_under(subst, head)?;
+                    neg.clear();
+                    for n in &rp.neg {
+                        neg.push(g.intern_under(subst, n)?);
+                    }
+                    g.check_emitted(emit(ri, h, pos, &neg))?;
+                }
             }
-            g.check_emitted(rules.len())?;
+            HeadPlan::Choice { .. } | HeadPlan::Constraint => {}
         }
     }
     let rules = rules.items;
@@ -1186,7 +1286,7 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
     // Per atom: already an element of the instance being built.
     let mut in_elems: Vec<bool> = Vec::new();
     for (ri, rp) in plans.iter().enumerate() {
-        if matches!(rp.head, HeadPlan::Atom(_)) {
+        if matches!(rp.head, HeadPlan::Fact(_) | HeadPlan::Atom(_)) {
             continue;
         }
         m.clear();
@@ -1369,6 +1469,7 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
         certain,
         possible,
         heuristics,
+        join_candidates: g.join_candidates.get(),
     })
 }
 
@@ -1888,5 +1989,130 @@ mod tests {
                 "1@1,5 : pick(5)",
             ]
         );
+    }
+
+    /// Render rules, choices and constraints one instance a line.
+    fn render_instances(gp: &GroundProgram) -> Vec<String> {
+        let rules = gp.rules.iter().map(|r| {
+            let head = gp.store.format_atom(r.head);
+            match render_body(gp, &r.pos, &r.neg) {
+                body if body.is_empty() => format!("{head}."),
+                body => format!("{head} :- {body}."),
+            }
+        });
+        let choices = gp.choices.iter().map(|c| {
+            let elems = render_body(gp, &c.elements, &[]);
+            let body = render_body(gp, &c.pos, &c.neg);
+            format!("{:?} {{ {elems} }} {:?} :- {body}.", c.lower, c.upper)
+        });
+        let constraints = gp
+            .constraints
+            .iter()
+            .map(|c| format!(":- {}.", render_body(gp, &c.pos, &c.neg)));
+        rules.chain(choices).chain(constraints).collect()
+    }
+
+    #[test]
+    fn join_paths_ground_as_pinned() {
+        // Every way a join finds its candidates: a fully bound literal
+        // over a compound term (`attr("node",node(X))` in `built`), over
+        // a term never interned (`seen(twin(X))`), a 0-arity literal
+        // (`flag`), a constant argument before a bound one (`reach`'s
+        // edge literal), a match both of whose literals enter in one
+        // round (`both`), duplicate facts, and body-less rules that are
+        // not facts.
+        let gp = ground_text(
+            r#"
+            pkg("a"). pkg("b"). pkg("c"). pkg("d").
+            attr("node", node("a")).
+            attr("depends_on", node("a"), node("b")).
+            attr("depends_on", node("b"), node("c")).
+            attr("depends_on", node("a"), node("c")).
+            seen(twin("z")).
+            flag.
+            pkg("b").
+            flag.
+            attr("node", node(Y)) :- attr("node", node(X)), attr("depends_on", node(X), node(Y)).
+            built(X) :- pkg(X), attr("node", node(X)).
+            lonely(X) :- pkg(X), seen(twin(X)).
+            p(X) :- pkg(X), flag.
+            q(X) :- pkg(X).
+            both(X) :- p(X), q(X).
+            a :- 1 < 2.
+            b :- not c.
+            { pick(X) : built(X) } 1 :- flag.
+            :- pick(X), both(X), not b.
+            :- pick(X), pick(Y), X < Y, attr("depends_on", node(X), node(Y)).
+        "#,
+        );
+        let atoms: Vec<String> = (0..gp.atom_count() as u32)
+            .map(|i| gp.store.format_atom(AtomId(i)))
+            .collect();
+        assert_eq!(
+            atoms.join(" "),
+            concat!(
+                r#"pkg("a") pkg("b") pkg("c") pkg("d") attr("node",node("a")) "#,
+                r#"attr("depends_on",node("a"),node("b")) "#,
+                r#"attr("depends_on",node("b"),node("c")) "#,
+                r#"attr("depends_on",node("a"),node("c")) seen(twin("z")) flag a b "#,
+                r#"attr("node",node("b")) attr("node",node("c")) built("a") "#,
+                r#"p("a") p("b") p("c") p("d") q("a") q("b") q("c") q("d") "#,
+                r#"built("b") built("c") both("a") both("b") both("c") both("d") "#,
+                r#"pick("a") pick("b") pick("c") c"#,
+            )
+        );
+        assert_eq!(
+            render_instances(&gp),
+            [
+                r#"pkg("a")."#,
+                r#"pkg("b")."#,
+                r#"pkg("c")."#,
+                r#"pkg("d")."#,
+                r#"attr("node",node("a"))."#,
+                r#"attr("depends_on",node("a"),node("b"))."#,
+                r#"attr("depends_on",node("b"),node("c"))."#,
+                r#"attr("depends_on",node("a"),node("c"))."#,
+                r#"seen(twin("z"))."#,
+                r#"flag."#,
+                r#"attr("node",node("b")) :- attr("node",node("a")), attr("depends_on",node("a"),node("b"))."#,
+                r#"attr("node",node("c")) :- attr("node",node("a")), attr("depends_on",node("a"),node("c"))."#,
+                r#"attr("node",node("c")) :- attr("node",node("b")), attr("depends_on",node("b"),node("c"))."#,
+                r#"built("a") :- pkg("a"), attr("node",node("a"))."#,
+                r#"built("b") :- pkg("b"), attr("node",node("b"))."#,
+                r#"built("c") :- pkg("c"), attr("node",node("c"))."#,
+                r#"p("a") :- pkg("a"), flag."#,
+                r#"p("b") :- pkg("b"), flag."#,
+                r#"p("c") :- pkg("c"), flag."#,
+                r#"p("d") :- pkg("d"), flag."#,
+                r#"q("a") :- pkg("a")."#,
+                r#"q("b") :- pkg("b")."#,
+                r#"q("c") :- pkg("c")."#,
+                r#"q("d") :- pkg("d")."#,
+                r#"both("a") :- p("a"), q("a")."#,
+                r#"both("b") :- p("b"), q("b")."#,
+                r#"both("c") :- p("c"), q("c")."#,
+                r#"both("d") :- p("d"), q("d")."#,
+                r#"a."#,
+                r#"b :- not c."#,
+                r#"None { pick("a"), pick("b"), pick("c") } Some(1) :- flag."#,
+                r#":- pick("a"), both("a"), not b."#,
+                r#":- pick("b"), both("b"), not b."#,
+                r#":- pick("c"), both("c"), not b."#,
+                r#":- pick("a"), pick("b"), attr("depends_on",node("a"),node("b"))."#,
+                r#":- pick("a"), pick("c"), attr("depends_on",node("a"),node("c"))."#,
+                r#":- pick("b"), pick("c"), attr("depends_on",node("b"),node("c"))."#,
+            ]
+        );
+        // The duplicate `pkg("b").` (rule 10) and `flag.` (rule 11) lose
+        // to their first emitters; `lonely` (rule 14) grounds nothing.
+        assert_eq!(
+            gp.rule_src,
+            [
+                0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 12, 12, 13, 13, 13, 15, 15, 15, 15, 16, 16, 16,
+                16, 17, 17, 17, 17, 18, 19
+            ]
+        );
+        assert_eq!(gp.choice_src, [20]);
+        assert_eq!(gp.constraint_src, [21, 21, 21, 22, 22, 22]);
     }
 }

@@ -34,9 +34,11 @@
 //!   the fig5 goals, land one new (least preferred) package version via
 //!   `Repository::upsert` + `GroundCache::apply_delta`, then re-solve
 //!   everything. Only the touched goal re-prepares; the rest ride their
-//!   retained segments. The delta pass must be bit-identical to cold
-//!   solves of the post-delta world (`delta.equivalent`) and at least
-//!   5× faster (`delta.speedup_vs_cold`, gated by CI's `bench-smoke`).
+//!   retained segments. Each of `--trials` cycles warms a fresh cache
+//!   and times one delta pass; every pass must be bit-identical to cold
+//!   solves of the post-delta world (`delta.equivalent`), and the median
+//!   pass at least 5× faster than the median cold sweep
+//!   (`delta.speedup_vs_cold`, gated by CI's `bench-smoke`).
 //!
 //! Usage:
 //!   perf-report [--trials N] [--warmup N] [--goals N] [--delta-goals N]
@@ -46,7 +48,7 @@
 //! cache).
 
 use serde::Serialize;
-use spackle_bench::{mean_std_ms, run_trials_warm, Args};
+use spackle_bench::{mean_std_ms, median_ms, run_trials_warm, Args};
 use spackle_buildcache::CacheSource;
 use spackle_core::{repo_delta, Concretizer, ConcretizerConfig, Goal, GroundCache};
 use spackle_radiuss::ExperimentEnv;
@@ -258,12 +260,15 @@ struct DeltaJson {
     entries_invalidated: usize,
     /// Warm entries retained (still hitting after the delta).
     entries_retained: usize,
-    /// Mean wall time of a cold full sweep on the post-delta world.
+    /// Median wall time of a cold full sweep on the post-delta world.
     cold_ms: f64,
-    /// Wall time of the single delta-updated sweep.
+    /// Median wall time of a delta-updated sweep, one per cycle.
     delta_ms: f64,
+    /// Each cycle's delta-updated sweep, in run order.
+    delta_trials_ms: Vec<f64>,
+    /// `cold_ms / delta_ms`.
     speedup_vs_cold: f64,
-    /// Delta-updated solves bit-identical to cold post-delta solves?
+    /// Every delta-updated sweep bit-identical to cold post-delta sweeps?
     equivalent: bool,
 }
 
@@ -532,65 +537,86 @@ fn main() {
         if affected_goals == 1 { "" } else { "s" },
     );
 
-    // Warm pass (untimed): populate the ground cache.
-    let delta_ground_cache = GroundCache::shared();
-    sweep(
-        &env.repo_plain,
-        &local,
-        &delta_cfg,
-        Some(&delta_ground_cache),
-        &delta_goals,
-    );
-
-    // Land the delta: upsert the mutated definition, diff the segment
-    // fingerprints, partially invalidate the warm cache.
+    // Land the delta: upsert the mutated definition and diff the
+    // segment fingerprints.
     let mut repo_post = env.repo_plain.clone();
-    let mut def = repo_post.get(mutated).expect("mutated package exists").clone();
+    let mut def = repo_post
+        .get(mutated)
+        .expect("mutated package exists")
+        .clone();
     def.versions
         .push(Version::parse(added_version).expect("static version"));
     repo_post.upsert(def);
     let delta = repo_delta(&env.repo_plain, &repo_post);
-    let delta_report = delta_ground_cache.apply_delta(&delta);
+
+    // Cold reference: full sweeps of the post-delta world with no cache.
+    // Every delta-updated sweep must be bit-identical to these.
+    let mut cold_sigs: Option<Vec<String>> = None;
+    let mut delta_equivalent = true;
+    let cold_times = run_trials_warm(trials, warmup.min(1), || {
+        let (dt, sigs, _) = sweep(&repo_post, &local, &delta_cfg, None, &delta_goals);
+        if cold_sigs.get_or_insert_with(|| sigs.clone()) != &sigs {
+            delta_equivalent = false;
+            eprintln!("perf-report: DIVERGENCE between cold sweeps of the delta workload");
+        }
+        dt
+    });
+    let cold_sigs = cold_sigs.expect("at least one cold sweep");
+
+    // The timed delta cycles, each on a fresh ground cache: warm it on
+    // the pre-delta world (untimed), partially invalidate it with
+    // `apply_delta`, then time one sweep over every goal on the
+    // post-delta world, riding the retained entries. One sweep takes a
+    // few milliseconds, so the gate reads the median of `trials` cycles.
+    let mut delta_report = None;
+    let delta_times: Vec<Duration> = (0..trials)
+        .map(|_| {
+            let ground_cache = GroundCache::shared();
+            sweep(
+                &env.repo_plain,
+                &local,
+                &delta_cfg,
+                Some(&ground_cache),
+                &delta_goals,
+            );
+            delta_report = Some(ground_cache.apply_delta(&delta));
+            let (dt, sigs, _) = sweep(
+                &repo_post,
+                &local,
+                &delta_cfg,
+                Some(&ground_cache),
+                &delta_goals,
+            );
+            if sigs != cold_sigs {
+                delta_equivalent = false;
+                eprintln!(
+                    "perf-report: DIVERGENCE in delta workload:\n  cold  {cold_sigs:?}\n  delta {sigs:?}"
+                );
+            }
+            dt
+        })
+        .collect();
+    let delta_report = delta_report.expect("at least one delta cycle");
     eprintln!(
         "perf-report:   apply_delta: {} segment(s) moved, {} entr{} invalidated, {} retained",
         delta.len(),
         delta_report.invalidated,
-        if delta_report.invalidated == 1 { "y" } else { "ies" },
+        if delta_report.invalidated == 1 {
+            "y"
+        } else {
+            "ies"
+        },
         delta_report.retained,
     );
-
-    // The timed delta pass: one sweep over every goal on the post-delta
-    // world, riding the partially retained cache.
-    let (delta_time, delta_sigs, _) = sweep(
-        &repo_post,
-        &local,
-        &delta_cfg,
-        Some(&delta_ground_cache),
-        &delta_goals,
-    );
-    let delta_ms = delta_time.as_secs_f64() * 1e3;
-
-    // Cold reference: full sweeps of the post-delta world with no cache.
-    // The delta pass must be bit-identical to these.
-    let mut delta_equivalent = true;
-    let cold_times = run_trials_warm(trials, warmup.min(1), || {
-        let (dt, sigs, _) = sweep(&repo_post, &local, &delta_cfg, None, &delta_goals);
-        if sigs != delta_sigs {
-            delta_equivalent = false;
-            eprintln!(
-                "perf-report: DIVERGENCE in delta workload:\n  cold  {sigs:?}\n  delta {delta_sigs:?}"
-            );
-        }
-        dt
-    });
-    let (cold_ms, _) = mean_std_ms(&cold_times);
+    let cold_ms = median_ms(&cold_times);
+    let delta_ms = median_ms(&delta_times);
     if !delta_equivalent {
         diverged = true;
     }
     let speedup_vs_cold = round2(cold_ms / delta_ms.max(1e-9));
     eprintln!(
-        "perf-report:   delta sweep {delta_ms:.2} ms vs cold {cold_ms:.2} ms \
-         ({speedup_vs_cold:.2}x); equivalent={delta_equivalent}"
+        "perf-report:   delta sweep {delta_ms:.2} ms (median of {trials}) vs cold \
+         {cold_ms:.2} ms ({speedup_vs_cold:.2}x); equivalent={delta_equivalent}"
     );
 
     let delta_json = DeltaJson {
@@ -603,6 +629,10 @@ fn main() {
         entries_retained: delta_report.retained,
         cold_ms: round3(cold_ms),
         delta_ms: round3(delta_ms),
+        delta_trials_ms: delta_times
+            .iter()
+            .map(|d| round3(d.as_secs_f64() * 1e3))
+            .collect(),
         speedup_vs_cold,
         equivalent: delta_equivalent,
     };

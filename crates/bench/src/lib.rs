@@ -16,6 +16,19 @@ pub fn mean_std_ms(times: &[Duration]) -> (f64, f64) {
     (mean, var.sqrt())
 }
 
+/// Median of a nonempty sample, in milliseconds (the mean of the middle
+/// two for an even count).
+pub fn median_ms(times: &[Duration]) -> f64 {
+    let mut ms: Vec<f64> = times.iter().map(|d| d.as_secs_f64() * 1e3).collect();
+    ms.sort_by(f64::total_cmp);
+    let n = ms.len();
+    if n % 2 == 1 {
+        ms[n / 2]
+    } else {
+        (ms[n / 2 - 1] + ms[n / 2]) / 2.0
+    }
+}
+
 /// Percentage increase from `base` to `new` (paper-style deltas).
 pub fn percent_increase(base: f64, new: f64) -> f64 {
     if base <= 0.0 {
@@ -180,6 +193,17 @@ mod tests {
         let (mean, std) = mean_std_ms(&[Duration::from_millis(5)]);
         assert!((mean - 5.0).abs() < 1e-9);
         assert_eq!(std, 0.0);
+    }
+
+    #[test]
+    fn median_of_odd_and_even_samples() {
+        let ms = |v: &[u64]| {
+            v.iter()
+                .map(|&m| Duration::from_millis(m))
+                .collect::<Vec<_>>()
+        };
+        assert!((median_ms(&ms(&[30, 10, 20])) - 20.0).abs() < 1e-9);
+        assert!((median_ms(&ms(&[40, 10, 30, 20])) - 25.0).abs() < 1e-9);
     }
 
     #[test]

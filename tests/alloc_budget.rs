@@ -100,7 +100,7 @@ fn ground_and_translate_allocate_only_what_they_keep() {
              {per_instance:.2}; translate {cnf_allocs} / {clauses} clauses = {per_clause:.2}"
         );
         assert!(
-            per_instance <= 3.0,
+            per_instance <= 2.0,
             "{root}: grounding made {per_instance:.2} allocations per ground instance \
              ({ground_allocs} for {instances})"
         );

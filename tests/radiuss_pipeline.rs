@@ -172,6 +172,39 @@ fn rq4_ground_size_is_linear_in_replicas() {
     );
 }
 
+/// The grounder's work on Fig 7's axis grows with what it emits. Ten
+/// times the replicas may cost at most eight times the join candidates
+/// (ground instances grow about four times); a join that scans a whole
+/// tag bucket for a literal its earlier literals bind completely costs
+/// about fourteen times.
+#[test]
+fn rq4_join_work_is_linear_in_replicas() {
+    let fx = fixture();
+    let join_candidates = |replicas: usize| -> u64 {
+        let repo = with_replicas(&fx.repo, replicas);
+        let concretizer = Concretizer::new(&repo)
+            .with_config(ConcretizerConfig::splice_spack())
+            .with_reusable(&fx.cache);
+        ["hypre", "mfem", "conduit"]
+            .iter()
+            .map(|root| {
+                let mut goal = Goal::single(parse_spec(root).unwrap());
+                goal.forbidden.push(Sym::intern("mpich"));
+                let program = concretizer.program(&goal).unwrap();
+                spackle::asp::ground::ground(&program)
+                    .unwrap()
+                    .join_candidates
+            })
+            .sum()
+    };
+    let (at_10, at_100) = (join_candidates(10), join_candidates(100));
+    println!("join candidates: {at_10} at 10 replicas, {at_100} at 100");
+    assert!(
+        at_100 <= 8 * at_10,
+        "join candidates grew {at_10} -> {at_100} from 10 to 100 replicas"
+    );
+}
+
 /// The solver skips the Gelfond–Lifschitz stability check on tight
 /// ground programs, and the concretizer's programs are tight: ground
 /// recursion follows acyclic package DAGs. Pins that for the encodings
