@@ -1,8 +1,8 @@
 //! Logic-program AST: rules, choice heads, constraints, minimize
 //! statements, and a builder API. The concretizer builds its programs
 //! through it: its encoder emits the fact base as ground [`Atom`]s,
-//! added with [`Program::fact`] ahead of the parsed rule text, so no
-//! fact is printed and parsed back on the way to the grounder.
+//! added with [`Program::fact`], and its directive rules as [`Rule`]s,
+//! so nothing is printed and parsed back on the way to the grounder.
 
 use crate::term::{Atom, Term};
 use spackle_spec::Sym;

@@ -6,12 +6,12 @@
 //! synthesized DAGs merged with the local cache), so that the phase split
 //! shows the paper's cache-size axis:
 //!
-//! * `sequential` — no memoization: every solve encodes, parses,
-//!   grounds, translates and searches (the baseline every prior figure
+//! * `sequential` — no memoization: every solve encodes, grounds,
+//!   translates and searches (the baseline every prior figure
 //!   measured);
 //! * `cached`     — a shared [`spackle_core::GroundCache`], so repeated
-//!   solves replay their answers: no encode, parse, ground, translation
-//!   or search.
+//!   solves replay their answers: no encode, ground, translation or
+//!   search.
 //!
 //! Both modes must produce *identical* solutions (same DAG hashes, same
 //! reuse/build/splice decisions) — the run exits nonzero on any
@@ -19,10 +19,10 @@
 //! and cache statistics are written to `BENCH_concretize.json`.
 //!
 //! Each mode also records its phase split (`phases_ms`): per-sweep means
-//! of the encode, parse, ground, translate-plus-search and interpret
-//! times that every solve reports in its `ConcretizeStats`, so a speedup
-//! of the shipped solve path names the phase that shrank. A replayed
-//! answer runs none of the first four phases.
+//! of the encode, ground, translate-plus-search and interpret times that
+//! every solve reports in its `ConcretizeStats`, so a speedup of the
+//! shipped solve path names the phase that shrank. A replayed answer
+//! runs none of the first three phases.
 //!
 //! On top of the per-workload modes the report carries:
 //!
@@ -79,9 +79,9 @@ fn signature(
     )
 }
 
-/// A sweep's phase times, summed over its solves: encode, parse,
-/// ground, translate plus search, interpret.
-type Phases = [Duration; 5];
+/// A sweep's phase times, summed over its solves: encode, ground,
+/// translate plus search, interpret.
+type Phases = [Duration; 4];
 
 /// One timed sweep over every goal in the workload; returns the wall
 /// time, the per-goal solution signatures and the summed phase times.
@@ -110,7 +110,6 @@ fn sweep(
         let s = &sol.stats;
         let solve = [
             s.encode_time,
-            s.parse_time,
             s.solver.ground_time,
             s.solve_time.saturating_sub(s.solver.ground_time),
             s.interpret_time,
@@ -133,7 +132,7 @@ struct ModeResult {
     min_ms: f64,
     sigs: Vec<Vec<String>>,
     /// Per-sweep mean of each phase over the timed trials, in ms.
-    phases_ms: [f64; 5],
+    phases_ms: [f64; 4],
     cache_hits: u64,
     cache_misses: u64,
 }
@@ -162,7 +161,7 @@ fn run_mode(
     });
     // The warm-up sweeps come first; average the timed ones only.
     let timed = &phases[phases.len() - trials..];
-    let phases_ms: [f64; 5] = std::array::from_fn(|i| {
+    let phases_ms: [f64; 4] = std::array::from_fn(|i| {
         timed.iter().map(|p| p[i].as_secs_f64() * 1e3).sum::<f64>() / trials as f64
     });
     let (mean_ms, std_ms) = mean_std_ms(&times);
@@ -207,13 +206,13 @@ struct ModeJson {
     phases_ms: PhasesJson,
 }
 
-/// Per-sweep means of the phase times each solve reports: encode,
-/// parse (rule text, plus assembly with the encoded facts), ground,
-/// translate plus search (`solve_time − ground_time`) and interpret.
+/// Per-sweep means of the phase times each solve reports: encode (the
+/// goal's facts and rules, assembled with the logic fragments into the
+/// solver's program), ground, translate plus search (`solve_time −
+/// ground_time`) and interpret.
 #[derive(Serialize)]
 struct PhasesJson {
     encode: f64,
-    parse: f64,
     ground: f64,
     translate_search: f64,
     interpret: f64,
@@ -303,10 +302,9 @@ impl ModeJson {
             },
             phases_ms: PhasesJson {
                 encode: round3(m.phases_ms[0]),
-                parse: round3(m.phases_ms[1]),
-                ground: round3(m.phases_ms[2]),
-                translate_search: round3(m.phases_ms[3]),
-                interpret: round3(m.phases_ms[4]),
+                ground: round3(m.phases_ms[1]),
+                translate_search: round3(m.phases_ms[2]),
+                interpret: round3(m.phases_ms[3]),
             },
         }
     }

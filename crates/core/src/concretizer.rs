@@ -18,8 +18,8 @@ use crate::logic::{self, Fragment};
 use crate::segment::SegmentSet;
 use crate::CoreError;
 use spackle_asp::{
-    parse_program, parse_program_spanned, AspError, Atom, CancelToken, ExplainConfig,
-    ExplainOutcome, Program, SolveOutcome, SolveStats, Solver, SolverConfig,
+    parse_program_spanned, AspError, Atom, CancelToken, ExplainConfig, ExplainOutcome, Program,
+    Rule, SolveOutcome, SolveStats, Solver, SolverConfig,
 };
 use spackle_buildcache::{CacheSource, IntoCacheSource, SourceFaultStats};
 use spackle_repo::Repository;
@@ -42,13 +42,6 @@ pub struct ConcretizerConfig {
     /// Restrict facts to the goal's possible dependency closure
     /// (default true; `false` is the scope-filter ablation).
     pub filter_irrelevant: bool,
-    /// Graceful degradation (default `true`): when a reusable-spec
-    /// source fails past its retry budget, drop that source, re-solve
-    /// source-only over the survivors, and flag the solution
-    /// [`ConcretizeStats::degraded`] with skipped-source provenance —
-    /// instead of failing the request. Set `false` to surface
-    /// [`CoreError::Cache`] directly.
-    pub degrade_on_cache_failure: bool,
     /// Underlying ASP solver configuration.
     pub solver: SolverConfig,
 }
@@ -61,7 +54,6 @@ impl Default for ConcretizerConfig {
             os: Os::new("linux"),
             target: Target::new("x86_64"),
             filter_irrelevant: true,
-            degrade_on_cache_failure: true,
             solver: SolverConfig::default(),
         }
     }
@@ -141,12 +133,9 @@ pub struct SkippedSource {
 /// Timing and size measurements for one concretization.
 #[derive(Clone, Debug, Default)]
 pub struct ConcretizeStats {
-    /// Wall time for fact/rule compilation.
+    /// Wall time for compiling the goal's facts and rules and assembling
+    /// them with the logic fragments into the solver's program.
     pub encode_time: Duration,
-    /// Wall time for parsing the rule text and assembling it with the
-    /// encoded facts and the parsed logic fragments into the solver's
-    /// program.
-    pub parse_time: Duration,
     /// Wall time for ground + translate + search + optimize (from the
     /// ASP engine).
     pub solve_time: Duration,
@@ -156,22 +145,17 @@ pub struct ConcretizeStats {
     pub total_time: Duration,
     /// Number of reusable specs the solver considered.
     pub reusable_specs: usize,
-    /// Size in bytes of the rule text the solve parsed: the directive
-    /// rules and the facts that interleave with them. The other facts
-    /// reach the solver as data, and the logic fragments as clones of a
-    /// parse made once per process, so neither is counted;
-    /// [`Concretizer::program_text`] renders both.
-    pub program_bytes: usize,
     /// Whether this solve replayed a memoized answer (always `false`
     /// without [`Concretizer::with_ground_cache`]). A hit runs no
-    /// encode, parse, ground or search: its times and
+    /// encode, ground or search: its times and
     /// [`ConcretizeStats::solver`] are zero.
     pub ground_cache_hit: bool,
     /// True when one or more reusable-spec sources failed past their
     /// retry budget and the solve proceeded without them (see
-    /// [`ConcretizerConfig::degrade_on_cache_failure`]). A degraded
-    /// solution is bit-identical to a fresh solve over the surviving
-    /// sources — only the source set shrank.
+    /// [`Concretizer::concretize_goal`]). A degraded solution is
+    /// bit-identical to a fresh solve over the surviving sources — only
+    /// the source set shrank. A caller that must not accept a reduced
+    /// source set refuses a solution with this flag set.
     pub degraded: bool,
     /// Which sources a degraded solve skipped, in the order they were
     /// dropped. Empty when `degraded` is false.
@@ -294,8 +278,8 @@ impl Concretizer {
 
     /// Memoize answers in `cache`. Repeated solves of the same
     /// (closure package content, reusable-spec set, goal, encode config,
-    /// grounding limits, search knobs) skip encode, parse, ground,
-    /// translation and search, and replay the answer: the optimal model,
+    /// grounding limits, search knobs) skip encode, ground, translation
+    /// and search, and replay the answer: the optimal model,
     /// or [`CoreError::Unsatisfiable`]. The engine's determinism makes
     /// the replay identical to an uncached solve. The cache is a shared
     /// handle: one warm [`GroundCache`] may back every concretizer and
@@ -324,21 +308,23 @@ impl Concretizer {
     }
 
     /// The program the solver grounds for `goal`: the encoder's facts as
-    /// body-less rules, in emission order, followed by the parsed
-    /// directive rules and logic fragments. This is the exact input
+    /// body-less rules, in emission order, followed by its directive
+    /// rules and the logic fragments' rules. Nothing is parsed but the
+    /// fragments, once per process. This is the exact input
     /// [`Concretizer::concretize_goal`] hands the solver on a cold solve,
     /// exposed so audits and external verification layers (the
     /// `spackle-oracle` differential harness) read the same program.
     pub fn program(&self, goal: &Goal) -> Result<Program, CoreError> {
         let enc = self.encode_for(goal, &self.caches)?;
-        solver_program(enc.facts, &enc.rules, &enc.logic)
+        Ok(solver_program(enc.facts, enc.rules, &enc.logic))
     }
 
     /// Render the program [`Concretizer::program`] assembles as ASP text
-    /// (facts, directive rules, and logic fragments), with its
-    /// provenance ledger, the root package names and the number of
-    /// reusable specs encoded. The text parses to that program rule for
-    /// rule; explanations map unsat cores back through its offsets.
+    /// (facts, directive rules, and logic fragments; see
+    /// [`EncodedGoal::render`] for the format), with its provenance
+    /// ledger, the root package names and the number of reusable specs
+    /// encoded. The text parses to that program rule for rule;
+    /// explanations map unsat cores back through its offsets.
     pub fn program_text(&self, goal: &Goal) -> Result<Encoded, CoreError> {
         Ok(self.encode_for(goal, &self.caches)?.render())
     }
@@ -446,9 +432,9 @@ impl Concretizer {
         }
     }
 
-    /// The miss path: encode, parse the rule text, ground and solve
-    /// `goal`, filling `stats` with the encode, parse, ground and solve
-    /// times and the engine's statistics.
+    /// The miss path: encode and assemble, ground and solve `goal`,
+    /// filling `stats` with the encode, ground and solve times and the
+    /// engine's statistics.
     fn solve_cold(
         &self,
         goal: &Goal,
@@ -464,11 +450,8 @@ impl Concretizer {
             reusable_count,
             ..
         } = self.encode_for(goal, sources)?;
+        let program = solver_program(facts, rules, &logic);
         stats.encode_time = t0.elapsed();
-
-        let t1 = Instant::now();
-        let program = solver_program(facts, &rules, &logic)?;
-        stats.parse_time = t1.elapsed();
 
         let solver = Solver::with_config(self.config.solver.clone());
         let t2 = Instant::now();
@@ -507,7 +490,6 @@ impl Concretizer {
             model,
             root_names,
             reusable_count,
-            program_bytes: rules.len(),
         })
     }
 
@@ -515,13 +497,12 @@ impl Concretizer {
     /// forbidden packages).
     ///
     /// This is the fault boundary for reusable-spec sources: when a
-    /// source fails past its retry budget and
-    /// [`ConcretizerConfig::degrade_on_cache_failure`] is set (the
-    /// default), the failing source is dropped, the solve re-runs over
-    /// the survivors, and the solution is flagged
-    /// [`ConcretizeStats::degraded`] with per-source provenance in
-    /// [`ConcretizeStats::skipped_sources`]. The degraded answer is
-    /// bit-identical to a fresh solve that never had the failed source.
+    /// source fails past its retry budget, the failing source is
+    /// dropped, the solve re-runs over the survivors, and the solution
+    /// is flagged [`ConcretizeStats::degraded`] with per-source
+    /// provenance in [`ConcretizeStats::skipped_sources`]. The degraded
+    /// answer is bit-identical to a fresh solve that never had the
+    /// failed source.
     pub fn concretize_goal(&self, goal: &Goal) -> Result<Solution, CoreError> {
         // Validate before touching any cache so a misconfigured request
         // fails identically with and without a ground cache attached.
@@ -543,7 +524,7 @@ impl Concretizer {
                     source,
                     backend,
                     detail,
-                }) if self.config.degrade_on_cache_failure && source < active.len() => {
+                }) if source < active.len() => {
                     active.remove(source);
                     skipped.push(SkippedSource {
                         backend,
@@ -676,7 +657,6 @@ impl Concretizer {
             model,
             root_names,
             reusable_count,
-            program_bytes,
         } = solved;
         let model = model.ok_or(CoreError::Unsatisfiable)?;
 
@@ -690,7 +670,6 @@ impl Concretizer {
         stats.interpret_time = t2.elapsed();
         stats.total_time = t_total.elapsed();
         stats.reusable_specs = reusable_count;
-        stats.program_bytes = program_bytes;
 
         // Degradation and fault-delta fields are filled in by the
         // `concretize_goal` fault boundary, which sees the whole retry
@@ -707,34 +686,27 @@ impl Concretizer {
 }
 
 /// The solver's program: each fact as a body-less rule, in order, then
-/// the parsed rule text, then clones of the logic fragments' programs,
+/// the directive rules, then clones of the logic fragments' programs,
 /// each parsed once per process. It equals `parse_program` of the
-/// rendered text ([`EncodedGoal::render`]), with no fact parsed back from
-/// text.
-fn solver_program(
-    facts: Vec<Atom>,
-    rules: &str,
-    logic: &[&'static Fragment],
-) -> Result<Program, CoreError> {
-    let parsed = parse_program(rules)
-        .map_err(|e| CoreError::Solve(format!("generated program invalid: {e}")))?;
+/// rendered text ([`EncodedGoal::render`]), with nothing parsed back
+/// from text.
+fn solver_program(facts: Vec<Atom>, rules: Vec<Rule>, logic: &[&'static Fragment]) -> Program {
     let logic_rules: usize = logic.iter().map(|f| f.program().rules.len()).sum();
     let mut program = Program {
-        rules: Vec::with_capacity(facts.len() + parsed.rules.len() + logic_rules),
-        minimize: parsed.minimize,
-        heuristics: parsed.heuristics,
+        rules: Vec::with_capacity(facts.len() + rules.len() + logic_rules),
+        ..Program::default()
     };
     for atom in facts {
         program.fact(atom);
     }
-    program.rules.extend(parsed.rules);
+    program.rules.extend(rules);
     for f in logic {
         let p = f.program();
         program.rules.extend_from_slice(&p.rules);
         program.minimize.extend_from_slice(&p.minimize);
         program.heuristics.extend_from_slice(&p.heuristics);
     }
-    Ok(program)
+    program
 }
 
 /// Lift an ASP engine error into the typed [`CoreError`] taxonomy:

@@ -9,19 +9,20 @@
 //! **indirect** `hash_attr` encoding (splice Spack), selected by
 //! [`EncodeConfig::encoding`] — the paper's RQ1 ablation.
 //!
-//! **Facts are data.** The fact base — environment facts, reusable
+//! **The program is data.** The fact base — environment facts, reusable
 //! specs, version and variant universes, the part that grows with the
-//! buildcache — comes out of [`encode`] as ground [`Atom`]s, which the
-//! concretizer hands the grounder as body-less rules. Only the directive
-//! rules (and the few facts interleaved with them) are text, parsed
-//! before grounding. [`EncodedGoal::render`] prints the facts in front
-//! of that text: the rendering parses back to the same program, and is
-//! what explanations, audits of the text and external checkers read.
+//! buildcache — comes out of [`encode`] as ground [`Atom`]s, and the
+//! directive rules, with the few facts interleaved with them, as
+//! [`Rule`]s. The concretizer hands both to the grounder as they are;
+//! nothing on the solve path is printed or parsed. [`EncodedGoal::render`]
+//! prints the same program as text: the rendering parses back to it, and
+//! is what explanations, audits of the text and external checkers read.
 
 use crate::logic::Fragment;
 use crate::CoreError;
 use rustc_hash::{FxHashMap, FxHashSet};
-use spackle_asp::{Atom, Term};
+use spackle_asp::program::{BodyElem, Head};
+use spackle_asp::{Atom, Rule, Term};
 use spackle_buildcache::{CacheError, CacheSource};
 use spackle_repo::Repository;
 use spackle_spec::{
@@ -30,6 +31,8 @@ use spackle_spec::{
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
 use std::sync::{Arc, OnceLock};
+use BodyElem::{Neg, Pos};
+use Term::Str;
 
 /// Which reusable-spec encoding to emit (the RQ1 axis).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,16 +96,10 @@ fn push_quoted(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn q(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    push_quoted(&mut out, s);
-    out
-}
-
 /// Declares [`Vocab`]: each field is the symbol of its own name.
 macro_rules! vocab {
     ($($name:ident),* $(,)?) => {
-        /// The predicate names and string constants of the fact section,
+        /// The predicate names and string constants the encoder emits,
         /// interned once per process.
         struct Vocab {
             $($name: Sym,)*
@@ -138,6 +135,21 @@ vocab!(
     version_satisfies,
     variant_default,
     variant_value,
+    attr,
+    node,
+    root,
+    build,
+    virtual_dep,
+    reach,
+    reach_from,
+    provider_decl,
+    provider_weight,
+    provides_ok,
+    virtual_chosen,
+    virtual_used,
+    can_splice,
+    splicer_decl,
+    splice_relevant,
 );
 
 /// `pkg_fact(pkg, pred(args...))`.
@@ -148,29 +160,85 @@ fn pkg_fact(pkg: Sym, pred: Sym, args: Vec<Term>) -> Atom {
     }
 }
 
-/// Canonical key for a version requirement, used to link constraint
-/// occurrences with `version_satisfies` facts.
-fn req_key(req: &VersionReq) -> String {
-    req.to_string()
+/// `pred(args...)`.
+fn atom<const N: usize>(pred: Sym, args: [Term; N]) -> Atom {
+    Atom {
+        pred,
+        args: args.into(),
+    }
+}
+
+/// `attr("kind", args...)`.
+fn attr<const N: usize>(kind: Sym, args: [Term; N]) -> Atom {
+    Atom {
+        pred: vocab().attr,
+        args: std::iter::once(Str(kind)).chain(args).collect(),
+    }
+}
+
+/// `node("p")`.
+fn node(p: Sym) -> Term {
+    Term::Func(vocab().node, vec![Str(p)])
+}
+
+/// The variable `name`.
+fn var(name: &str) -> Term {
+    Term::Var(Sym::intern(name))
+}
+
+/// A variant value as a string constant.
+fn value(v: &VariantValue) -> Term {
+    Str(Sym::intern(&v.canonical()))
+}
+
+/// `pkg_fact(p, version_satisfies(key, ver))`.
+fn satisfies(p: Sym, key: Sym, ver: Term) -> Atom {
+    pkg_fact(p, vocab().version_satisfies, vec![Str(key), ver])
+}
+
+/// `head :- body.`
+fn rule(head: Atom, body: Vec<BodyElem>) -> Rule {
+    Rule {
+        head: Head::Atom(head),
+        body,
+    }
+}
+
+/// `:- body.`
+fn constraint(body: Vec<BodyElem>) -> Rule {
+    Rule {
+        head: Head::None,
+        body,
+    }
+}
+
+/// `:- not atom.`
+fn require(atom: Atom) -> Rule {
+    constraint(vec![Neg(atom)])
+}
+
+/// `atom.`
+fn fact(atom: Atom) -> Rule {
+    rule(atom, Vec::new())
 }
 
 /// Collects, per package, every version constraint that appears anywhere,
-/// so `version_satisfies` facts can be emitted for exactly those.
+/// so `version_satisfies` facts can be emitted for exactly those. A
+/// constraint is keyed by its text, the constant that links each
+/// occurrence with its facts.
 #[derive(Default)]
-struct ConstraintTable {
-    per_pkg: BTreeMap<Sym, BTreeSet<String>>,
-    reqs: BTreeMap<String, VersionReq>,
-}
+struct ConstraintTable(BTreeMap<Sym, BTreeMap<String, VersionReq>>);
 
 impl ConstraintTable {
-    fn note(&mut self, pkg: Sym, req: &VersionReq) -> Option<String> {
+    /// Record `req` on `pkg`; its key, unless it is no constraint.
+    fn note(&mut self, pkg: Sym, req: &VersionReq) -> Option<Sym> {
         if matches!(req, VersionReq::Any) {
             return None;
         }
-        let key = req_key(req);
-        self.per_pkg.entry(pkg).or_default().insert(key.clone());
-        self.reqs.insert(key.clone(), req.clone());
-        Some(key)
+        let key = req.to_string();
+        let sym = Sym::intern(&key);
+        self.0.entry(pkg).or_default().insert(key, req.clone());
+        Some(sym)
     }
 }
 
@@ -260,11 +328,12 @@ impl FactOrigin {
 }
 
 /// A goal compiled for the solver: the fact section as ground atoms, the
-/// directive rules as text, the logic fragments the concretizer appends,
-/// and what the interpreter needs to map the model back to specs.
+/// directive rules as [`Rule`]s, the logic fragments the concretizer
+/// appends, and what the interpreter needs to map the model back to
+/// specs.
 ///
 /// The solver's program is every fact as a body-less rule, in order,
-/// followed by the parsed rule text and the fragments' parsed programs.
+/// followed by the directive rules and the fragments' parsed programs.
 /// [`EncodedGoal::render`] prints the same program as text.
 pub struct EncodedGoal {
     /// Environment facts, reusable specs, then the version and variant
@@ -272,8 +341,8 @@ pub struct EncodedGoal {
     pub(crate) facts: Vec<Atom>,
     /// Directive rules and the facts that interleave with them
     /// (`provider_decl`, `provider_weight`, `reach_from`, `splicer_decl`,
-    /// `splice_relevant`, `attr("root", …)`), as ASP text.
-    pub(crate) rules: String,
+    /// `splice_relevant`, `attr("root", …)`), in emission order.
+    pub(crate) rules: Vec<Rule>,
     /// The logic fragments the concretizer appends, in order.
     pub(crate) logic: Vec<&'static Fragment>,
     /// Root package names in goal order.
@@ -283,20 +352,24 @@ pub struct EncodedGoal {
     /// `(index into facts, origin)` in ascending index order; each covers
     /// the facts up to the next one's index.
     fact_marks: Vec<(usize, FactOrigin)>,
-    /// `(byte offset into rules, origin)` in ascending offset order.
+    /// `(index into rules, origin)` in ascending index order; each covers
+    /// the rules up to the next one's index.
     rule_marks: Vec<(usize, EncodeOrigin)>,
 }
 
 impl EncodedGoal {
-    /// Print the program as text: each fact on its own line, in the
-    /// encoder's quoting and with `", "` separators, then the rule text
-    /// and the logic fragments. Parsing the text yields the solver's
-    /// program rule for rule. The provenance ledger is built here, for
-    /// the rendered offsets.
+    /// Print the program as text, one fact or rule per line, in the
+    /// encoder's format: `", "` between arguments and between body
+    /// literals, strings quoted with only `\` and `"` escaped, `not `
+    /// before a negated literal, and `:- body.` for a constraint. The
+    /// facts come first, then the rules and the logic fragments. Parsing
+    /// the text yields the solver's program rule for rule. The provenance
+    /// ledger is built here, turning both kinds of mark into offsets of
+    /// the rendering.
     pub fn render(self) -> Encoded {
         let logic_len: usize = self.logic.iter().map(|f| f.text.len()).sum();
         let mut program =
-            String::with_capacity(48 * self.facts.len() + self.rules.len() + logic_len);
+            String::with_capacity(48 * self.facts.len() + 160 * self.rules.len() + logic_len);
         let mut ledger = Vec::with_capacity(self.fact_marks.len() + self.rule_marks.len());
         let mut marks = self.fact_marks.iter().peekable();
         for (i, fact) in self.facts.iter().enumerate() {
@@ -307,13 +380,14 @@ impl EncodedGoal {
             program.push_str(".\n");
         }
         ledger.extend(marks.map(|(_, origin)| (program.len(), origin.origin())));
-        let shift = program.len();
-        program.push_str(&self.rules);
-        ledger.extend(
-            self.rule_marks
-                .into_iter()
-                .map(|(o, origin)| (o + shift, origin)),
-        );
+        let mut marks = self.rule_marks.into_iter().peekable();
+        for (i, rule) in self.rules.iter().enumerate() {
+            while let Some((_, origin)) = marks.next_if(|&(at, _)| at == i) {
+                ledger.push((program.len(), origin));
+            }
+            push_rule(&mut program, rule);
+        }
+        ledger.extend(marks.map(|(_, origin)| (program.len(), origin)));
         for f in self.logic {
             ledger.push((program.len(), EncodeOrigin::Logic { fragment: f.label }));
             program.push_str(f.text);
@@ -325,6 +399,34 @@ impl EncodedGoal {
             ledger,
         }
     }
+}
+
+/// Append `rule` on a line of its own.
+fn push_rule(out: &mut String, rule: &Rule) {
+    match &rule.head {
+        Head::Atom(head) => {
+            push_call(out, head.pred, &head.args);
+            if !rule.body.is_empty() {
+                out.push_str(" :- ");
+            }
+        }
+        Head::None => out.push_str(":- "),
+        Head::Choice { .. } => unreachable!("the encoder emits no choice rules"),
+    }
+    for (i, lit) in rule.body.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        match lit {
+            BodyElem::Pos(a) => push_call(out, a.pred, &a.args),
+            BodyElem::Neg(a) => {
+                out.push_str("not ");
+                push_call(out, a.pred, &a.args);
+            }
+            BodyElem::Cmp(..) => unreachable!("the encoder emits no comparisons"),
+        }
+    }
+    out.push_str(".\n");
 }
 
 /// Append `name(args...)` with `", "` separators.
@@ -475,7 +577,7 @@ pub(crate) fn goal_scope(
 }
 
 /// Compile a goal into its fact base (as atoms) and its directive rules
-/// (as text). Caches are shared handles so the same slice the owned
+/// (as [`Rule`]s). Caches are shared handles so the same slice the owned
 /// [`Concretizer`] holds can be passed down without reborrowing
 /// gymnastics. Each source is scanned once.
 ///
@@ -554,9 +656,8 @@ pub fn encode(
 
     // ---- environment facts ----
     fact_marks.push((facts.len(), FactOrigin::Environment));
-    let fact = |pred: Sym, args: Vec<Term>| Atom { pred, args };
-    facts.push(fact(v.requested_os, vec![Term::Str(cfg.os.name())]));
-    facts.push(fact(v.requested_target, vec![Term::Str(cfg.target.name())]));
+    facts.push(atom(v.requested_os, [Term::Str(cfg.os.name())]));
+    facts.push(atom(v.requested_target, [Term::Str(cfg.target.name())]));
     let mut targets: BTreeSet<Target> = cache_targets;
     targets.insert(cfg.target);
     for a in cfg.target.ancestors() {
@@ -565,17 +666,17 @@ pub fn encode(
     let mut oses: BTreeSet<Os> = cache_oses;
     oses.insert(cfg.os);
     for o in &oses {
-        facts.push(fact(v.os_declared, vec![Term::Str(o.name())]));
+        facts.push(atom(v.os_declared, [Term::Str(o.name())]));
     }
     for t in &targets {
-        facts.push(fact(v.target_declared, vec![Term::Str(t.name())]));
+        facts.push(atom(v.target_declared, [Term::Str(t.name())]));
     }
     for machine in &targets {
         for built in &targets {
             if machine.runs_binary_built_for(*built) {
-                facts.push(fact(
+                facts.push(atom(
                     v.target_runs,
-                    vec![Term::Str(machine.name()), Term::Str(built.name())],
+                    [Term::Str(machine.name()), Term::Str(built.name())],
                 ));
             }
         }
@@ -586,9 +687,9 @@ pub fn encode(
         } else {
             100
         };
-        facts.push(fact(
+        facts.push(atom(
             v.target_penalty,
-            vec![Term::Str(t.name()), Term::Int(pen)],
+            [Term::Str(t.name()), Term::Int(pen)],
         ));
     }
 
@@ -596,7 +697,7 @@ pub fn encode(
     // First pass registers version constraints; a second emits the
     // version_satisfies facts (constraints are discovered during rule
     // generation).
-    let mut rules = String::with_capacity(1 << 14);
+    let mut rules: Vec<Rule> = Vec::new();
     for &pname in &closure {
         let Some(pkg) = repo.get(pname) else {
             continue; // virtual names in the closure have no package
@@ -615,16 +716,13 @@ pub fn encode(
                 }
             }
         }
-        for v in virtuals {
-            for (i, prov) in repo.providers_of(v).iter().enumerate() {
-                if in_closure.contains(prov) {
-                    writeln!(
-                        rules,
-                        "provider_weight({vq}, {pq}, {i}).",
-                        vq = q(v.as_str()),
-                        pq = q(prov.as_str())
-                    )
-                    .ok();
+        for virt in virtuals {
+            for (i, &prov) in repo.providers_of(virt).iter().enumerate() {
+                if in_closure.contains(&prov) {
+                    rules.push(fact(atom(
+                        v.provider_weight,
+                        [Str(virt), Str(prov), Term::Int(i as i64)],
+                    )));
                 }
             }
         }
@@ -640,9 +738,9 @@ pub fn encode(
         ));
         emit_goal_root(&mut rules, repo, root, &mut ct)?;
     }
-    for f in &goal.forbidden {
-        rule_marks.push((rules.len(), EncodeOrigin::Forbidden { package: *f }));
-        writeln!(rules, ":- attr(\"node\", node({})).", q(f.as_str())).ok();
+    for &f in &goal.forbidden {
+        rule_marks.push((rules.len(), EncodeOrigin::Forbidden { package: f }));
+        rules.push(constraint(vec![Pos(attr(v.node, [node(f)]))]));
     }
 
     // ---- reusable specs ----
@@ -675,9 +773,8 @@ pub fn encode(
                 vec![Term::Str(name), Term::Int(i as i64)],
             ));
         }
-        if let Some(keys) = ct.per_pkg.get(&pname) {
-            for key in keys {
-                let req = &ct.reqs[key];
+        if let Some(reqs) = ct.0.get(&pname) {
+            for (key, req) in reqs {
                 let key = Sym::intern(key);
                 for (ver, &name) in universe.iter().zip(&names) {
                     if req.satisfies(ver) {
@@ -734,48 +831,30 @@ pub fn encode(
     })
 }
 
-/// Render the body fragment testing an anonymous `when` constraint
-/// against the node for package `p`. Returns the conjunction pieces
-/// (without the leading `attr("node", ...)`, which callers always add).
+/// The body literals testing an anonymous `when` constraint against the
+/// node for package `p` (without the leading `attr("node", ...)`, which
+/// callers always add). Variables are named after `var_tag`.
 fn when_fragments(
     p: Sym,
     when: &AbstractSpec,
     var_tag: &str,
     ct: &mut ConstraintTable,
-) -> Result<Vec<String>, CoreError> {
+) -> Result<Vec<BodyElem>, CoreError> {
+    let v = vocab();
     let mut parts = Vec::new();
     if let Some(key) = ct.note(p, &when.version) {
-        parts.push(format!(
-            "attr(\"version\", node({p}), V{var_tag})",
-            p = q(p.as_str())
-        ));
-        parts.push(format!(
-            "pkg_fact({p}, version_satisfies({c}, V{var_tag}))",
-            p = q(p.as_str()),
-            c = q(&key)
-        ));
+        let ver = var(&format!("V{var_tag}"));
+        parts.push(Pos(attr(v.version, [node(p), ver.clone()])));
+        parts.push(Pos(satisfies(p, key, ver)));
     }
-    for (vn, vv) in &when.variants {
-        parts.push(format!(
-            "attr(\"variant\", node({p}), {vn}, {vv})",
-            p = q(p.as_str()),
-            vn = q(vn.as_str()),
-            vv = q(&vv.canonical())
-        ));
+    for (&vn, vv) in &when.variants {
+        parts.push(Pos(attr(v.variant, [node(p), Str(vn), value(vv)])));
     }
     if let Some(os) = when.os {
-        parts.push(format!(
-            "attr(\"node_os\", node({p}), {o})",
-            p = q(p.as_str()),
-            o = q(os.name().as_str())
-        ));
+        parts.push(Pos(attr(v.node_os, [node(p), Str(os.name())])));
     }
     if let Some(t) = when.target {
-        parts.push(format!(
-            "attr(\"node_target\", node({p}), {t})",
-            p = q(p.as_str()),
-            t = q(t.name().as_str())
-        ));
+        parts.push(Pos(attr(v.node_target, [node(p), Str(t.name())])));
     }
     if !when.deps.is_empty() {
         return Err(CoreError::Unsupported(
@@ -786,14 +865,15 @@ fn when_fragments(
 }
 
 fn emit_package(
-    rules: &mut String,
+    rules: &mut Vec<Rule>,
     marks: &mut Vec<(usize, EncodeOrigin)>,
     repo: &Repository,
     pkg: &spackle_repo::PackageDef,
     cfg: &EncodeConfig,
     ct: &mut ConstraintTable,
 ) -> Result<(), CoreError> {
-    let pq = q(pkg.name.as_str());
+    let v = vocab();
+    let p = pkg.name;
 
     // depends_on directives. Guarded by build(P): a *reused* node's
     // dependencies come exclusively from its imposed (possibly spliced)
@@ -803,17 +883,13 @@ fn emit_package(
         marks.push((
             rules.len(),
             EncodeOrigin::DependsOn {
-                package: pkg.name,
+                package: p,
                 index: di,
             },
         ));
         let dname = dep.spec.name.expect("validated at build");
-        let mut body = vec![
-            format!("attr(\"node\", node({pq}))"),
-            format!("build({pq})"),
-        ];
-        body.extend(when_fragments(pkg.name, &dep.when, &format!("w{di}"), ct)?);
-        let body_s = body.join(", ");
+        let mut body = vec![Pos(attr(v.node, [node(p)])), Pos(atom(v.build, [Str(p)]))];
+        body.extend(when_fragments(p, &dep.when, &format!("w{di}"), ct)?);
 
         if repo.is_virtual(dname) {
             if !matches!(dep.spec.version, VersionReq::Any) || !dep.spec.variants.is_empty() {
@@ -822,50 +898,33 @@ fn emit_package(
                     pkg.name
                 )));
             }
-            writeln!(
-                rules,
-                "attr(\"virtual_dep\", node({pq}), {d}) :- {body_s}.",
-                d = q(dname.as_str())
-            )
-            .ok();
+            rules.push(rule(attr(v.virtual_dep, [node(p), Str(dname)]), body));
         } else {
-            let types: &[&str] = if dep.types.is_build() && dep.types.is_link_run() {
-                &["build", "link-run"]
+            let link_run = Sym::intern("link-run");
+            let types: &[Sym] = if dep.types.is_build() && dep.types.is_link_run() {
+                &[v.build, link_run]
             } else if dep.types.is_build() {
-                &["build"]
+                &[v.build]
             } else {
-                &["link-run"]
+                &[link_run]
             };
-            for t in types {
-                writeln!(
-                    rules,
-                    "attr(\"depends_on\", node({pq}), node({d}), {t}) :- {body_s}.",
-                    d = q(dname.as_str()),
-                    t = q(t)
-                )
-                .ok();
+            for &t in types {
+                let head = attr(v.depends_on, [node(p), node(dname), Str(t)]);
+                rules.push(rule(head, body.clone()));
             }
             // Constraints the dependency spec imposes on the dep node.
             if let Some(key) = ct.note(dname, &dep.spec.version) {
-                writeln!(
-                    rules,
-                    ":- {body_s}, attr(\"version\", node({d}), Vd{di}), \
-                     not pkg_fact({d}, version_satisfies({c}, Vd{di})).",
-                    d = q(dname.as_str()),
-                    c = q(&key)
-                )
-                .ok();
+                let ver = var(&format!("Vd{di}"));
+                let mut c = body.clone();
+                c.push(Pos(attr(v.version, [node(dname), ver.clone()])));
+                c.push(Neg(satisfies(dname, key, ver)));
+                rules.push(constraint(c));
             }
-            for (vn, vv) in &dep.spec.variants {
-                writeln!(
-                    rules,
-                    ":- {body_s}, attr(\"node\", node({d})), \
-                     not attr(\"variant\", node({d}), {vn}, {vv}).",
-                    d = q(dname.as_str()),
-                    vn = q(vn.as_str()),
-                    vv = q(&vv.canonical())
-                )
-                .ok();
+            for (&vn, vv) in &dep.spec.variants {
+                let mut c = body.clone();
+                c.push(Pos(attr(v.node, [node(dname)])));
+                c.push(Neg(attr(v.variant, [node(dname), Str(vn), value(vv)])));
+                rules.push(constraint(c));
             }
         }
     }
@@ -876,32 +935,21 @@ fn emit_package(
         marks.push((
             rules.len(),
             EncodeOrigin::Provides {
-                package: pkg.name,
+                package: p,
                 index: pi,
             },
         ));
-        writeln!(
-            rules,
-            "provider_decl({pq}, {v}).",
-            v = q(prov.virtual_name.as_str())
-        )
-        .ok();
+        let virt = prov.virtual_name;
+        rules.push(fact(atom(v.provider_decl, [Str(p), Str(virt)])));
         if !prov.when.is_empty() {
-            let mut body = vec![format!("attr(\"node\", node({pq}))")];
-            body.extend(when_fragments(pkg.name, &prov.when, &format!("p{pi}"), ct)?);
-            writeln!(
-                rules,
-                "provides_ok({pq}, {v}) :- {body}.",
-                v = q(prov.virtual_name.as_str()),
-                body = body.join(", ")
-            )
-            .ok();
-            writeln!(
-                rules,
-                ":- virtual_chosen({v}, {pq}), not provides_ok({pq}, {v}).",
-                v = q(prov.virtual_name.as_str())
-            )
-            .ok();
+            let mut body = vec![Pos(attr(v.node, [node(p)]))];
+            body.extend(when_fragments(p, &prov.when, &format!("p{pi}"), ct)?);
+            let ok = atom(v.provides_ok, [Str(p), Str(virt)]);
+            rules.push(rule(ok.clone(), body));
+            rules.push(constraint(vec![
+                Pos(atom(v.virtual_chosen, [Str(virt), Str(p)])),
+                Neg(ok),
+            ]));
         }
     }
 
@@ -910,39 +958,34 @@ fn emit_package(
         marks.push((
             rules.len(),
             EncodeOrigin::Conflict {
-                package: pkg.name,
+                package: p,
                 index: ci,
             },
         ));
-        let mut body = vec![format!("attr(\"node\", node({pq}))")];
-        body.extend(when_fragments(pkg.name, &conf.when, &format!("cw{ci}"), ct)?);
+        let mut body = vec![Pos(attr(v.node, [node(p)]))];
+        body.extend(when_fragments(p, &conf.when, &format!("cw{ci}"), ct)?);
         // The conflicting condition itself (node-local parts).
         let mut c_local = conf.spec.clone();
         let c_deps = std::mem::take(&mut c_local.deps);
         c_local.name = None;
-        body.extend(when_fragments(pkg.name, &c_local, &format!("cs{ci}"), ct)?);
+        body.extend(when_fragments(p, &c_local, &format!("cs{ci}"), ct)?);
         for (k, d) in c_deps.iter().enumerate() {
-            let dn = d.spec.name.ok_or_else(|| {
-                CoreError::Unsupported("anonymous dep in conflicts spec".into())
-            })?;
-            body.push(format!("reach({pq}, {d})", d = q(dn.as_str())));
+            let dn = d
+                .spec
+                .name
+                .ok_or_else(|| CoreError::Unsupported("anonymous dep in conflicts spec".into()))?;
+            body.push(Pos(atom(v.reach, [Str(p), Str(dn)])));
             if let Some(key) = ct.note(dn, &d.spec.version) {
-                body.push(format!(
-                    "attr(\"version\", node({d}), Vc{ci}_{k})",
-                    d = q(dn.as_str())
-                ));
-                body.push(format!(
-                    "pkg_fact({d}, version_satisfies({c}, Vc{ci}_{k}))",
-                    d = q(dn.as_str()),
-                    c = q(&key)
-                ));
+                let ver = var(&format!("Vc{ci}_{k}"));
+                body.push(Pos(attr(v.version, [node(dn), ver.clone()])));
+                body.push(Pos(satisfies(dn, key, ver)));
             }
         }
         if !c_deps.is_empty() {
             // Seed the link-run closure this conflict's `reach` reads.
-            writeln!(rules, "reach_from({pq}).").ok();
+            rules.push(fact(atom(v.reach_from, [Str(p)])));
         }
-        writeln!(rules, ":- {}.", body.join(", ")).ok();
+        rules.push(constraint(body));
     }
 
     // can_splice directives (Fig 4a), only in splicing configurations.
@@ -951,39 +994,32 @@ fn emit_package(
             marks.push((
                 rules.len(),
                 EncodeOrigin::CanSplice {
-                    package: pkg.name,
+                    package: p,
                     index: si,
                 },
             ));
-            let target_name = cs.target.name.expect("validated at build");
-            let tq = q(target_name.as_str());
-            let mut body = vec![format!("installed_hash({tq}, Hash)")];
-            if let Some(key) = ct.note(target_name, &cs.target.version) {
-                body.push(format!(
-                    "hash_attr(Hash, \"version\", {tq}, TV{si})"
-                ));
-                body.push(format!(
-                    "pkg_fact({tq}, version_satisfies({c}, TV{si}))",
-                    c = q(&key)
-                ));
+            let t = cs.target.name.expect("validated at build");
+            let hash = var("Hash");
+            let mut body = vec![Pos(atom(v.installed_hash, [Str(t), hash.clone()]))];
+            if let Some(key) = ct.note(t, &cs.target.version) {
+                let ver = var(&format!("TV{si}"));
+                body.push(Pos(atom(
+                    v.hash_attr,
+                    [hash.clone(), Str(v.version), Str(t), ver.clone()],
+                )));
+                body.push(Pos(satisfies(t, key, ver)));
             }
-            for (vn, vv) in &cs.target.variants {
-                body.push(format!(
-                    "hash_attr(Hash, \"variant\", {tq}, {vn}, {vv})",
-                    vn = q(vn.as_str()),
-                    vv = q(&vv.canonical())
-                ));
+            for (&vn, vv) in &cs.target.variants {
+                body.push(Pos(atom(
+                    v.hash_attr,
+                    [hash.clone(), Str(v.variant), Str(t), Str(vn), value(vv)],
+                )));
             }
-            body.push(format!("attr(\"node\", node({pq}))"));
-            body.extend(when_fragments(pkg.name, &cs.when, &format!("s{si}"), ct)?);
-            writeln!(
-                rules,
-                "can_splice(node({pq}), {tq}, Hash) :- {body}.",
-                body = body.join(", ")
-            )
-            .ok();
-            writeln!(rules, "splicer_decl({pq}, {tq}).").ok();
-            writeln!(rules, "splice_relevant({tq}).").ok();
+            body.push(Pos(attr(v.node, [node(p)])));
+            body.extend(when_fragments(p, &cs.when, &format!("s{si}"), ct)?);
+            rules.push(rule(atom(v.can_splice, [node(p), Str(t), hash]), body));
+            rules.push(fact(atom(v.splicer_decl, [Str(p), Str(t)])));
+            rules.push(fact(atom(v.splice_relevant, [Str(t)])));
         }
     }
 
@@ -991,86 +1027,58 @@ fn emit_package(
 }
 
 fn emit_goal_root(
-    rules: &mut String,
+    rules: &mut Vec<Rule>,
     repo: &Repository,
     root: &AbstractSpec,
     ct: &mut ConstraintTable,
 ) -> Result<(), CoreError> {
+    let v = vocab();
     let g = root.name.expect("checked in encode");
-    let gq = q(g.as_str());
-    writeln!(rules, "attr(\"root\", node({gq})).").ok();
+    rules.push(fact(attr(v.root, [node(g)])));
     if let Some(key) = ct.note(g, &root.version) {
-        writeln!(
-            rules,
-            ":- attr(\"version\", node({gq}), V), not pkg_fact({gq}, version_satisfies({c}, V)).",
-            c = q(&key)
-        )
-        .ok();
+        let ver = var("V");
+        rules.push(constraint(vec![
+            Pos(attr(v.version, [node(g), ver.clone()])),
+            Neg(satisfies(g, key, ver)),
+        ]));
     }
-    for (vn, vv) in &root.variants {
-        writeln!(
-            rules,
-            ":- not attr(\"variant\", node({gq}), {vn}, {vv}).",
-            vn = q(vn.as_str()),
-            vv = q(&vv.canonical())
-        )
-        .ok();
+    for (&vn, vv) in &root.variants {
+        rules.push(require(attr(v.variant, [node(g), Str(vn), value(vv)])));
     }
     if let Some(os) = root.os {
-        writeln!(
-            rules,
-            ":- not attr(\"node_os\", node({gq}), {o}).",
-            o = q(os.name().as_str())
-        )
-        .ok();
+        rules.push(require(attr(v.node_os, [node(g), Str(os.name())])));
     }
     if let Some(t) = root.target {
-        writeln!(
-            rules,
-            ":- not attr(\"node_target\", node({gq}), {t}).",
-            t = q(t.name().as_str())
-        )
-        .ok();
+        rules.push(require(attr(v.node_target, [node(g), Str(t.name())])));
     }
     for (k, dep) in root.deps.iter().enumerate() {
-        let dn = dep.spec.name.ok_or_else(|| {
-            CoreError::BadGoal("goal dependencies must name a package".into())
-        })?;
+        let dn = dep
+            .spec
+            .name
+            .ok_or_else(|| CoreError::BadGoal("goal dependencies must name a package".into()))?;
         if repo.is_virtual(dn) {
             if !matches!(dep.spec.version, VersionReq::Any) || !dep.spec.variants.is_empty() {
                 return Err(CoreError::Unsupported(
                     "constraints on virtual goal dependencies".into(),
                 ));
             }
-            writeln!(rules, ":- not virtual_used({}).", q(dn.as_str())).ok();
+            rules.push(require(atom(v.virtual_used, [Str(dn)])));
         } else {
             // Seed the link-run closure from the goal root for this reader.
-            writeln!(rules, "reach_from({gq}).").ok();
-            writeln!(
-                rules,
-                ":- not reach({gq}, {d}).",
-                d = q(dn.as_str())
-            )
-            .ok();
+            rules.push(fact(atom(v.reach_from, [Str(g)])));
+            rules.push(require(atom(v.reach, [Str(g), Str(dn)])));
             if let Some(key) = ct.note(dn, &dep.spec.version) {
-                writeln!(
-                    rules,
-                    ":- attr(\"version\", node({d}), Vg{k}), \
-                     not pkg_fact({d}, version_satisfies({c}, Vg{k})).",
-                    d = q(dn.as_str()),
-                    c = q(&key)
-                )
-                .ok();
+                let ver = var(&format!("Vg{k}"));
+                rules.push(constraint(vec![
+                    Pos(attr(v.version, [node(dn), ver.clone()])),
+                    Neg(satisfies(dn, key, ver)),
+                ]));
             }
-            for (vn, vv) in &dep.spec.variants {
-                writeln!(
-                    rules,
-                    ":- attr(\"node\", node({d})), not attr(\"variant\", node({d}), {vn}, {vv}).",
-                    d = q(dn.as_str()),
-                    vn = q(vn.as_str()),
-                    vv = q(&vv.canonical())
-                )
-                .ok();
+            for (&vn, vv) in &dep.spec.variants {
+                rules.push(constraint(vec![
+                    Pos(attr(v.node, [node(dn)])),
+                    Neg(attr(v.variant, [node(dn), Str(vn), value(vv)])),
+                ]));
             }
         }
     }
@@ -1100,7 +1108,10 @@ fn emit_reusable(facts: &mut Vec<Atom>, spec: &ConcreteSpec, cfg: &EncodeConfig)
     let version = Term::Str(Sym::intern(&root.version.to_string()));
     facts.push(attr(v.version, &[name.clone(), version]));
     facts.push(attr(v.node_os, &[name.clone(), Term::Str(root.os.name())]));
-    facts.push(attr(v.node_target, &[name.clone(), Term::Str(root.target.name())]));
+    facts.push(attr(
+        v.node_target,
+        &[name.clone(), Term::Str(root.target.name())],
+    ));
     for (vn, vv) in &root.variants {
         let value = Term::Str(Sym::intern(&vv.canonical()));
         facts.push(attr(v.variant, &[name.clone(), Term::Str(*vn), value]));

@@ -1,5 +1,5 @@
-//! Answer memoization: skip encode, parse, ground, translation and
-//! search on repeated solves.
+//! Answer memoization: skip encode, ground, translation and search on
+//! repeated solves.
 //!
 //! The radiuss workloads solve dozens of near-identical goals against one
 //! repository and one reusable-spec set. A [`GroundCache`] keys each
@@ -74,11 +74,6 @@ pub struct SolvedGoal {
     pub root_names: Vec<Sym>,
     /// Reusable specs encoded into the program.
     pub reusable_count: usize,
-    /// Size in bytes of the rule text the solve parsed
-    /// ([`ConcretizeStats::program_bytes`]).
-    ///
-    /// [`ConcretizeStats::program_bytes`]: crate::ConcretizeStats::program_bytes
-    pub program_bytes: usize,
 }
 
 /// A cached entry: the answer tagged with the segment fingerprints it

@@ -1,9 +1,10 @@
 //! The concretizer's logic program (paper §3.3, §5.1, §5.3, §5.4),
 //! written in the ASP fragment `spackle-asp` implements. The encoder
-//! (see [`crate::encode`]) appends compiled facts and per-directive
-//! rules; these constants carry the program's invariant semantics. Each
-//! is parsed once per process; a solve appends clones of the parsed
-//! rules after its directive rules.
+//! (see [`crate::encode`]) builds the compiled facts and per-directive
+//! rules as data; these constants carry the program's invariant
+//! semantics, and are the only text a solve's program is parsed from.
+//! Each is parsed once per process; a solve appends clones of the
+//! parsed rules after its directive rules.
 
 use spackle_asp::{parse_program, Program};
 use std::sync::OnceLock;

@@ -43,9 +43,8 @@ fn identical_resolve_hits_and_matches() {
     assert!(second.stats.ground_cache_hit, "re-solve must hit");
     assert_eq!((cache.hits(), cache.misses()), (1, 1));
 
-    // A hit skips encode + parse + ground + search entirely...
+    // A hit skips encode + ground + search entirely...
     assert_eq!(second.stats.encode_time, Duration::ZERO);
-    assert_eq!(second.stats.parse_time, Duration::ZERO);
     assert_eq!(second.stats.solver.ground_time, Duration::ZERO);
     assert_eq!(second.stats.solve_time, Duration::ZERO);
     assert_eq!(second.stats.solver.propagations, 0);
@@ -54,7 +53,6 @@ fn identical_resolve_hits_and_matches() {
     assert_eq!(first.reused, second.reused);
     assert_eq!(first.built, second.built);
     assert_eq!(first.stats.reusable_specs, second.stats.reusable_specs);
-    assert_eq!(first.stats.program_bytes, second.stats.program_bytes);
 }
 
 #[test]

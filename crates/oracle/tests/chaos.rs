@@ -368,41 +368,3 @@ fn faults_never_change_answers_only_provenance() {
         totals.breaker_opens,
     );
 }
-
-/// A solve that dies mid-flight from a permanent backend failure with
-/// degradation *disabled* must surface a structured `Cache` error that
-/// names the failing backend — the no-silent-wrong-answer half of the
-/// contract without the graceful half.
-#[test]
-fn degradation_off_surfaces_structured_cache_errors() {
-    let mut rng = TestRng::seed_from_u64(SWEEP_SEED);
-    let (repo, spec) = random_repo_and_spec(&mut rng);
-    let goal = Goal::single(spec);
-    let (local, _) = build_backends(&repo, &goal);
-    if local.is_empty() {
-        return; // unsat case: nothing to reuse, nothing to fail
-    }
-
-    let mut config = ConcretizerConfig::splice_spack();
-    config.degrade_on_cache_failure = false;
-    let source: Arc<dyn CacheSource> = Arc::new(
-        ChainedCache::with(vec![
-            FaultInjector::new(local, "mirror-a").with_config(FaultConfig::hard_down()),
-        ])
-        .with_policy(fast_policy()),
-    );
-    let err = Concretizer::new(&repo)
-        .with_config(config)
-        .with_reusable(&source)
-        .concretize_goal(&goal)
-        .expect_err("a hard-down backend must fail a non-degrading solve");
-    match err {
-        CoreError::Cache { backend, .. } => {
-            assert!(
-                backend.contains("mirror-a"),
-                "error must name the failing backend, got {backend:?}"
-            );
-        }
-        other => panic!("expected a structured cache error, got: {other}"),
-    }
-}
