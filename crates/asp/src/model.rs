@@ -10,9 +10,8 @@ use std::sync::Arc;
 /// produced it (needed to decode atoms and to certificate-check the
 /// model), and the achieved cost vector.
 ///
-/// Cloning is cheap relative to a solve — the ground program is shared
-/// behind an `Arc` — which is what lets warm caches memoize solved
-/// models and replay them.
+/// The ground program is shared behind an `Arc`, so a model keeps its
+/// whole grounding alive: callers decode what they need and drop it.
 #[derive(Clone)]
 pub struct Model {
     ground: Arc<GroundProgram>,
@@ -100,10 +99,6 @@ impl Model {
     /// Does a ground atom with this predicate and these exact string
     /// arguments hold? (Convenience for tests.)
     pub fn holds_str(&self, pred: &str, args: &[&str]) -> bool {
-        self.render_holds(pred, args)
-    }
-
-    fn render_holds(&self, pred: &str, args: &[&str]) -> bool {
         let p = Sym::intern(pred);
         self.true_atoms.iter().any(|&a| {
             let (ap, aargs) = self.store().atom_data(a);
@@ -121,22 +116,6 @@ impl Model {
     pub fn as_str(&self, t: TermId) -> Option<&'static str> {
         match self.store().term_data(t) {
             GroundTerm::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    /// Decode a term as a symbolic constant.
-    pub fn as_sym(&self, t: TermId) -> Option<&'static str> {
-        match self.store().term_data(t) {
-            GroundTerm::Sym(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    /// Decode a term as an integer.
-    pub fn as_int(&self, t: TermId) -> Option<i64> {
-        match self.store().term_data(t) {
-            GroundTerm::Int(i) => Some(*i),
             _ => None,
         }
     }

@@ -10,8 +10,8 @@
 //!   translates and searches (the baseline every prior figure
 //!   measured);
 //! * `cached`     — a shared [`spackle_core::GroundCache`], so repeated
-//!   solves replay their answers: no encode, ground, translation or
-//!   search.
+//!   solves replay their interpreted answers: no encode, ground,
+//!   translation, search or interpretation.
 //!
 //! Both modes must produce *identical* solutions (same DAG hashes, same
 //! reuse/build/splice decisions) — the run exits nonzero on any
@@ -22,7 +22,7 @@
 //! of the encode, ground, translate-plus-search and interpret times that
 //! every solve reports in its `ConcretizeStats`, so a speedup of the
 //! shipped solve path names the phase that shrank. A replayed answer
-//! runs none of the first three phases.
+//! runs none of the four phases, so its phases read zero.
 //!
 //! On top of the per-workload modes the report carries:
 //!

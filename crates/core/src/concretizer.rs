@@ -147,7 +147,7 @@ pub struct ConcretizeStats {
     pub reusable_specs: usize,
     /// Whether this solve replayed a memoized answer (always `false`
     /// without [`Concretizer::with_ground_cache`]). A hit runs no
-    /// encode, ground or search: its times and
+    /// encode, ground, search or interpretation: its times and
     /// [`ConcretizeStats::solver`] are zero.
     pub ground_cache_hit: bool,
     /// True when one or more reusable-spec sources failed past their
@@ -278,13 +278,13 @@ impl Concretizer {
 
     /// Memoize answers in `cache`. Repeated solves of the same
     /// (closure package content, reusable-spec set, goal, encode config,
-    /// grounding limits, search knobs) skip encode, ground, translation
-    /// and search, and replay the answer: the optimal model,
-    /// or [`CoreError::Unsatisfiable`]. The engine's determinism makes
-    /// the replay identical to an uncached solve. The cache is a shared
-    /// handle: one warm [`GroundCache`] may back every concretizer and
-    /// every thread in a process — that is the `spackled` service's
-    /// entire fast path.
+    /// grounding limits, search knobs) skip encode, ground, translation,
+    /// search and interpretation, and replay the answer: the interpreted
+    /// solution, or [`CoreError::Unsatisfiable`]. The engine's
+    /// determinism makes the replay identical to an uncached solve. The
+    /// cache is a shared handle: one warm [`GroundCache`] may back every
+    /// concretizer and every thread in a process — that is the
+    /// `spackled` service's entire fast path.
     pub fn with_ground_cache(mut self, cache: Arc<GroundCache>) -> Self {
         self.ground_cache = Some(cache);
         self
@@ -432,9 +432,9 @@ impl Concretizer {
         }
     }
 
-    /// The miss path: encode and assemble, ground and solve `goal`,
-    /// filling `stats` with the encode, ground and solve times and the
-    /// engine's statistics.
+    /// The miss path: encode and assemble, ground and solve `goal`, and
+    /// interpret the optimal model, filling `stats` with the encode,
+    /// ground, solve and interpret times and the engine's statistics.
     fn solve_cold(
         &self,
         goal: &Goal,
@@ -468,27 +468,27 @@ impl Concretizer {
         solver_stats.ground_time = ground_time;
         stats.solve_time = solver_stats.ground_time + solver_stats.solve_time;
         stats.solver = solver_stats;
-        let model = match outcome {
+        let answer = match outcome {
             SolveOutcome::Unsat => None,
-            SolveOutcome::Optimal(m) => Some(Arc::new(m)),
-        };
-
-        // Debug builds certificate-check the optimal model against its
-        // ground program (rule satisfaction, reduct minimality, cost
-        // honesty) before it is stored or interpreted. A failure here is
-        // a solver bug, never a user error.
-        #[cfg(debug_assertions)]
-        if let Some(model) = &model {
-            if let Err(e) = spackle_asp::certify::certify_model(model) {
-                return Err(CoreError::Solve(format!(
-                    "solver emitted an uncertifiable model: {e}"
-                )));
+            SolveOutcome::Optimal(model) => {
+                // Debug builds certificate-check the optimal model against
+                // its ground program (rule satisfaction, reduct
+                // minimality, cost honesty) before it is interpreted. A
+                // failure here is a solver bug, never a user error.
+                #[cfg(debug_assertions)]
+                if let Err(e) = spackle_asp::certify::certify_model(&model) {
+                    return Err(CoreError::Solve(format!(
+                        "solver emitted an uncertifiable model: {e}"
+                    )));
+                }
+                let t3 = Instant::now();
+                let answer = interpret(&model, sources, &root_names)?;
+                stats.interpret_time = t3.elapsed();
+                Some(Arc::new(answer))
             }
-        }
-
+        };
         Ok(SolvedGoal {
-            model,
-            root_names,
+            answer,
             reusable_count,
         })
     }
@@ -634,16 +634,17 @@ impl Concretizer {
             Some(cache) => {
                 let (key, segments) = self.segment_key_for(goal, sources)?;
                 match cache.lookup(key) {
-                    // A hit did no grounding and no search: its times and
-                    // solver statistics stay zero. It keeps the deadline
-                    // check a miss makes before its search.
+                    // A hit ran no stage: its times and solver statistics
+                    // stay zero. It keeps the deadline check a miss makes
+                    // before its search.
                     Some(solved) => {
                         stats.ground_cache_hit = true;
                         self.check_cancel()?;
                         solved
                     }
-                    // Only a finished search is stored, after it ran: a
-                    // cancelled or budget-exhausted solve inserts nothing.
+                    // Only an interpreted answer is stored: a cancelled,
+                    // budget-exhausted or uninterpretable solve inserts
+                    // nothing.
                     None => {
                         let solved = self.solve_cold(goal, sources, &mut stats)?;
                         cache.insert(key, segments, solved.clone());
@@ -654,20 +655,17 @@ impl Concretizer {
             None => self.solve_cold(goal, sources, &mut stats)?,
         };
         let SolvedGoal {
-            model,
-            root_names,
+            answer,
             reusable_count,
         } = solved;
-        let model = model.ok_or(CoreError::Unsatisfiable)?;
-
-        let t2 = Instant::now();
+        // Without a memo this is the only handle, so nothing is cloned.
         let Interpretation {
             specs,
             reused,
             built,
             spliced,
-        } = interpret(&model, sources, &root_names)?;
-        stats.interpret_time = t2.elapsed();
+            cost,
+        } = Arc::unwrap_or_clone(answer.ok_or(CoreError::Unsatisfiable)?);
         stats.total_time = t_total.elapsed();
         stats.reusable_specs = reusable_count;
 
@@ -679,7 +677,7 @@ impl Concretizer {
             reused,
             built,
             spliced,
-            cost: model.cost.clone(),
+            cost,
             stats,
         })
     }

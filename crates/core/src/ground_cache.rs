@@ -1,21 +1,22 @@
-//! Answer memoization: skip encode, ground, translation and search on
-//! repeated solves.
+//! Answer memoization: skip every stage of a repeated solve.
 //!
 //! The radiuss workloads solve dozens of near-identical goals against one
 //! repository and one reusable-spec set. A [`GroundCache`] keys each
-//! goal's answer — a [`SolvedGoal`]: the optimal model, or the fact that
-//! there is none — by a fingerprint of everything that determines it:
-//! the goal's package-segment fingerprints, the reusable-spec sets (in
-//! cache order), the goal, the encode configuration, the grounding
-//! limits and the conflict budget. A repeated solve replays the answer
-//! and goes straight to interpretation. The engine is deterministic, so
-//! a replay is bit-identical to a fresh solve (same specs, same DAG
-//! hashes). The conflict budget is in the key because it can fail a
-//! cold solve: an answer found under a generous budget must not reach a
-//! request whose own budget would have run out.
+//! goal's answer — a [`SolvedGoal`]: the interpreted solution, or the
+//! fact that there is none — by a fingerprint of everything that
+//! determines it: the goal's package-segment fingerprints, the
+//! reusable-spec sets (in cache order), the goal, the encode
+//! configuration, the grounding limits and the conflict budget. A
+//! repeated solve clones the answer: it runs no encode, ground, search
+//! or interpretation, and reads no cache entry. The engine is
+//! deterministic, so a replay is bit-identical to a fresh solve (same
+//! specs, same DAG hashes). The conflict budget is in the key because it
+//! can fail a cold solve: an answer found under a generous budget must
+//! not reach a request whose own budget would have run out.
 //!
-//! Only finished searches are stored: a solve that is cancelled or runs
-//! out of its conflict budget inserts nothing.
+//! Only interpreted answers are stored: a solve that is cancelled, runs
+//! out of its conflict budget or fails to interpret inserts nothing. The
+//! model and its ground program drop when the cold solve returns.
 //!
 //! ## Concurrency
 //!
@@ -23,7 +24,7 @@
 //! shares a single warm `GroundCache` across every in-flight request.
 //! The table is one [`parking_lot::RwLock`] over one map. A warm hit
 //! holds the read lock only to clone one [`SolvedGoal`] (an `Arc` and a
-//! few names), so concurrent hits share it; inserts, delta sweeps and
+//! count), so concurrent hits share it; inserts, delta sweeps and
 //! [`GroundCache::clear`] take the write lock. Hit and miss counters are
 //! atomics.
 //!
@@ -54,24 +55,20 @@
 //! meaningful within one process — exactly the scope a long-lived
 //! service needs. Never persist the keys.
 
+use crate::interpret::Interpretation;
 use crate::segment::{SegmentDelta, SegmentSet};
 use parking_lot::RwLock;
 use rustc_hash::FxHashMap;
-use spackle_asp::Model;
-use spackle_spec::Sym;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One goal's answer: the optimal model, or none when the goal is
-/// unsatisfiable, plus the encode-time byproducts that feed model
-/// interpretation and statistics.
+/// One goal's answer: the interpreted solution with its cost, or none
+/// when the goal is unsatisfiable, plus the number of reusable specs the
+/// solve encoded.
 #[derive(Clone)]
 pub struct SolvedGoal {
-    /// The optimal model (its ground program included, which
-    /// interpretation reads); `None` means unsatisfiable.
-    pub model: Option<Arc<Model>>,
-    /// Root package names, in request order (interpretation input).
-    pub root_names: Vec<Sym>,
+    /// The interpreted optimal model; `None` means unsatisfiable.
+    pub answer: Option<Arc<Interpretation>>,
     /// Reusable specs encoded into the program.
     pub reusable_count: usize,
 }

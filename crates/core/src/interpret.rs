@@ -35,6 +35,7 @@ struct NodeInfo {
 }
 
 /// The interpreted solution.
+#[derive(Clone)]
 pub struct Interpretation {
     /// Concrete specs for each requested root, in request order.
     pub specs: Vec<ConcreteSpec>,
@@ -44,6 +45,9 @@ pub struct Interpretation {
     pub built: Vec<Sym>,
     /// Executed splices.
     pub spliced: Vec<SpliceReport>,
+    /// The model's cost vector, `(priority, cost)` pairs highest
+    /// priority first.
+    pub cost: Vec<(i64, i64)>,
 }
 
 /// Decode the model into concrete specs.
@@ -298,6 +302,7 @@ pub fn interpret(
         reused,
         built,
         spliced,
+        cost: model.cost.clone(),
     })
 }
 

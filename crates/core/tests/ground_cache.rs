@@ -5,10 +5,12 @@
 use proptest::prelude::*;
 use proptest::TestRng;
 use spackle_asp::SolverConfig;
-use spackle_buildcache::BuildCache;
+use spackle_buildcache::{BuildCache, CacheEntry, CacheError, CacheSource};
 use spackle_core::{Concretizer, ConcretizerConfig, CoreError, Goal, GroundCache};
 use spackle_repo::{PackageBuilder, Repository};
-use spackle_spec::{parse_spec, Target};
+use spackle_spec::{parse_spec, SpecHash, Sym, Target};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn tiny_repo() -> Repository {
@@ -27,31 +29,85 @@ fn tiny_repo() -> Repository {
     .unwrap()
 }
 
+/// A [`BuildCache`] that counts the entry reads made through it.
+#[derive(Default)]
+struct CountingSource {
+    inner: BuildCache,
+    gets: AtomicUsize,
+    candidate_reads: AtomicUsize,
+}
+
+impl CacheSource for CountingSource {
+    fn get(&self, hash: SpecHash) -> Result<Option<&CacheEntry>, CacheError> {
+        self.gets.fetch_add(1, Ordering::Relaxed);
+        CacheSource::get(&self.inner, hash)
+    }
+
+    fn candidates_for(&self, name: Sym) -> Result<Vec<&CacheEntry>, CacheError> {
+        self.candidate_reads.fetch_add(1, Ordering::Relaxed);
+        CacheSource::candidates_for(&self.inner, name)
+    }
+
+    fn iter(&self) -> Result<Box<dyn Iterator<Item = &CacheEntry> + '_>, CacheError> {
+        CacheSource::iter(&self.inner)
+    }
+
+    fn len(&self) -> usize {
+        CacheSource::len(&self.inner)
+    }
+}
+
+impl CountingSource {
+    fn reads(&self) -> (usize, usize) {
+        (
+            self.gets.load(Ordering::Relaxed),
+            self.candidate_reads.load(Ordering::Relaxed),
+        )
+    }
+}
+
 #[test]
 fn identical_resolve_hits_and_matches() {
     let repo = tiny_repo();
-    let cache = GroundCache::shared();
-    let conc = Concretizer::new(&repo).with_ground_cache(cache.clone());
     let goal = parse_spec("app").unwrap();
+    let mut source = CountingSource::default();
+    source
+        .inner
+        .add_spec(Concretizer::new(&repo).concretize(&goal).unwrap().spec());
+    let source = Arc::new(source);
+    let cache = GroundCache::shared();
+    let conc = Concretizer::new(&repo)
+        .with_reusable(Arc::clone(&source) as Arc<dyn CacheSource>)
+        .with_ground_cache(cache.clone());
 
     let first = conc.concretize(&goal).unwrap();
     assert!(!first.stats.ground_cache_hit, "first solve must miss");
     assert_eq!(cache.misses(), 1);
     assert_eq!(cache.len(), 1);
+    assert_eq!(first.reused.len(), 2, "the miss reuses app and zlib");
 
+    let before = source.reads();
     let second = conc.concretize(&goal).unwrap();
     assert!(second.stats.ground_cache_hit, "re-solve must hit");
     assert_eq!((cache.hits(), cache.misses()), (1, 1));
 
-    // A hit skips encode + ground + search entirely...
+    // A hit runs no stage, interpretation included...
     assert_eq!(second.stats.encode_time, Duration::ZERO);
     assert_eq!(second.stats.solver.ground_time, Duration::ZERO);
     assert_eq!(second.stats.solve_time, Duration::ZERO);
+    assert_eq!(second.stats.interpret_time, Duration::ZERO);
     assert_eq!(second.stats.solver.propagations, 0);
+    // ...reads no cache entry...
+    assert_eq!(
+        source.reads(),
+        before,
+        "a hit moved the (get, candidates_for) counts"
+    );
     // ...and still returns the identical concretization.
     assert_eq!(first.spec().dag_hash(), second.spec().dag_hash());
     assert_eq!(first.reused, second.reused);
     assert_eq!(first.built, second.built);
+    assert_eq!(first.cost, second.cost);
     assert_eq!(first.stats.reusable_specs, second.stats.reusable_specs);
 }
 

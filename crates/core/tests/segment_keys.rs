@@ -180,9 +180,9 @@ fn straggler_entry_is_unreachable_and_swept_by_the_next_delta() {
     assert_eq!((report.invalidated, report.retained), (1, 0));
     assert_eq!(gc.len(), 0);
     // The cache keeps nothing of a dropped entry: this clone holds the
-    // last reference to its model.
-    let model = warm.model.as_ref().expect("app is satisfiable");
-    assert_eq!(Arc::strong_count(model), 1);
+    // last reference to its answer.
+    let answer = warm.answer.as_ref().expect("app is satisfiable");
+    assert_eq!(Arc::strong_count(answer), 1);
 
     // A w2 solve misses, then hits its own entry.
     let miss = on(1).concretize(&goal).unwrap();

@@ -8,17 +8,24 @@
 //! `splice_spack_disabled`) and `splice-public`'s (the 15 MPI roots
 //! `^mpiabi` under `splice_spack`), each over the local cache and over a
 //! 1000-DAG public cache merged with it. The check refutes the
-//! concretizer's own answer: each goal is concretized through a ground
-//! cache, and the refutation reads the model the cache kept.
+//! concretizer's own answer: each goal's program
+//! ([`Concretizer::program`]) is solved directly, and that model must
+//! have the concretizer's cost and interpret to its DAG hashes before
+//! it is refuted below.
 
-use spackle_asp::certify_model;
+use spackle_asp::{certify_model, SolveOutcome, Solver};
 use spackle_buildcache::{BuildCache, CacheSource};
-use spackle_core::{Concretizer, ConcretizerConfig, Goal, GroundCache};
+use spackle_core::interpret::interpret;
+use spackle_core::{Concretizer, ConcretizerConfig, Goal};
 use spackle_oracle::refute_improvement;
 use spackle_radiuss::ExperimentEnv;
 use spackle_repo::Repository;
-use spackle_spec::parse_spec;
+use spackle_spec::{parse_spec, ConcreteSpec, SpecHash};
 use std::sync::Arc;
+
+fn hashes(specs: &[ConcreteSpec]) -> Vec<SpecHash> {
+    specs.iter().map(ConcreteSpec::dag_hash).collect()
+}
 
 /// Concretize each goal over `cache`, prove its optimum, and require a
 /// claim one unit worse at any nonzero level to fail. Returns the number
@@ -29,26 +36,29 @@ fn prove_optima(
     cache: &BuildCache,
     goals: &[String],
 ) -> usize {
-    let memo = GroundCache::shared();
     let source: Arc<dyn CacheSource> = Arc::new(cache.clone());
+    let solver = Solver::with_config(config.solver.clone());
     let conc = Concretizer::new(repo)
         .with_config(config)
-        .with_reusable(&source)
-        .with_ground_cache(Arc::clone(&memo));
+        .with_reusable(&source);
     let mut refuted = 0;
     for text in goals {
         let goal = Goal::single(parse_spec(text).unwrap());
         let sol = conc
             .concretize_goal(&goal)
             .unwrap_or_else(|e| panic!("{text}: {e}"));
-        let key = conc.segment_key(&goal).unwrap().0;
-        let model = memo
-            .lookup(key)
-            .and_then(|solved| solved.model)
-            .unwrap_or_else(|| panic!("{text}: no model cached"));
+        let program = conc.program(&goal).unwrap();
+        let SolveOutcome::Optimal(model) = solver.solve(&program).unwrap().0 else {
+            panic!("{text}: the direct solve found no model");
+        };
+        assert_eq!(model.cost, sol.cost, "{text}: the direct solve's cost");
+        let root = repo.lookup(goal.roots[0].name.unwrap()).unwrap().name;
+        let direct = interpret(&model, std::slice::from_ref(&source), &[root])
+            .unwrap_or_else(|e| panic!("{text}: {e}"));
         assert_eq!(
-            model.cost, sol.cost,
-            "{text}: cached model is not the answer"
+            hashes(&direct.specs),
+            hashes(&sol.specs),
+            "{text}: the directly solved model is not the answer"
         );
         certify_model(&model).unwrap_or_else(|e| panic!("{text}: {e}"));
         refuted += refute_improvement(model.ground(), &model.cost)

@@ -1,18 +1,18 @@
 //! Allocation budget of the grounder and the CNF translator on real
-//! concretizer programs.
+//! concretizer programs, and the bytes a memo entry keeps.
 //!
 //! A counting global allocator tallies every `alloc`, `alloc_zeroed`
-//! and `realloc` the current thread makes, so this file is its own test
-//! binary and parallel tests do not mix their counts. Grounding may
-//! allocate about what it keeps (an arena's amortized growth plus one
-//! boxed body per new instance); a lookup, a join probe or a duplicate
-//! emission allocates nothing.
+//! and `realloc` the current thread makes, and the bytes it still holds,
+//! so this file is its own test binary and parallel tests do not mix
+//! their counts. Grounding may allocate about what it keeps (an arena's
+//! amortized growth plus one boxed body per new instance); a lookup, a
+//! join probe or a duplicate emission allocates nothing.
 
 use spackle::asp::cdcl::Sat;
 use spackle::asp::cnf::translate;
 use spackle::asp::program::Head;
 use spackle::asp::{parse_program, Solver};
-use spackle::core::Goal;
+use spackle::core::{Goal, GroundCache};
 use spackle::prelude::*;
 use spackle::radiuss::{local_cache, public_cache, radiuss_repo, with_replicas};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -21,32 +21,40 @@ use std::sync::Arc;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn count() {
+/// Count one allocation that changes the live bytes by `bytes`.
+fn count(bytes: i64) {
     // `try_with`: a thread's allocations during its own teardown, after
     // the counter is gone, are not counted.
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    track(bytes);
 }
 
-// SAFETY: every call forwards to `System` unchanged; the counter is a
-// const-initialized thread-local `Cell`, which never allocates.
+fn track(bytes: i64) {
+    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + bytes));
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counters are
+// const-initialized thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -61,16 +69,60 @@ fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
+/// Bytes `f` leaves allocated on this thread, with its result.
+fn live<T>(f: impl FnOnce() -> T) -> (i64, T) {
+    let before = LIVE_BYTES.with(Cell::get);
+    let out = f();
+    (LIVE_BYTES.with(Cell::get) - before, out)
+}
+
 /// The RADIUSS repository under `splice_spack_disabled`, over the local
 /// cache merged with a 200-DAG public cache.
 fn concretizer() -> Concretizer {
     let repo = radiuss_repo();
     let mut cache = local_cache(&repo);
     cache.merge(&public_cache(&repo, 200, 42));
+    over(&repo, cache)
+}
+
+/// The repository under `splice_spack_disabled` over `cache`.
+fn over(repo: &Repository, cache: BuildCache) -> Concretizer {
     let cache: Arc<dyn CacheSource> = Arc::new(cache);
-    Concretizer::new(&repo)
+    Concretizer::new(repo)
         .with_config(ConcretizerConfig::splice_spack_disabled())
         .with_reusable(&cache)
+}
+
+/// A memo entry keeps the interpreted answer and drops the model and
+/// the ground program with the cold solve, so its size follows the
+/// answer, not the cache: 5.5–7.2 KB over the local cache and over 200
+/// public DAGs alike. Keeping the model and its ground program as well
+/// holds 85–139 KB over the local cache and 479–929 KB at 200 DAGs,
+/// which the bound rejects.
+#[test]
+fn a_memo_entry_keeps_its_answer_only() {
+    let repo = radiuss_repo();
+    let local = over(&repo, local_cache(&repo));
+    for (cache, concretizer) in [("local", local), ("200 public DAGs", concretizer())] {
+        for root in ["hypre", "mfem", "conduit"] {
+            let goal = parse_spec(root).unwrap();
+            // A solve without a memo interns the goal's strings and
+            // parses the logic fragments; the entry is measured after it.
+            concretizer.concretize(&goal).unwrap();
+            let (bytes, memo) = live(|| {
+                let memo = GroundCache::shared();
+                let memoized = concretizer.clone().with_ground_cache(Arc::clone(&memo));
+                drop(memoized.concretize(&goal).unwrap());
+                memo
+            });
+            assert_eq!(memo.len(), 1);
+            println!("{root} over {cache}: one memo entry keeps {bytes} bytes");
+            assert!(
+                bytes <= 16 * 1024,
+                "{root} over {cache}: a memo entry keeps {bytes} bytes"
+            );
+        }
+    }
 }
 
 #[test]
