@@ -116,13 +116,13 @@ pub fn certify_atoms(gp: &GroundProgram, model: &FxHashSet<AtomId>) -> Result<()
     // Every true atom must come from the grounder's universe, and every
     // certain atom (a negation-free consequence of facts) must hold.
     for &a in model {
-        if !gp.possible.contains(&a) {
+        if !gp.possible.contains(a) {
             return Err(CertifyError::ForeignAtom {
                 atom: gp.store.format_atom(a),
             });
         }
     }
-    for &a in &gp.certain {
+    for a in gp.certain.iter() {
         if !model.contains(&a) {
             return Err(CertifyError::MissingCertain {
                 atom: gp.store.format_atom(a),
@@ -246,7 +246,7 @@ pub fn certify_model(m: &Model) -> Result<(), CertifyError> {
     } else {
         Some(m.cost.as_slice())
     };
-    certify(m.ground(), m.atom_set(), cost)
+    certify(m.ground(), &m.true_atoms().collect(), cost)
 }
 
 #[cfg(test)]
@@ -281,7 +281,6 @@ mod tests {
     fn atoms_named(gp: &crate::ground::GroundProgram, names: &[&str]) -> FxHashSet<AtomId> {
         gp.possible
             .iter()
-            .copied()
             .filter(|&a| names.contains(&gp.store.format_atom(a).as_str()))
             .collect()
     }
@@ -330,7 +329,7 @@ mod tests {
         assert_eq!(m.cost, vec![(1, 3)]);
         let lie = vec![(1, 0)];
         assert!(matches!(
-            certify(m.ground(), m.atom_set(), Some(&lie)),
+            certify(m.ground(), &m.true_atoms().collect(), Some(&lie)),
             Err(CertifyError::CostMismatch { .. })
         ));
     }

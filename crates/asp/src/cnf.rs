@@ -434,10 +434,10 @@ fn translate_into<S: CnfSink>(gp: &GroundProgram, sat: &mut S, fold: bool) -> Tr
     let n = gp.atom_count();
     let mut known = vec![if fold { Known::Impossible } else { Known::Open }; n];
     if fold {
-        for a in &gp.possible {
+        for a in gp.possible.iter() {
             known[a.0 as usize] = Known::Open;
         }
-        for a in &gp.certain {
+        for a in gp.certain.iter() {
             known[a.0 as usize] = Known::Certain;
         }
     }

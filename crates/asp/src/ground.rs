@@ -14,10 +14,10 @@
 //! 3. **Certainty closure**: atoms derivable from facts through rules
 //!    none of whose negated atoms is possible are *certain*. An atom that
 //!    never became possible is false in every model, so its negation
-//!    always holds and costs the rule nothing. Each rule keeps a count of
-//!    the distinct atoms of its positive body not yet certain, and each
-//!    atom a list of the rules waiting on it; a rule whose count reaches
-//!    zero makes its head certain.
+//!    always holds and costs the rule nothing. The certain atoms are the
+//!    least model of the normal rules' reduct by the possible atoms,
+//!    computed by the fixpoint the stability check also runs
+//!    ([`crate::stability`]).
 //! 4. **Choice/constraint/minimize emission**: choice-element conditions
 //!    must be certain — this engine (like the concretizer program it
 //!    serves) treats them as domain predicates; a condition over a
@@ -61,8 +61,9 @@
 //! up, and ids are handed out in interning order. See DESIGN.md §3.45.
 
 use crate::program::{BodyElem, CmpOp, Head, Program, Rule};
+use crate::stability::least_model;
 use crate::term::{
-    group_by_key, hash_key, ArgBuf, Atom, AtomId, GroundStore, GroundTerm, IdTable, Term, TermId,
+    hash_key, ArgBuf, Atom, AtomId, AtomSet, GroundStore, GroundTerm, IdTable, Term, TermId,
     TermKey,
 };
 use crate::{AspError, Result};
@@ -147,10 +148,12 @@ pub struct GroundProgram {
     pub constraint_src: Vec<u32>,
     /// Atoms certain to hold in every model: facts, and the heads of
     /// rules whose positive body is certain and none of whose negated
-    /// atoms is possible.
-    pub certain: FxHashSet<AtomId>,
+    /// atoms is possible. A subset of `possible`.
+    pub certain: AtomSet,
     /// Atoms that can possibly be true (the over-approximated base).
-    pub possible: FxHashSet<AtomId>,
+    /// The other interned atoms, negated atoms that no rule can derive,
+    /// are false in every model.
+    pub possible: AtomSet,
     /// Decision signs from `#heuristic` directives: one `(atom, true
     /// first)` per distinct atom that is possible and not certain, in
     /// directive order.
@@ -861,10 +864,6 @@ impl Grounder {
             .unwrap_or(usize::MAX)
     }
 
-    fn is_possible(&self, a: AtomId) -> bool {
-        self.rank(a) != usize::MAX
-    }
-
     /// Mark `id` possible; returns true when newly added.
     fn add_possible(&mut self, id: AtomId) -> bool {
         if self.rank_of.len() <= id.0 as usize {
@@ -1178,6 +1177,7 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
         }
         prev_start = prev_end;
     }
+    let possible: AtomSet = g.possible.iter().copied().collect();
 
     // ---- Phase 2: emit ground normal rules. ----
     // The closure is fixed now: each rule's join draws candidates only
@@ -1229,50 +1229,10 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
     let rules = rules.items;
 
     // ---- Phase 3: certainty closure. ----
-    // Only rules none of whose negated atoms is possible take part: the
-    // closure is fixed, so an atom not possible now is false in every
-    // model. Such a rule fires once every distinct atom of its positive
-    // body is certain: `remaining` counts the distinct atoms not yet
-    // certain, and `waiting` lists, per atom, the rules whose body holds
-    // it (compressed rows, rules in index order).
-    let mut certain: FxHashSet<AtomId> = FxHashSet::default();
-    {
-        let mut queue: Vec<AtomId> = Vec::new();
-        let mut remaining: Vec<u32> = vec![0; rules.len()];
-        // `(atom, rule)` per distinct atom of a positive body.
-        let mut waits: Vec<(u32, u32)> = Vec::new();
-        let mut body: Vec<AtomId> = Vec::new();
-        for (ri, r) in rules.iter().enumerate() {
-            if r.neg.iter().any(|&n| g.is_possible(n)) {
-                continue; // never participates
-            }
-            if r.pos.is_empty() {
-                if certain.insert(r.head) {
-                    queue.push(r.head);
-                }
-                continue;
-            }
-            body.clear();
-            body.extend_from_slice(&r.pos);
-            body.sort_unstable();
-            body.dedup();
-            remaining[ri] = body.len() as u32;
-            waits.extend(body.iter().map(|a| (a.0, ri as u32)));
-        }
-        let (first, waiting) = group_by_key(g.store.atom_count(), &waits);
-        while let Some(a) = queue.pop() {
-            for &ri in &waiting[first[a.0 as usize]..first[a.0 as usize + 1]] {
-                let left = &mut remaining[ri as usize];
-                *left -= 1;
-                if *left == 0 {
-                    let h = rules[ri as usize].head;
-                    if certain.insert(h) {
-                        queue.push(h);
-                    }
-                }
-            }
-        }
-    }
+    // The closure is fixed, so an atom not possible now is false in every
+    // model: the reduct by the possible atoms keeps exactly the rules
+    // none of whose negated atoms can hold.
+    let certain = least_model(&rules, &[], &possible, g.store.atom_count());
 
     // ---- Phase 4: choices, constraints, minimize. ----
     // In rule order, then minimize order; a choice's element conditions
@@ -1283,8 +1243,8 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
     let mut constraint_src: Vec<u32> = Vec::new();
     let mut cm = Matches::default();
     let mut elems: Vec<AtomId> = Vec::new();
-    // Per atom: already an element of the instance being built.
-    let mut in_elems: Vec<bool> = Vec::new();
+    // The elements of the instance being built.
+    let mut in_elems = AtomSet::default();
     for (ri, rp) in plans.iter().enumerate() {
         if matches!(rp.head, HeadPlan::Fact(_) | HeadPlan::Atom(_)) {
             continue;
@@ -1311,7 +1271,7 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
                         let (csubst, cpos) = cm.get(c);
                         // Conditions must be certain (domain predicates).
                         for &c in cpos {
-                            if !certain.contains(&c) {
+                            if !certain.contains(c) {
                                 return Err(AspError::NonDomainCondition {
                                     atom: g.store.format_atom(c),
                                     rule: program.rules[ri].to_string(),
@@ -1320,7 +1280,7 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
                         }
                         for n in &el.cond_neg {
                             let nid = g.intern_under(csubst, n)?;
-                            if g.is_possible(nid) {
+                            if possible.contains(nid) {
                                 return Err(AspError::DerivableNegatedCondition {
                                     atom: g.store.format_atom(nid),
                                     rule: program.rules[ri].to_string(),
@@ -1328,18 +1288,13 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
                             }
                         }
                         let e = g.intern_under(csubst, el.atom)?;
-                        let i = e.0 as usize;
-                        if in_elems.len() <= i {
-                            in_elems.resize(i + 1, false);
-                        }
-                        if !in_elems[i] {
-                            in_elems[i] = true;
+                        if in_elems.insert(e) {
                             elems.push(e);
                         }
                     }
                 }
-                for e in &elems {
-                    in_elems[e.0 as usize] = false;
+                for &e in &elems {
+                    in_elems.remove(e);
                 }
                 let new = choices.insert(
                     hash_key((lower, upper, pos, &neg, &elems)),
@@ -1426,13 +1381,13 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
 
     // ---- Phase 5: heuristic directives (lookups only). ----
     let mut heuristics: Vec<(AtomId, bool)> = Vec::new();
-    let mut signed: FxHashSet<AtomId> = FxHashSet::default();
+    let mut signed = AtomSet::default();
     for (h, (spec, cond_neg)) in program.heuristics.iter().zip(heur_plans) {
         m.clear();
         g.join(spec, &[], None, &mut m)?;
         for k in 0..m.len() {
             let (subst, pos) = m.get(k);
-            if let Some(&c) = pos.iter().find(|c| !certain.contains(c)) {
+            if let Some(&c) = pos.iter().find(|&&c| !certain.contains(c)) {
                 return Err(AspError::NonDomainCondition {
                     atom: g.store.format_atom(c),
                     rule: h.to_string(),
@@ -1440,7 +1395,7 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
             }
             // A negated atom that was never interned is not possible.
             for n in cond_neg {
-                if let Some(nid) = g.find_under(subst, n).filter(|&n| g.is_possible(n)) {
+                if let Some(nid) = g.find_under(subst, n).filter(|&n| possible.contains(n)) {
                     return Err(AspError::DerivableNegatedCondition {
                         atom: g.store.format_atom(nid),
                         rule: h.to_string(),
@@ -1450,13 +1405,12 @@ pub fn ground_with_limits(program: &Program, limits: GroundLimits) -> Result<Gro
             let Some(a) = g.find_under(subst, &h.atom) else {
                 continue;
             };
-            if h.value != 0 && g.is_possible(a) && !certain.contains(&a) && signed.insert(a) {
+            if h.value != 0 && possible.contains(a) && !certain.contains(a) && signed.insert(a) {
                 heuristics.push((a, h.value > 0));
             }
         }
     }
 
-    let possible: FxHashSet<AtomId> = g.possible.iter().copied().collect();
     Ok(GroundProgram {
         store: g.store,
         rules,
@@ -1530,8 +1484,8 @@ mod tests {
         ground(&parse_program(text).unwrap()).unwrap()
     }
 
-    fn atom_strings(gp: &GroundProgram, of: &FxHashSet<AtomId>) -> Vec<String> {
-        let mut v: Vec<String> = of.iter().map(|&a| gp.store.format_atom(a)).collect();
+    fn atom_strings(gp: &GroundProgram, of: &AtomSet) -> Vec<String> {
+        let mut v: Vec<String> = of.iter().map(|a| gp.store.format_atom(a)).collect();
         v.sort();
         v
     }

@@ -64,7 +64,7 @@ pub use model::Model;
 pub use parser::{parse_program, parse_program_spanned};
 pub use program::{Program, Rule};
 pub use solve::{SolveOutcome, SolveStats, Solver, SolverConfig, TranslatedProgram};
-pub use term::{Atom, Term};
+pub use term::{Atom, AtomSet, Term};
 
 use std::fmt;
 

@@ -1,8 +1,7 @@
 //! Answer-set (model) representation and query API.
 
 use crate::ground::GroundProgram;
-use crate::term::{AtomId, GroundStore, GroundTerm, TermId};
-use rustc_hash::FxHashSet;
+use crate::term::{AtomId, AtomSet, GroundStore, GroundTerm, TermId};
 use spackle_spec::Sym;
 use std::sync::Arc;
 
@@ -10,12 +9,14 @@ use std::sync::Arc;
 /// produced it (needed to decode atoms and to certificate-check the
 /// model), and the achieved cost vector.
 ///
-/// The ground program is shared behind an `Arc`, so a model keeps its
-/// whole grounding alive: callers decode what they need and drop it.
+/// The true atoms are an [`AtomSet`] over the program's atom ids, so
+/// every query reads them in id order without copying or sorting. The
+/// ground program is shared behind an `Arc`, so a model keeps its whole
+/// grounding alive: callers decode what they need and drop it.
 #[derive(Clone)]
 pub struct Model {
     ground: Arc<GroundProgram>,
-    true_atoms: FxHashSet<AtomId>,
+    true_atoms: AtomSet,
     /// `(priority, cost)` pairs, highest priority first.
     pub cost: Vec<(i64, i64)>,
 }
@@ -23,7 +24,7 @@ pub struct Model {
 impl Model {
     pub(crate) fn new(
         ground: Arc<GroundProgram>,
-        true_atoms: FxHashSet<AtomId>,
+        true_atoms: AtomSet,
         cost: Vec<(i64, i64)>,
     ) -> Model {
         Model {
@@ -48,17 +49,12 @@ impl Model {
 
     /// Is the atom true?
     pub fn contains(&self, a: AtomId) -> bool {
-        self.true_atoms.contains(&a)
+        self.true_atoms.contains(a)
     }
 
-    /// Iterate over the true atoms, in unspecified order.
+    /// Iterate over the true atoms, in id order.
     pub fn true_atoms(&self) -> impl Iterator<Item = AtomId> + '_ {
-        self.true_atoms.iter().copied()
-    }
-
-    /// The set of true atoms.
-    pub fn atom_set(&self) -> &FxHashSet<AtomId> {
-        &self.true_atoms
+        self.true_atoms.iter()
     }
 
     /// Number of true atoms.
@@ -71,18 +67,14 @@ impl Model {
         self.true_atoms.is_empty()
     }
 
-    /// Iterate the argument tuples of all true atoms with predicate
-    /// `pred`, in deterministic (atom-id) order.
-    pub fn atoms_of(&self, pred: &str) -> Vec<&[TermId]> {
+    /// The argument tuples of the true atoms with predicate `pred`, in
+    /// atom-id order.
+    pub fn atoms_of(&self, pred: &str) -> impl Iterator<Item = &[TermId]> + '_ {
         let p = Sym::intern(pred);
-        let mut ids: Vec<AtomId> = self.true_atoms.iter().copied().collect();
-        ids.sort_unstable();
-        ids.into_iter()
-            .filter_map(|a| {
-                let (ap, args) = self.store().atom_data(a);
-                (ap == p).then_some(args)
-            })
-            .collect()
+        self.true_atoms.iter().filter_map(move |a| {
+            let (ap, args) = self.store().atom_data(a);
+            (ap == p).then_some(args)
+        })
     }
 
     /// All true atoms rendered as text, sorted (test/debug helper).
@@ -90,7 +82,7 @@ impl Model {
         let mut v: Vec<String> = self
             .true_atoms
             .iter()
-            .map(|&a| self.store().format_atom(a))
+            .map(|a| self.store().format_atom(a))
             .collect();
         v.sort();
         v
@@ -100,7 +92,7 @@ impl Model {
     /// arguments hold? (Convenience for tests.)
     pub fn holds_str(&self, pred: &str, args: &[&str]) -> bool {
         let p = Sym::intern(pred);
-        self.true_atoms.iter().any(|&a| {
+        self.true_atoms.iter().any(|a| {
             let (ap, aargs) = self.store().atom_data(a);
             ap == p
                 && aargs.len() == args.len()

@@ -8,9 +8,8 @@ use crate::ground::{ground_with_limits, GroundLimits, GroundProgram};
 use crate::model::Model;
 use crate::program::Program;
 use crate::stability::{check_stability, is_tight, Stability};
-use crate::term::AtomId;
+use crate::term::{AtomId, AtomSet};
 use crate::{AspError, Result};
-use rustc_hash::FxHashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -78,7 +77,9 @@ pub struct SolveStats {
     pub explain_time: Duration,
     /// Wall time spent grounding.
     pub ground_time: Duration,
-    /// Wall time spent in translation + search + optimization.
+    /// Wall time spent translating to CNF, tightness check included.
+    pub translate_time: Duration,
+    /// Wall time spent in search, stability checks and optimization.
     pub solve_time: Duration,
 }
 
@@ -178,13 +179,16 @@ impl Solver {
     /// [`Solver::solve_translated`] does, without the clone. The engine
     /// is deterministic, so solving one [`GroundProgram`] again returns
     /// the same outcome. `stats.ground_time` is zero here (the caller
-    /// knows whether grounding actually ran); `stats.solve_time` includes
-    /// translation.
+    /// knows whether grounding actually ran); `stats.translate_time` and
+    /// `stats.solve_time` time the translation and the search apart.
     pub fn solve_ground(&self, gp: Arc<GroundProgram>) -> Result<(SolveOutcome, SolveStats)> {
         let t1 = Instant::now();
         let TranslatedProgram { gp, sat, tr, tight } = self.translate_ground(gp);
+        let translate_time = t1.elapsed();
+        let t2 = Instant::now();
         let (outcome, mut stats) = self.solve_sat(gp, &tr, tight, sat)?;
-        stats.solve_time = t1.elapsed();
+        stats.translate_time = translate_time;
+        stats.solve_time = t2.elapsed();
         Ok((outcome, stats))
     }
 
@@ -201,7 +205,8 @@ impl Solver {
 
     /// Solve a translated program. The pristine SAT instance is cloned
     /// per call, so repeated solves are independent and start from
-    /// identical state. `stats.solve_time` includes the clone.
+    /// identical state. `stats.solve_time` includes the clone, and
+    /// `stats.translate_time` is zero.
     pub fn solve_translated(&self, tp: &TranslatedProgram) -> Result<(SolveOutcome, SolveStats)> {
         let t1 = Instant::now();
         let (outcome, mut stats) =
@@ -274,7 +279,7 @@ impl Solver {
             if tight {
                 return Ok(true);
             }
-            match check_stability(gp, &model_set(gp, |a| sat.value(tr.atom_var[a.0 as usize]))) {
+            match check_stability(gp, &true_atoms(gp, tr, sat)) {
                 Stability::Stable => return Ok(true),
                 Stability::Unfounded(unfounded) => {
                     stats.stability_restarts += 1;
@@ -297,16 +302,16 @@ impl Solver {
         sat: &mut Sat,
         u: &[AtomId],
     ) {
-        let uset: FxHashSet<AtomId> = u.iter().copied().collect();
+        let uset: AtomSet = u.iter().copied().collect();
         let mut external: Vec<Lit> = Vec::new();
         for (ri, r) in gp.rules.iter().enumerate() {
-            if uset.contains(&r.head) && !r.pos.iter().any(|p| uset.contains(p)) {
+            if uset.contains(r.head) && !r.pos.iter().any(|&p| uset.contains(p)) {
                 external.push(tr.rule_body[ri]);
             }
         }
         for (ci, c) in gp.choices.iter().enumerate() {
-            if c.elements.iter().any(|e| uset.contains(e))
-                && !c.pos.iter().any(|p| uset.contains(p))
+            if c.elements.iter().any(|&e| uset.contains(e))
+                && !c.pos.iter().any(|&p| uset.contains(p))
             {
                 external.push(tr.choice_body[ci]);
             }
@@ -341,9 +346,8 @@ impl Solver {
         if !self.stable_solve(&gp, tr, tight, sat, &[], stats)? {
             return Ok(SolveOutcome::Unsat);
         }
-        // The incumbent: its atom values, read after each stable model.
-        let mut model = AtomBits::default();
-        model.read(sat, tr);
+        // The incumbent: its true atoms, read after each stable model.
+        let mut model = true_atoms(&gp, tr, sat);
 
         // Lexicographic branch-and-bound, highest priority first. The
         // cost vector snapshot must be taken right after each SAT call
@@ -379,7 +383,7 @@ impl Solver {
                     .assert_upper(sat, current - 1, Some(act));
                 stats.optimize_probes += 1;
                 if self.stable_solve(&gp, tr, tight, sat, &[act], stats)? {
-                    model.read(sat, tr);
+                    model = true_atoms(&gp, tr, sat);
                     clobbered = false;
                     // Snapshot the full cost vector of the improved
                     // model; higher priorities are pinned so they
@@ -425,7 +429,7 @@ impl Solver {
                         "pinned optimum became unsatisfiable".into(),
                     ));
                 }
-                model.read(sat, tr);
+                model = true_atoms(&gp, tr, sat);
                 best_costs = tr
                     .cost
                     .iter()
@@ -434,8 +438,7 @@ impl Solver {
             }
         }
 
-        let atoms = model_set(&gp, |a| model.holds(a));
-        Ok(SolveOutcome::Optimal(Model::new(gp, atoms, best_costs)))
+        Ok(SolveOutcome::Optimal(Model::new(gp, model, best_costs)))
     }
 
     /// Enumerate up to `limit` stable models (ignoring `#minimize`
@@ -457,14 +460,14 @@ impl Solver {
             if !self.stable_solve(&gp, &tr, tight, &mut sat, &[], &mut stats)? {
                 break;
             }
-            let model = model_set(&gp, |a| sat.value(tr.atom_var[a.0 as usize]));
+            let model = true_atoms(&gp, &tr, &sat);
             // Block this assignment over the possible-atom universe.
             let block: Vec<Lit> = gp
                 .possible
                 .iter()
-                .map(|&a| {
+                .map(|a| {
                     let l = tr.lit(a);
-                    if model.contains(&a) {
+                    if model.contains(a) {
                         l.negate()
                     } else {
                         l
@@ -480,31 +483,13 @@ impl Solver {
     }
 }
 
-/// The possible atoms `holds` accepts, as a set.
-fn model_set(gp: &GroundProgram, holds: impl Fn(AtomId) -> bool) -> FxHashSet<AtomId> {
-    gp.possible.iter().copied().filter(|&a| holds(a)).collect()
-}
-
-/// One bit per interned atom: its value in a SAT model, read through the
-/// translation's atom variables. Reading reuses the words.
-#[derive(Default)]
-struct AtomBits(Vec<u64>);
-
-impl AtomBits {
-    fn read(&mut self, sat: &Sat, tr: &Translation) {
-        self.0.clear();
-        self.0.extend(tr.atom_var.chunks(64).map(|vars| {
-            vars.iter()
-                .enumerate()
-                .filter(|&(_, &v)| sat.value(v))
-                .fold(0u64, |w, (i, _)| w | 1 << i)
-        }));
-    }
-
-    fn holds(&self, a: AtomId) -> bool {
-        let i = a.0 as usize;
-        self.0[i / 64] >> (i % 64) & 1 == 1
-    }
+/// The possible atoms that `sat`'s assignment makes true, read through
+/// the translation's atom variables.
+fn true_atoms(gp: &GroundProgram, tr: &Translation, sat: &Sat) -> AtomSet {
+    gp.possible
+        .iter()
+        .filter(|a| sat.value(tr.atom_var[a.0 as usize]))
+        .collect()
 }
 
 #[cfg(test)]
@@ -646,7 +631,7 @@ mod tests {
     #[test]
     fn graph_coloring_three_nodes() {
         let m = model_of(COLORING);
-        let assigns = m.atoms_of("assign");
+        let assigns: Vec<_> = m.atoms_of("assign").collect();
         assert_eq!(assigns.len(), 3);
         // All three nodes distinct colors (triangle).
         let colors: Vec<&str> = assigns

@@ -1,4 +1,5 @@
-//! Model-guided stability check (Gelfond–Lifschitz).
+//! Model-guided stability check (Gelfond–Lifschitz), and the least-model
+//! fixpoint it shares with the grounder's certainty closure.
 //!
 //! The CNF translation captures the *completion* of the ground program,
 //! whose models can include self-supported positive loops that are not
@@ -6,19 +7,28 @@
 //! program's reduct w.r.t. the candidate; atoms in the candidate but not
 //! in the least model form an *unfounded set*, which the solve loop turns
 //! into loop clauses (CEGAR). Ground programs whose positive dependency
-//! graph is acyclic ([`is_tight`]) — like the concretizer's, where
-//! ground recursion follows acyclic package DAGs — skip the check: by
-//! Fages' theorem every model of their completion is stable.
+//! graph is acyclic ([`is_tight`]) skip the check: by Fages' theorem
+//! every model of their completion is stable. The concretizer's ground
+//! programs are tight, since ground recursion follows acyclic package
+//! DAGs (the oracle's `program_equality.rs` asserts it for every
+//! benchmark goal), so a concretizer solve never runs the check; UNSAT
+//! explanations ([`crate::explain`]) and non-tight programs do.
+//!
+//! `least_model` is the one fixpoint: the stability check takes the
+//! reduct by the candidate, with choices deriving the candidate's
+//! elements; the grounder's certainty closure takes the reduct of the
+//! normal rules by the possible atoms. [`crate::certify`] keeps a naive
+//! fixpoint of its own, so that it checks this one independently.
 
-use crate::ground::GroundProgram;
-use crate::term::AtomId;
-use rustc_hash::{FxHashMap, FxHashSet};
+use crate::ground::{GroundChoice, GroundProgram, GroundRule};
+use crate::term::{group_by_key, AtomId, AtomSet};
 
 /// Result of a stability check.
 pub enum Stability {
     /// The candidate is a stable model.
     Stable,
-    /// The candidate is not stable; the unfounded atoms are returned.
+    /// The candidate is not stable; the unfounded atoms are returned, in
+    /// id order.
     Unfounded(Vec<AtomId>),
 }
 
@@ -38,45 +48,23 @@ pub enum Stability {
 pub fn is_tight(gp: &GroundProgram) -> bool {
     let atoms = gp.atom_count();
     let nodes = atoms + gp.choices.len();
-    // Edges in compressed rows: node `v`'s successors are
-    // `succ[start[v]..start[v + 1]]`.
-    let mut start = vec![0usize; nodes + 1];
+    // `(from, to)` per edge.
+    let mut edges: Vec<(u32, u32)> = Vec::new();
     for r in &gp.rules {
-        for p in r.pos.iter() {
-            start[p.0 as usize + 1] += 1;
-        }
+        edges.extend(r.pos.iter().map(|p| (p.0, r.head.0)));
     }
     for (ci, c) in gp.choices.iter().enumerate() {
-        for p in c.pos.iter() {
-            start[p.0 as usize + 1] += 1;
-        }
-        start[atoms + ci + 1] += c.elements.len();
+        let node = (atoms + ci) as u32;
+        edges.extend(c.pos.iter().map(|p| (p.0, node)));
+        edges.extend(c.elements.iter().map(|e| (node, e.0)));
     }
-    for v in 0..nodes {
-        start[v + 1] += start[v];
-    }
-    let mut next = start.clone();
-    let mut succ = vec![0u32; start[nodes]];
     let mut indegree = vec![0u32; nodes];
-    let mut edge = |from: usize, to: usize| {
-        succ[next[from]] = to as u32;
-        next[from] += 1;
-        indegree[to] += 1;
-    };
-    for r in &gp.rules {
-        for p in r.pos.iter() {
-            edge(p.0 as usize, r.head.0 as usize);
-        }
+    for &(_, to) in &edges {
+        indegree[to as usize] += 1;
     }
-    for (ci, c) in gp.choices.iter().enumerate() {
-        let node = atoms + ci;
-        for p in c.pos.iter() {
-            edge(p.0 as usize, node);
-        }
-        for e in c.elements.iter() {
-            edge(node, e.0 as usize);
-        }
-    }
+    // Node `v`'s successors are `succ[start[v]..start[v + 1]]`.
+    let (start, succ) = group_by_key(nodes, &edges);
+    drop(edges);
 
     let mut ready: Vec<u32> = (0..nodes as u32)
         .filter(|&v| indegree[v as usize] == 0)
@@ -96,129 +84,92 @@ pub fn is_tight(gp: &GroundProgram) -> bool {
 }
 
 /// Check whether `model` (the set of true atoms) is a stable model of
-/// `gp`.
-///
-/// Computes the least model `L` of the reduct: a normal rule fires when
-/// its positive body is in `L` and no negated atom is in `model`; a
-/// choice instance justifies exactly those of its elements that are in
-/// `model`, when its body fires. The candidate is stable iff every true
-/// atom is in `L`.
-pub fn check_stability(gp: &GroundProgram, model: &FxHashSet<AtomId>) -> Stability {
-    let mut least: FxHashSet<AtomId> = FxHashSet::default();
-    let mut queue: Vec<AtomId> = Vec::new();
-
-    // Rule activation tracking: count distinct positive atoms still
-    // missing from `least`; fire when zero.
-    #[derive(Clone)]
-    enum Deriver {
-        Rule(usize),
-        Choice(usize),
-    }
-    let mut waiting: FxHashMap<AtomId, Vec<usize>> = FxHashMap::default();
-    let mut missing: Vec<usize> = Vec::new();
-    let mut derivers: Vec<Deriver> = Vec::new();
-
-    let add_deriver = |pos: &[AtomId],
-                           neg: &[AtomId],
-                           d: Deriver,
-                           waiting: &mut FxHashMap<AtomId, Vec<usize>>,
-                           missing: &mut Vec<usize>,
-                           derivers: &mut Vec<Deriver>|
-     -> Option<usize> {
-        // Reduct: drop the rule if any negated atom is true in the model.
-        if neg.iter().any(|a| model.contains(a)) {
-            return None;
-        }
-        let idx = derivers.len();
-        derivers.push(d);
-        let unique: FxHashSet<AtomId> = pos.iter().copied().collect();
-        missing.push(unique.len());
-        for a in unique {
-            waiting.entry(a).or_default().push(idx);
-        }
-        Some(idx)
-    };
-
-    let mut fire: Vec<usize> = Vec::new(); // derivers with empty bodies
-    for (ri, r) in gp.rules.iter().enumerate() {
-        if let Some(idx) = add_deriver(
-            &r.pos,
-            &r.neg,
-            Deriver::Rule(ri),
-            &mut waiting,
-            &mut missing,
-            &mut derivers,
-        ) {
-            if missing[idx] == 0 {
-                fire.push(idx);
-            }
-        }
-    }
-    for (ci, c) in gp.choices.iter().enumerate() {
-        if let Some(idx) = add_deriver(
-            &c.pos,
-            &c.neg,
-            Deriver::Choice(ci),
-            &mut waiting,
-            &mut missing,
-            &mut derivers,
-        ) {
-            if missing[idx] == 0 {
-                fire.push(idx);
-            }
-        }
-    }
-
-    let derive = |idx: usize,
-                      least: &mut FxHashSet<AtomId>,
-                      queue: &mut Vec<AtomId>,
-                      derivers: &Vec<Deriver>| {
-        match derivers[idx] {
-            Deriver::Rule(ri) => {
-                let h = gp.rules[ri].head;
-                if least.insert(h) {
-                    queue.push(h);
-                }
-            }
-            Deriver::Choice(ci) => {
-                // GL reduct of a choice: chosen elements become facts.
-                for &e in gp.choices[ci].elements.iter() {
-                    if model.contains(&e) && least.insert(e) {
-                        queue.push(e);
-                    }
-                }
-            }
-        }
-    };
-
-    for idx in fire {
-        derive(idx, &mut least, &mut queue, &derivers);
-    }
-    let mut satisfied: FxHashMap<usize, usize> = FxHashMap::default();
-    while let Some(a) = queue.pop() {
-        if let Some(idxs) = waiting.get(&a) {
-            for &idx in idxs {
-                let done = {
-                    let got = satisfied.entry(idx).or_insert(0);
-                    *got += 1;
-                    *got == missing[idx]
-                };
-                if done {
-                    derive(idx, &mut least, &mut queue, &derivers);
-                }
-            }
-        }
-    }
-
-    let unfounded: Vec<AtomId> = model
-        .iter()
-        .copied()
-        .filter(|a| !least.contains(a))
-        .collect();
+/// `gp`: the candidate is stable iff every true atom is in the least
+/// model of the program's reduct by it.
+pub fn check_stability(gp: &GroundProgram, model: &AtomSet) -> Stability {
+    let least = least_model(&gp.rules, &gp.choices, model, gp.atom_count());
+    let unfounded: Vec<AtomId> = model.iter().filter(|&a| !least.contains(a)).collect();
     if unfounded.is_empty() {
         Stability::Stable
     } else {
         Stability::Unfounded(unfounded)
+    }
+}
+
+/// The least model of the Gelfond–Lifschitz reduct of `rules` and
+/// `choices` by `by`, over the atoms `0..atoms`. A rule or choice takes
+/// part when none of its negated atoms is in `by`; once every atom of
+/// its positive body is derived, a rule derives its head and a choice
+/// those of its elements that are in `by` (the reduct makes a chosen
+/// element a fact).
+///
+/// Each rule or choice taking part counts the distinct atoms of its
+/// positive body not yet derived, and each atom lists those waiting on
+/// it (rows by [`group_by_key`]: rules in index order, then choices); a
+/// count that reaches zero fires.
+pub(crate) fn least_model(
+    rules: &[GroundRule],
+    choices: &[GroundChoice],
+    by: &AtomSet,
+    atoms: usize,
+) -> AtomSet {
+    let bodies = rules
+        .iter()
+        .map(|r| (&r.pos, &r.neg))
+        .chain(choices.iter().map(|c| (&c.pos, &c.neg)));
+    let mut remaining: Vec<u32> = vec![0; rules.len() + choices.len()];
+    // `(atom, rule or choice)` per distinct atom of a positive body.
+    let mut waits: Vec<(u32, u32)> = Vec::new();
+    // Rules and choices whose bodies hold, not yet fired.
+    let mut fire: Vec<u32> = Vec::new();
+    let mut body: Vec<AtomId> = Vec::new();
+    for (d, (pos, neg)) in bodies.enumerate() {
+        if neg.iter().any(|&n| by.contains(n)) {
+            continue; // dropped by the reduct
+        }
+        body.clear();
+        body.extend_from_slice(pos);
+        body.sort_unstable();
+        body.dedup();
+        if body.is_empty() {
+            fire.push(d as u32);
+        }
+        remaining[d] = body.len() as u32;
+        waits.extend(body.iter().map(|a| (a.0, d as u32)));
+    }
+    let (first, waiting) = group_by_key(atoms, &waits);
+    drop(waits);
+
+    let mut least = AtomSet::default();
+    let mut derived: Vec<AtomId> = Vec::new();
+    loop {
+        while let Some(d) = fire.pop() {
+            let d = d as usize;
+            match rules.get(d) {
+                Some(r) => {
+                    if least.insert(r.head) {
+                        derived.push(r.head);
+                    }
+                }
+                None => {
+                    for &e in choices[d - rules.len()].elements.iter() {
+                        if by.contains(e) && least.insert(e) {
+                            derived.push(e);
+                        }
+                    }
+                }
+            }
+        }
+        let Some(a) = derived.pop() else {
+            return least;
+        };
+        for &d in &waiting[first[a.0 as usize]..first[a.0 as usize + 1]] {
+            let left = &mut remaining[d as usize];
+            *left -= 1;
+            if *left == 0 {
+                fire.push(d);
+            }
+        }
     }
 }
 
@@ -232,8 +183,8 @@ mod tests {
         ground(&parse_program(text).unwrap()).unwrap()
     }
 
-    fn atoms(gp: &GroundProgram, names: &[&str]) -> FxHashSet<AtomId> {
-        let mut out = FxHashSet::default();
+    fn atoms(gp: &GroundProgram, names: &[&str]) -> AtomSet {
+        let mut out = AtomSet::default();
         for name in names {
             let found = (0..gp.atom_count() as u32)
                 .map(AtomId)
@@ -297,7 +248,7 @@ mod tests {
         let m2 = atoms(&gp, &["p", "a", "b"]);
         assert!(matches!(check_stability(&gp, &m2), Stability::Stable));
         // The empty model is stable too.
-        let empty = FxHashSet::default();
+        let empty = AtomSet::default();
         assert!(matches!(check_stability(&gp, &empty), Stability::Stable));
     }
 

@@ -161,6 +161,85 @@ pub struct TermId(pub u32);
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct AtomId(pub u32);
 
+/// A set of one ground program's atoms: one bit per atom id, iterated
+/// in id order. Ids past the last word are absent; inserting one grows
+/// the set.
+#[derive(Clone, Default)]
+pub struct AtomSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl AtomSet {
+    /// Is `a` in the set?
+    pub fn contains(&self, a: AtomId) -> bool {
+        let i = a.0 as usize;
+        self.words
+            .get(i / 64)
+            .is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    /// Add `a`; true when it was absent.
+    pub fn insert(&mut self, a: AtomId) -> bool {
+        let i = a.0 as usize;
+        if self.words.len() <= i / 64 {
+            self.words.resize(i / 64 + 1, 0);
+        }
+        let (word, bit) = (&mut self.words[i / 64], 1u64 << (i % 64));
+        let added = *word & bit == 0;
+        *word |= bit;
+        self.len += added as usize;
+        added
+    }
+
+    /// Remove `a`; true when it was present.
+    pub fn remove(&mut self, a: AtomId) -> bool {
+        let i = a.0 as usize;
+        let Some(word) = self.words.get_mut(i / 64) else {
+            return false;
+        };
+        let bit = 1u64 << (i % 64);
+        let removed = *word & bit != 0;
+        *word &= !bit;
+        self.len -= removed as usize;
+        removed
+    }
+
+    /// Number of atoms in the set.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the set holds no atom.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The atoms, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = AtomId> + '_ {
+        self.words.iter().enumerate().flat_map(|(k, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    AtomId(k as u32 * 64 + bit)
+                })
+            })
+        })
+    }
+}
+
+impl FromIterator<AtomId> for AtomSet {
+    fn from_iter<I: IntoIterator<Item = AtomId>>(atoms: I) -> AtomSet {
+        let mut set = AtomSet::default();
+        for a in atoms {
+            set.insert(a);
+        }
+        set
+    }
+}
+
 /// Interned ground term payload.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum GroundTerm {
@@ -558,6 +637,22 @@ mod tests {
         assert_eq!(a, b);
         let c = s.intern_term(&Term::func("node", vec![Term::str("zlib")]));
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn atom_sets_count_and_iterate_in_id_order() {
+        let mut set: AtomSet = [AtomId(130), AtomId(3), AtomId(64), AtomId(3)]
+            .into_iter()
+            .collect();
+        assert_eq!(set.len(), 3);
+        assert!(set.contains(AtomId(64)) && !set.contains(AtomId(65)));
+        assert!(!set.contains(AtomId(1_000)), "past the last word");
+        assert!(!set.insert(AtomId(130)) && set.insert(AtomId(63)));
+        assert!(set.remove(AtomId(3)) && !set.remove(AtomId(3)) && !set.remove(AtomId(900)));
+        let ids: Vec<u32> = set.iter().map(|a| a.0).collect();
+        assert_eq!(ids, [63, 64, 130]);
+        assert_eq!(set.len(), ids.len());
+        assert!(AtomSet::default().is_empty() && AtomSet::default().iter().next().is_none());
     }
 
     #[test]

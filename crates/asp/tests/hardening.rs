@@ -205,7 +205,7 @@ fn every_enumerated_model_certifies() {
     let ms = Solver::new().enumerate(&prog, 16).unwrap();
     assert_eq!(ms.len(), 4, "two independent even loops");
     for m in &ms {
-        spackle_asp::certify::certify_atoms(m.ground(), m.atom_set())
+        spackle_asp::certify::certify_atoms(m.ground(), &m.true_atoms().collect())
             .expect("every enumerated model must pass the certificate check");
     }
 }
@@ -299,8 +299,8 @@ fn render_ground(gp: &GroundProgram) -> Vec<Vec<String>> {
         sorted(choices.collect()),
         sorted(constraints.collect()),
         sorted(minimize.collect()),
-        sorted(gp.possible.iter().map(atom).collect()),
-        sorted(gp.certain.iter().map(atom).collect()),
+        sorted(gp.possible.iter().map(|a| atom(&a)).collect()),
+        sorted(gp.certain.iter().map(|a| atom(&a)).collect()),
     ]
 }
 

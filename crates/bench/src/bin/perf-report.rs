@@ -19,10 +19,10 @@
 //! and cache statistics are written to `BENCH_concretize.json`.
 //!
 //! Each mode also records its phase split (`phases_ms`): per-sweep means
-//! of the encode, ground, translate-plus-search and interpret times that
+//! of the encode, ground, translate, search and interpret times that
 //! every solve reports in its `ConcretizeStats`, so a speedup of the
 //! shipped solve path names the phase that shrank. A replayed answer
-//! runs none of the four phases, so its phases read zero.
+//! runs none of the five phases, so its phases read zero.
 //!
 //! On top of the per-workload modes the report carries:
 //!
@@ -80,8 +80,8 @@ fn signature(
 }
 
 /// A sweep's phase times, summed over its solves: encode, ground,
-/// translate plus search, interpret.
-type Phases = [Duration; 4];
+/// translate, search, interpret.
+type Phases = [Duration; 5];
 
 /// One timed sweep over every goal in the workload; returns the wall
 /// time, the per-goal solution signatures and the summed phase times.
@@ -111,7 +111,8 @@ fn sweep(
         let solve = [
             s.encode_time,
             s.solver.ground_time,
-            s.solve_time.saturating_sub(s.solver.ground_time),
+            s.solver.translate_time,
+            s.solver.solve_time,
             s.interpret_time,
         ];
         for (sum, t) in phases.iter_mut().zip(solve) {
@@ -132,7 +133,7 @@ struct ModeResult {
     min_ms: f64,
     sigs: Vec<Vec<String>>,
     /// Per-sweep mean of each phase over the timed trials, in ms.
-    phases_ms: [f64; 4],
+    phases_ms: [f64; 5],
     cache_hits: u64,
     cache_misses: u64,
 }
@@ -161,7 +162,7 @@ fn run_mode(
     });
     // The warm-up sweeps come first; average the timed ones only.
     let timed = &phases[phases.len() - trials..];
-    let phases_ms: [f64; 4] = std::array::from_fn(|i| {
+    let phases_ms: [f64; 5] = std::array::from_fn(|i| {
         timed.iter().map(|p| p[i].as_secs_f64() * 1e3).sum::<f64>() / trials as f64
     });
     let (mean_ms, std_ms) = mean_std_ms(&times);
@@ -208,13 +209,14 @@ struct ModeJson {
 
 /// Per-sweep means of the phase times each solve reports: encode (the
 /// goal's facts and rules, assembled with the logic fragments into the
-/// solver's program), ground, translate plus search (`solve_time −
-/// ground_time`) and interpret.
+/// solver's program), ground, translate (CNF and the tightness check),
+/// search (with stability checks and optimization) and interpret.
 #[derive(Serialize)]
 struct PhasesJson {
     encode: f64,
     ground: f64,
-    translate_search: f64,
+    translate: f64,
+    search: f64,
     interpret: f64,
 }
 
@@ -303,8 +305,9 @@ impl ModeJson {
             phases_ms: PhasesJson {
                 encode: round3(m.phases_ms[0]),
                 ground: round3(m.phases_ms[1]),
-                translate_search: round3(m.phases_ms[2]),
-                interpret: round3(m.phases_ms[3]),
+                translate: round3(m.phases_ms[2]),
+                search: round3(m.phases_ms[3]),
+                interpret: round3(m.phases_ms[4]),
             },
         }
     }

@@ -134,11 +134,10 @@ pub struct SkippedSource {
 #[derive(Clone, Debug, Default)]
 pub struct ConcretizeStats {
     /// Wall time for compiling the goal's facts and rules and assembling
-    /// them with the logic fragments into the solver's program.
+    /// them with the logic fragments into the solver's program. The
+    /// engine's phases (ground, translate, search) are timed in
+    /// [`ConcretizeStats::solver`].
     pub encode_time: Duration,
-    /// Wall time for ground + translate + search + optimize (from the
-    /// ASP engine).
-    pub solve_time: Duration,
     /// Wall time for model interpretation.
     pub interpret_time: Duration,
     /// End-to-end wall time.
@@ -466,7 +465,6 @@ impl Concretizer {
         self.check_cancel()?;
         let (outcome, mut solver_stats) = solver.solve_ground(ground).map_err(solve_error)?;
         solver_stats.ground_time = ground_time;
-        stats.solve_time = solver_stats.ground_time + solver_stats.solve_time;
         stats.solver = solver_stats;
         let answer = match outcome {
             SolveOutcome::Unsat => None,

@@ -94,7 +94,8 @@ fn identical_resolve_hits_and_matches() {
     // A hit runs no stage, interpretation included...
     assert_eq!(second.stats.encode_time, Duration::ZERO);
     assert_eq!(second.stats.solver.ground_time, Duration::ZERO);
-    assert_eq!(second.stats.solve_time, Duration::ZERO);
+    assert_eq!(second.stats.solver.translate_time, Duration::ZERO);
+    assert_eq!(second.stats.solver.solve_time, Duration::ZERO);
     assert_eq!(second.stats.interpret_time, Duration::ZERO);
     assert_eq!(second.stats.solver.propagations, 0);
     // ...reads no cache entry...

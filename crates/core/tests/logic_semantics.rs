@@ -43,7 +43,6 @@ fn version_choice_prefers_lowest_penalty() {
     .expect("satisfiable");
     let versions = m
         .atoms_of("attr")
-        .into_iter()
         .filter(|args| m.as_str(args[0]) == Some("version"))
         .count();
     assert_eq!(versions, 1, "exactly one version chosen");

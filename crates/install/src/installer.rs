@@ -244,11 +244,6 @@ impl Installer {
         &self.layout
     }
 
-    /// Has a spec with this hash been installed?
-    pub fn is_installed(&self, hash: SpecHash) -> bool {
-        self.installed.contains_key(&hash)
-    }
-
     /// The artifact bytes installed at `prefix`, if any.
     pub fn artifact_at(&self, prefix: &str) -> Option<&[u8]> {
         self.tree.get(prefix).map(|v| v.as_slice())

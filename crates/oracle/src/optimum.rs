@@ -75,7 +75,7 @@ pub fn refute_improvement(gp: &GroundProgram, cost: &[(i64, i64)]) -> Result<usi
             let block: Vec<Lit> = gp
                 .possible
                 .iter()
-                .map(|&a| {
+                .map(|a| {
                     let l = tr.lit(a);
                     if model.contains(&a) {
                         l.negate()
@@ -105,7 +105,6 @@ fn completion_model(
         SatResult::Sat => Ok(Some(
             gp.possible
                 .iter()
-                .copied()
                 .filter(|&a| sat.value(tr.atom_var[a.0 as usize]))
                 .collect(),
         )),

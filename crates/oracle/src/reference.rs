@@ -163,13 +163,11 @@ pub fn stable_models(
     gp: &GroundProgram,
     max_free: usize,
 ) -> Result<Vec<Vec<AtomId>>, OracleError> {
-    let mut free: Vec<AtomId> = gp
+    let free: Vec<AtomId> = gp
         .possible
         .iter()
-        .copied()
-        .filter(|a| !gp.certain.contains(a))
+        .filter(|&a| !gp.certain.contains(a))
         .collect();
-    free.sort_unstable();
     if free.len() > max_free {
         return Err(OracleError::TooLarge {
             free: free.len(),
@@ -178,7 +176,7 @@ pub fn stable_models(
     }
     let mut out: Vec<Vec<AtomId>> = Vec::new();
     for mask in 0u64..(1u64 << free.len()) {
-        let mut cand: FxHashSet<AtomId> = gp.certain.iter().copied().collect();
+        let mut cand: FxHashSet<AtomId> = gp.certain.iter().collect();
         for (i, &a) in free.iter().enumerate() {
             if (mask >> i) & 1 == 1 {
                 cand.insert(a);

@@ -100,8 +100,7 @@ fn certificate_checker_rejects_corrupted_models() {
     let free: Vec<AtomId> = gp
         .possible
         .iter()
-        .copied()
-        .filter(|a| !gp.certain.contains(a))
+        .filter(|&a| !gp.certain.contains(a))
         .collect();
     let base: FxHashSet<AtomId> = sol.models[0].iter().copied().collect();
     for &a in &free {

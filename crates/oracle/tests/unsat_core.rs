@@ -110,7 +110,7 @@ fn founded(gp: &GroundProgram, m: &FxHashSet<AtomId>) -> bool {
     let mp: FxHashSet<AtomId> = m
         .iter()
         .copied()
-        .filter(|a| gp.possible.contains(a))
+        .filter(|&a| gp.possible.contains(a))
         .collect();
     let mut f: FxHashSet<AtomId> = FxHashSet::default();
     loop {

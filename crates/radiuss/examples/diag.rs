@@ -15,9 +15,11 @@ fn main() {
                 .unwrap();
             let s = &sol.stats;
             println!(
-                "{root:8} {label}: total={:>8.2?} encode={:>7.2?} ground={:>8.2?} solve={:>8.2?} \
+                "{root:8} {label}: total={:>8.2?} encode={:>7.2?} ground={:>8.2?} \
+                 translate={:>8.2?} search={:>8.2?} \
                  atoms={} rules={} vars={} conflicts={} probes={} cegar={}",
-                s.total_time, s.encode_time, s.solver.ground_time, s.solver.solve_time,
+                s.total_time, s.encode_time, s.solver.ground_time, s.solver.translate_time,
+                s.solver.solve_time,
                 s.solver.ground_atoms, s.solver.ground_rules, s.solver.sat_vars,
                 s.solver.conflicts, s.solver.optimize_probes, s.solver.stability_restarts
             );

@@ -150,11 +150,6 @@ impl PackageBuilder {
         self.depends_on_full(spec, "", DepTypes::BUILD)
     }
 
-    /// Conditional build dependency.
-    pub fn build_depends_on_when(self, spec: &str, when: &str) -> Self {
-        self.depends_on_full(spec, when, DepTypes::BUILD)
-    }
-
     /// Fully general dependency directive.
     pub fn depends_on_full(mut self, spec: &str, when: &str, types: DepTypes) -> Self {
         let Some(spec) = self.parse(spec) else {

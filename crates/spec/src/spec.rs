@@ -128,27 +128,6 @@ impl AbstractSpec {
         self
     }
 
-    /// Builder: add a build dependency constraint (`%dep`).
-    pub fn with_build_dep(mut self, dep: AbstractSpec) -> Self {
-        self.deps.push(AbstractDep {
-            spec: dep,
-            types: DepTypes::BUILD,
-        });
-        self
-    }
-
-    /// Builder: constrain the target.
-    pub fn with_target(mut self, t: Target) -> Self {
-        self.target = Some(t);
-        self
-    }
-
-    /// Builder: constrain the OS.
-    pub fn with_os(mut self, os: Os) -> Self {
-        self.os = Some(os);
-        self
-    }
-
     /// True if no attribute is constrained at all.
     pub fn is_empty(&self) -> bool {
         self.name.is_none()
@@ -638,11 +617,6 @@ impl ConcreteSpecBuilder {
     /// Set a variant value on a node.
     pub fn set_variant(&mut self, id: NodeId, name: &str, value: VariantValue) {
         self.nodes[id].variants.insert(Sym::intern(name), value);
-    }
-
-    /// Record build provenance on a node (used by splicing).
-    pub fn set_build_spec(&mut self, id: NodeId, build_spec: Arc<ConcreteSpec>) {
-        self.nodes[id].build_spec = Some(build_spec);
     }
 
     /// Graft an existing concrete spec into this builder, preserving node

@@ -106,9 +106,17 @@ fn print_solution(sol: &Solution) {
     for s in &sol.spliced {
         println!("  splice: {}'s dependency {} -> {}", s.parent, s.replaced, s.replacement);
     }
+    let (s, engine) = (&sol.stats, &sol.stats.solver);
     println!(
-        "timing: encode {:?}, solve {:?}, total {:?} ({} reusable specs considered)",
-        sol.stats.encode_time, sol.stats.solve_time, sol.stats.total_time, sol.stats.reusable_specs
+        "timing: encode {:?}, ground {:?}, translate {:?}, search {:?}, interpret {:?}, \
+         total {:?} ({} reusable specs considered)",
+        s.encode_time,
+        engine.ground_time,
+        engine.translate_time,
+        engine.solve_time,
+        s.interpret_time,
+        s.total_time,
+        s.reusable_specs
     );
 }
 
